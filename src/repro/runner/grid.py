@@ -24,6 +24,9 @@ one cell:
   machine's Monte-Carlo sweeps are simulated once per group and each
   sibling only pays for its own recovered netlist — one batched
   array-domain comparison per sibling against recorded reference rows;
+* member attacks run inside
+  :func:`repro.adversary.netflow.shared_flow_matches`, so siblings that
+  hand the network-flow matcher an equal instance solve it once;
 * on the pool path, the parent pre-computes each unique lock, exports
   the oracle's compiled program into
   :mod:`multiprocessing.shared_memory` and ships workers a kilobyte
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.adversary.netflow import shared_flow_matches
 from repro.metrics.hd_oer import shared_reference_sweeps
 from repro.runner.engine import (
     AttackCellResult,
@@ -292,7 +296,7 @@ def _run_group(
     results: list[CellResult | AttackCellResult] = []
     layout = None
     defended = None
-    with shared_reference_sweeps():
+    with shared_reference_sweeps(), shared_flow_matches():
         for cell in cells:
             base = _base_cell(cell)
             start = time.perf_counter()
