@@ -1,23 +1,27 @@
 """Whole-campaign wall clock: grid fusion and the persistent worker runtime.
 
-Two measurements, both over :func:`repro.runner.run_campaign` /
-:func:`repro.runner.grid.run_fused_cells`, both serial- or pool-cacheless
-so the ratios are purely the optimisation under test:
+Two measurements, each pitting :func:`repro.runner.run_campaign` /
+:func:`repro.runner.grid.run_fused_cells` against a reference built
+here from the stage functions, all serial- or pool-cacheless so the
+ratios are purely the optimisation under test:
 
 1. **Fusion** — ten cells over a single lock/layout, differing only in
-   ``hd_seed``, run once unfused (one task per cell, the legacy path)
-   and once fused (the grid compiler groups the siblings and executes
-   them over shared in-memory artifacts and batched array sweeps).
-   Serial, so no pool effects.  Emits ``fuse_speedup``.
+   ``hd_seed``, run once unfused (a serial loop calling
+   :func:`repro.runner.stages.cell_run` per cell) and once fused (the
+   grid compiler groups the siblings and executes them over shared
+   in-memory artifacts and batched array sweeps).  Serial, so no pool
+   effects.  Emits ``fuse_speedup``.
 
 2. **Cross-group reuse** — a multi-lock, multi-group grid (several
    locks, several layout variants per lock, several seed members per
    layout) on the **pool** path, run once per-group with the worker
-   runtime disabled (the pre-runtime shape: every task re-derives its
-   lock) and once affinity-routed with the runtime on (one lock-key
-   bundle per task; the worker resolves each lock once and its
-   resident tier serves repeats).  Emits ``group_reuse_speedup`` plus
-   the worker-cache counters of the warm pass.
+   runtime disabled (one single-group
+   :func:`repro.runner.grid.execute_bundle` task per sibling group:
+   every task re-derives its lock) and once through the campaign
+   driver with the runtime on (one lock-key bundle per task; the
+   worker resolves each lock once and its resident tier serves
+   repeats).  Emits ``group_reuse_speedup`` plus the worker-cache
+   counters of the warm pass.
 
 Every pass must be **bit-identical** (canonical JSON equal, wall-clock
 keys stripped) — the benchmark doubles as a differential test.  Emits
@@ -45,9 +49,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.runner import run_campaign  # noqa: E402
-from repro.runner.grid import plan_campaign, run_fused_cells  # noqa: E402
+from repro.runner.engine import CampaignExecutor, CellResult  # noqa: E402
+from repro.runner.grid import (  # noqa: E402
+    execute_bundle,
+    plan_campaign,
+    run_fused_cells,
+)
 from repro.runner.serialize import canonical_json, result_record  # noqa: E402
 from repro.runner.spec import CellSpec  # noqa: E402
+from repro.runner.stages import cell_run  # noqa: E402
 from repro.utils.artifact_cache import CacheStats  # noqa: E402
 
 #: Lock/layout-heavy base cell: the shared stages dominate, which is
@@ -78,7 +88,7 @@ def multi_lock_grid(
     distinct layout (sibling group) under it; each hd_seed a group
     member.  This is the shape cross-group reuse targets: many groups
     per lock, so the per-group path re-derives each lock ``layouts``
-    times while the affinity path resolves it once.
+    times while the bundled path resolves it once.
     """
     return [
         replace(
@@ -93,20 +103,50 @@ def multi_lock_grid(
     ]
 
 
-def run_once(cells: list[CellSpec], fuse: bool):
+def run_per_cell(cells: list[CellSpec]):
+    """The unfused reference: each cell alone through ``cell_run``."""
     start = time.perf_counter()
-    result = run_campaign(cells, workers=1, use_cache=False, fuse=fuse)
-    return result, time.perf_counter() - start
+    results = []
+    for cell in cells:
+        cell_start = time.perf_counter()
+        run = cell_run(cell)
+        results.append(
+            CellResult(cell, run, time.perf_counter() - cell_start, CacheStats())
+        )
+    return results, time.perf_counter() - start
 
 
-def run_pool(cells: list[CellSpec], affinity: bool, worker_cache_mb: int):
+def run_fused(cells: list[CellSpec]):
+    start = time.perf_counter()
+    result = run_campaign(cells, workers=1, use_cache=False)
+    return result.cells, time.perf_counter() - start
+
+
+def _per_group(cells: list[CellSpec]) -> list:
+    """One single-group bundle task per sibling group; cell order."""
+    plan = plan_campaign(cells)
+    with CampaignExecutor(POOL_WORKERS, use_cache=False) as executor:
+        futures = [
+            executor.submit(execute_bundle, [plan.group_cells(group)])
+            for group in plan.groups
+        ]
+        ordered = {}
+        for group, future in zip(plan.groups, futures):
+            [results] = future.result()
+            ordered.update(zip(group.indices, results))
+    return [ordered[i] for i in range(len(cells))]
+
+
+def _bundled(cells: list[CellSpec]) -> list:
+    return run_fused_cells(cells, workers=POOL_WORKERS, use_cache=False)
+
+
+def run_pool(cells: list[CellSpec], runner, worker_cache_mb: int):
     """One cacheless pool pass; returns (results, seconds, merged stats)."""
     os.environ["REPRO_WORKER_CACHE_MB"] = str(worker_cache_mb)
     try:
         start = time.perf_counter()
-        results = run_fused_cells(
-            cells, workers=POOL_WORKERS, use_cache=False, affinity=affinity
-        )
+        results = runner(cells)
         seconds = time.perf_counter() - start
     finally:
         os.environ.pop("REPRO_WORKER_CACHE_MB", None)
@@ -141,13 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     plan = plan_campaign(cells)
     print(f"fusion plan: {plan.describe()}")
 
-    unfused, unfused_seconds = run_once(cells, fuse=False)
-    fused, fused_seconds = run_once(cells, fuse=True)
-    verify(unfused.cells, fused.cells, "fused campaign")
+    unfused, unfused_seconds = run_per_cell(cells)
+    fused, fused_seconds = run_fused(cells)
+    verify(unfused, fused, "fused campaign")
 
     speedup = unfused_seconds / max(fused_seconds, 1e-9)
     print(f"{'cell':>28} {'hd_seed':>8} {'unfused s':>10} {'fused s':>8}")
-    for a, b in zip(unfused.cells, fused.cells):
+    for a, b in zip(unfused, fused):
         print(
             f"{a.cell.cell_id:>28} {a.cell.hd_seed:>8} "
             f"{a.seconds:>10.3f} {b.seconds:>8.3f}"
@@ -165,16 +205,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\npool plan: {pool_plan.describe()}")
 
     per_group, per_group_seconds, _ = run_pool(
-        pool_cells, affinity=False, worker_cache_mb=0
+        pool_cells, _per_group, worker_cache_mb=0
     )
     warm, warm_seconds, warm_stats = run_pool(
-        pool_cells, affinity=True, worker_cache_mb=256
+        pool_cells, _bundled, worker_cache_mb=256
     )
-    verify(per_group, warm, "affinity-routed campaign")
+    verify(per_group, warm, "lock-bundled campaign")
 
     reuse_speedup = per_group_seconds / max(warm_seconds, 1e-9)
     print(
-        f"per-group pool {per_group_seconds:.2f}s -> affinity+runtime "
+        f"per-group pool {per_group_seconds:.2f}s -> bundles+runtime "
         f"{warm_seconds:.2f}s ({reuse_speedup:.1f}x, bit-identical)"
     )
     print(

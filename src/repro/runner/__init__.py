@@ -17,8 +17,6 @@ from repro.runner.engine import (
     CampaignResult,
     CellResult,
     default_workers,
-    execute_attack_cell,
-    execute_cell,
     run_attack_campaign,
     run_campaign,
     run_cost_campaign,
@@ -84,8 +82,6 @@ __all__ = [
     "current_profile",
     "default_workers",
     "defense_smoke_campaign",
-    "execute_attack_cell",
-    "execute_cell",
     "expand",
     "expand_attack",
     "layout_cost_runs",

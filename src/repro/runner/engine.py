@@ -1,10 +1,13 @@
 """The campaign engine: parallel cell execution over a shared cache.
 
-``run_campaign`` expands a :class:`~repro.runner.spec.CampaignSpec` (or
-takes an explicit cell list), executes every cell on a
-:class:`~concurrent.futures.ProcessPoolExecutor`, and collects the
-:class:`~repro.runner.stages.BenchRun` metrics.  Three properties make
-the parallelism safe:
+``run_campaign`` / ``run_attack_campaign`` expand a campaign spec (or
+take an explicit cell list) and hand the cells to the grid compiler
+(:mod:`repro.runner.grid`), the one executor of lock/attack cells — for
+the serial CLI, the pool CLI, the benchmarks and the campaign service
+alike.  This module owns what they share: the
+result dataclasses, the long-lived :class:`CampaignExecutor` pool and
+the fail-fast collection of pool futures.  Three properties make the
+parallelism safe:
 
 * cells are **independent** — each carries its full configuration and
   derives every random stream from its own explicit seeds, so results
@@ -18,7 +21,8 @@ the parallelism safe:
 * workers return plain picklable dataclasses; no shared mutable state.
 
 ``workers=1`` (or a single-CPU machine) degrades to an in-process
-serial loop with the same results.
+serial loop with the same results.  Fig. 5's cost cells compute a
+different stage and run one task per cell (:func:`run_cost_campaign`).
 """
 
 from __future__ import annotations
@@ -40,22 +44,10 @@ from repro.runner.spec import (
     expand,
     expand_attack,
 )
-from repro.runner.stages import (
-    BenchRun,
-    cell_attack,
-    cell_layout,
-    cell_run,
-    layout_cost_runs,
-    locked_design,
-)
-from repro.runner.worker import (
-    enable_worker_runtime,
-    worker_cache_budget_bytes,
-    worker_stats_delta,
-    worker_stats_snapshot,
-)
+from repro.runner.stages import BenchRun, layout_cost_runs
+from repro.runner.worker import enable_worker_runtime, worker_cache_budget_bytes
 from repro.utils.artifact_cache import ArtifactCache, CacheStats
-from repro.utils.env import env_flag, env_int
+from repro.utils.env import env_int
 
 
 @dataclass
@@ -179,13 +171,14 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     the campaign service forks from inside an asyncio process, and
     fork-after-thread deadlocks are exactly the hazard that made 3.14
     change the default.  Forkserver keeps POSIX startup cheap (workers
-    fork from a clean server process that preloads this module); spawn
-    is the portable fallback.
+    fork from a clean server process that preloads the grid compiler,
+    home of the pool workers, and with it this module); spawn is the
+    portable fallback.
     """
     methods = multiprocessing.get_all_start_methods()
     if "forkserver" in methods:
         context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload(["repro.runner.engine"])
+        context.set_forkserver_preload(["repro.runner.grid"])
         return context
     return multiprocessing.get_context("spawn")
 
@@ -204,26 +197,6 @@ def _open_cache(cache_dir: str | Path | None, use_cache: bool):
     return ArtifactCache(Path(cache_dir))
 
 
-def execute_cell(
-    cell: CellSpec,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-) -> CellResult:
-    """Run one cell end to end (module-level: picklable to workers)."""
-    cache = _open_cache(cache_dir, use_cache)
-    start = time.perf_counter()
-    tier_before = worker_stats_snapshot()
-    run = cell_run(cell, cache)
-    stats = cache.stats if cache is not None else CacheStats()
-    stats.worker = worker_stats_delta(tier_before)
-    return CellResult(
-        cell=cell,
-        run=run,
-        seconds=time.perf_counter() - start,
-        cache=stats,
-    )
-
-
 def execute_cost_cell(
     cell: CellSpec,
     cache_dir: str | Path | None = None,
@@ -233,38 +206,6 @@ def execute_cost_cell(
     """Run one Fig. 5 cost cell (module-level: picklable to workers)."""
     cache = _open_cache(cache_dir, use_cache)
     return layout_cost_runs(cell, cache, split_layers=split_layers)
-
-
-def execute_attack_cell(
-    acell: AttackCellSpec,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-) -> AttackCellResult:
-    """Run one attack cell end to end (module-level: picklable)."""
-    cache = _open_cache(cache_dir, use_cache)
-    start = time.perf_counter()
-    tier_before = worker_stats_snapshot()
-    outcome = cell_attack(acell, cache)
-    stats = cache.stats if cache is not None else CacheStats()
-    stats.worker = worker_stats_delta(tier_before)
-    return AttackCellResult(
-        cell=acell,
-        outcome=outcome,
-        seconds=time.perf_counter() - start,
-        cache=stats,
-    )
-
-
-def warm_cell(
-    cell: CellSpec,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-) -> str:
-    """Materialise a cell's lock + layout artifacts without attacking."""
-    cache = _open_cache(cache_dir, use_cache)
-    design = locked_design(cell, cache)
-    cell_layout(cell, cache, design=design)
-    return cell.cell_id
 
 
 class CampaignExecutor:
@@ -310,19 +251,11 @@ class CampaignExecutor:
             initargs=(worker_cache_budget_bytes(),),
         )
 
-    def submit(self, worker: Callable, cell, **kwargs):
-        """Submit one cell through *worker*; returns its future."""
+    def submit(self, worker: Callable, task, **kwargs):
+        """Submit *task* (a cell or a bundle) through *worker*; its future."""
         return self._pool.submit(
-            worker, cell, self.cache_dir, self.use_cache, **kwargs
+            worker, task, self.cache_dir, self.use_cache, **kwargs
         )
-
-    def submit_cell(self, cell: CellSpec):
-        """Future of :func:`execute_cell` for *cell*."""
-        return self.submit(execute_cell, cell)
-
-    def submit_attack_cell(self, acell: AttackCellSpec):
-        """Future of :func:`execute_attack_cell` for *acell*."""
-        return self.submit(execute_attack_cell, acell)
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)
@@ -340,6 +273,26 @@ class CampaignExecutor:
         self.shutdown()
 
 
+def _gather_fail_fast(futures: list, cells: list) -> list:
+    """Results of *futures* in order; *cells[i]* names ``futures[i]``.
+
+    Fails fast: stops at the first worker error, cancels every
+    not-yet-started sibling and raises a :class:`CellExecutionError`
+    naming the failing cell (in-order ``f.result()`` collection would
+    block on unrelated futures and lose the failing cell's identity).
+    """
+    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
+    failed = next((f for f in done if f.exception() is not None), None)
+    if failed is not None:
+        for future in not_done:
+            future.cancel()
+        exc = failed.exception()
+        if isinstance(exc, CellExecutionError):
+            raise exc
+        raise _wrap_cell_error(cells[futures.index(failed)], exc) from exc
+    return [f.result() for f in futures]
+
+
 def _map_cells(
     worker: Callable,
     cells: Iterable[CellSpec],
@@ -348,6 +301,7 @@ def _map_cells(
     use_cache: bool,
     **kwargs,
 ) -> list:
+    """One task per cell through *worker* (Fig. 5's cost cells)."""
     cells = list(cells)
     count = workers if workers is not None else default_workers()
     count = max(1, min(count, len(cells) or 1))
@@ -363,33 +317,7 @@ def _map_cells(
         return results
     with CampaignExecutor(count, cache_dir, use_cache) as executor:
         futures = [executor.submit(worker, c, **kwargs) for c in cells]
-        by_future = dict(zip(futures, cells))
-        # Fail fast: stop at the first worker error, cancel every
-        # not-yet-started sibling, and name the cell that failed
-        # (in-order f.result() collection would block on unrelated
-        # futures and lose the failing cell's identity).
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        failed = next((f for f in done if f.exception() is not None), None)
-        if failed is not None:
-            for future in not_done:
-                future.cancel()
-            exc = failed.exception()
-            if isinstance(exc, CellExecutionError):
-                raise exc
-            raise _wrap_cell_error(by_future[failed], exc) from exc
-        return [f.result() for f in futures]
-
-
-def _resolve_fuse(fuse: bool | None) -> bool:
-    """Explicit *fuse* argument wins; else the ``REPRO_GRID_FUSE`` knob.
-
-    Fusion is on by default (results are bit-identical to the per-cell
-    path and sibling-heavy grids run several times faster); set
-    ``REPRO_GRID_FUSE=0`` to opt out.
-    """
-    if fuse is not None:
-        return fuse
-    return env_flag("REPRO_GRID_FUSE", default=True)
+        return _gather_fail_fast(futures, cells)
 
 
 def run_campaign(
@@ -397,25 +325,18 @@ def run_campaign(
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    fuse: bool | None = None,
 ) -> CampaignResult:
     """Execute every cell of *spec*; results in deterministic spec order.
 
-    With *fuse* (default: the ``REPRO_GRID_FUSE`` env knob) the cells
-    are compiled into sibling groups by :mod:`repro.runner.grid` and
-    executed one group per task, sharing lock/layout artifacts and
-    compiled programs in memory.  Results are bit-identical either way.
+    The cells are compiled into sibling groups by
+    :mod:`repro.runner.grid` and executed group by group, sharing
+    lock/layout artifacts and compiled programs in memory.
     """
+    from repro.runner.grid import run_fused_cells
+
     cells = expand(spec)
     start = time.perf_counter()
-    if _resolve_fuse(fuse):
-        from repro.runner.grid import run_fused_cells
-
-        results = run_fused_cells(cells, workers, cache_dir, use_cache)
-    else:
-        results = _map_cells(
-            execute_cell, cells, workers, cache_dir, use_cache
-        )
+    results = run_fused_cells(cells, workers, cache_dir, use_cache)
     return CampaignResult(
         cells=results, wall_seconds=time.perf_counter() - start
     )
@@ -426,25 +347,19 @@ def run_attack_campaign(
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    fuse: bool | None = None,
 ) -> AttackCampaignResult:
-    """Execute every scenario cell of *spec*, cell-parallel and cached.
+    """Execute every scenario cell of *spec*, grouped and cached.
 
-    *fuse* routes through the grid compiler exactly as in
-    :func:`run_campaign`; scenario cells over one (benchmark, split,
-    key_bits, seeds) base are siblings and share their locked design,
-    layout and compiled programs in memory.
+    Routes through the grid compiler exactly as :func:`run_campaign`;
+    scenario cells over one (benchmark, split, key_bits, seeds) base
+    are siblings and share their locked design, layout and compiled
+    programs in memory.
     """
+    from repro.runner.grid import run_fused_cells
+
     cells = expand_attack(spec)
     start = time.perf_counter()
-    if _resolve_fuse(fuse):
-        from repro.runner.grid import run_fused_cells
-
-        results = run_fused_cells(cells, workers, cache_dir, use_cache)
-    else:
-        results = _map_cells(
-            execute_attack_cell, cells, workers, cache_dir, use_cache
-        )
+    results = run_fused_cells(cells, workers, cache_dir, use_cache)
     return AttackCampaignResult(
         cells=results, wall_seconds=time.perf_counter() - start
     )

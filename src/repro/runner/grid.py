@@ -3,17 +3,20 @@
 A campaign grid expands into cells whose stage payloads overlap heavily:
 every split layer of one (benchmark, key config) shares the **lock**
 artifact, and every seed/scenario variation over one split shares the
-**layout** on top of it.  The legacy path exploits the overlap only
-through the on-disk cache — each cell re-opens, re-reads and re-unpickles
-the shared artifacts (or, cold and cacheless, recomputes them outright).
+**layout** on top of it.  Executed one cell at a time, the overlap is
+exploited only through the on-disk cache — each cell re-opens, re-reads
+and re-unpickles the shared artifacts (or, cold and cacheless,
+recomputes them outright).
 
 :func:`plan_campaign` compiles the cell list into that DAG explicitly:
 cells with equal (layout, defense) key prefixes form a
 :class:`SiblingGroup` — defended attack cells additionally share the
 **defense** artifact, so the defended FEOL view is computed once per
 group — and groups with equal lock keys share a lock node above them.
-:func:`run_fused_cells` then executes one *group* per task instead of
-one cell:
+:func:`run_fused_cells` then executes group by group instead of cell by
+cell.  :func:`_run_group` is the **only** code that executes a
+lock/attack cell — serial CLI, pool CLI, benchmarks and the campaign
+service all reach it, the pool paths through :func:`execute_bundle`:
 
 * the group's lock and layout are computed **once** and handed to every
   member in memory (``design=``/``layout=`` on the stage functions), so
@@ -32,10 +35,10 @@ one cell:
   :mod:`multiprocessing.shared_memory` and ships workers a kilobyte
   handle (:mod:`repro.sim.shared`) instead of a pickled circuit.
 
-On top of the per-group fusion sits **affinity-aware dispatch**
-(``REPRO_GRID_AFFINITY``, default on): :func:`plan_bundles` collapses
-every sibling group sharing a lock into one :class:`LockBundle`, and
-the pool path submits one lock-key-sorted *bundle* per task, so a
+On top of the per-group fusion sits **affinity-aware dispatch**:
+:func:`plan_bundles` collapses every sibling group sharing a lock into
+one :class:`LockBundle`, and the pool path submits one lock-key-sorted
+*bundle* per task, so a
 worker computes (or attaches) each lock exactly once for all of its
 groups, threading the design through them like the serial path does.
 With a cache, the parent additionally exports each unique lock — the
@@ -46,19 +49,20 @@ segment per artifact, registered with the executor-owned
 campaign (and, for a shared executor, every campaign it serves).
 Workers pin the attached artifacts in their resident tier
 (:mod:`repro.runner.worker`), so repeated traffic never re-unpickles
-them.
+them.  The campaign service submits each unique cell as a one-group
+bundle, so its results come from this same worker.
 
-Everything is bit-identical to the unfused path: the fusion only moves
-*where* shared artifacts are computed and how their programs travel —
-never what is computed.  ``tests/test_grid.py`` enforces the identity
-differentially; ``benchmarks/bench_campaign.py`` tracks the wall-clock
-win under the ``BENCH_campaign`` regression gate.
+Everything is bit-identical to running each cell alone through the
+stage functions: the fusion only moves *where* shared artifacts are
+computed and how their programs travel — never what is computed.
+``tests/test_grid.py`` enforces the identity differentially against a
+per-cell reference; ``benchmarks/bench_campaign.py`` tracks the
+wall-clock win under the ``BENCH_campaign`` regression gate.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -70,6 +74,7 @@ from repro.runner.engine import (
     CampaignExecutor,
     CellExecutionError,
     CellResult,
+    _gather_fail_fast,
     _open_cache,
     _wrap_cell_error,
     default_workers,
@@ -101,7 +106,6 @@ from repro.sim.shared import (
     install_program,
 )
 from repro.utils.artifact_cache import CacheStats, StageStats, spec_key
-from repro.utils.env import env_flag
 
 __all__ = [
     "SiblingGroup",
@@ -109,7 +113,6 @@ __all__ = [
     "LockBundle",
     "plan_campaign",
     "plan_bundles",
-    "execute_group",
     "execute_bundle",
     "run_fused_cells",
 ]
@@ -357,23 +360,6 @@ def _run_group(
     return results, design
 
 
-def execute_group(
-    cells: Sequence[GridCell],
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-    oracle_handle=None,
-) -> list[CellResult | AttackCellResult]:
-    """Pool worker: one sibling group end to end (module-level: picklable).
-
-    *oracle_handle*, when present, is a
-    :class:`repro.sim.shared.SharedProgramHandle` for the group core's
-    compiled program — attached zero-copy instead of recompiling.
-    """
-    cache = _open_cache(cache_dir, use_cache)
-    results, _design = _run_group(cells, cache, oracle_handle=oracle_handle)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Affinity-aware dispatch: groups sharing a lock bundled into one task
 
@@ -433,30 +419,30 @@ def execute_bundle(
     group_cells: Sequence[Sequence[GridCell]],
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    lock_keys: Sequence[str] = (),
-    oracle_handles: dict | None = None,
-    design_handles: dict | None = None,
+    oracle_handle=None,
+    design_handle: SharedBlobHandle | None = None,
 ) -> list[list[CellResult | AttackCellResult]]:
     """Pool worker: one lock bundle, group by group (module-level: picklable).
 
-    The design resolved for the first group of each lock key is threaded
-    through the key's later groups in-process; *oracle_handles* /
-    *design_handles* map lock keys to the parent's shared-memory exports.
+    The one worker that executes lock/attack cells on a pool — campaign
+    bundles and the service's one-cell bundles alike.  Every group of a
+    bundle shares one lock (:func:`plan_bundles` bundles by lock key and
+    split halves keep it), so the design resolved for the first group
+    is threaded through the rest in-process.  *oracle_handle* /
+    *design_handle*, when present, are the parent's shared-memory
+    exports of that lock.
     """
     cache = _open_cache(cache_dir, use_cache)
-    oracle_handles = oracle_handles or {}
-    design_handles = design_handles or {}
-    designs: dict[str, LockedDesign] = {}
+    design = None
     out: list[list[CellResult | AttackCellResult]] = []
-    for cells, lock_key in zip(group_cells, lock_keys):
+    for cells in group_cells:
         results, design = _run_group(
             cells,
             cache,
-            design=designs.get(lock_key),
-            oracle_handle=oracle_handles.get(lock_key),
-            design_handle=design_handles.get(lock_key),
+            design=design,
+            oracle_handle=oracle_handle,
+            design_handle=design_handle,
         )
-        designs[lock_key] = design
         out.append(results)
     return out
 
@@ -465,40 +451,8 @@ def execute_bundle(
 # Fused campaign driver
 
 
-def _export_oracles(plan: GridPlan, cache, registry) -> dict:
-    """Pre-compute each unique lock and export its oracle program.
-
-    Returns handles by lock key.  Each segment is registered with
-    *registry* the moment it exists, so an exception mid-export (or a
-    worker failure later) can never strand it — the registry's owner
-    (and its atexit guard) sweeps everything.  Pre-computing in the
-    parent also guarantees sibling *groups* sharing a lock never
-    duplicate the lock computation across workers — the cache serves it
-    to every group.
-    """
-    handles: dict[str, object] = {}
-    for group in plan.groups:
-        if group.lock_key in handles:
-            continue
-        cached = registry.lookup("oracle", group.lock_key)
-        if cached is not None:
-            handles[group.lock_key] = cached
-            continue
-        base = _base_cell(plan.cells[group.indices[0]])
-        design = locked_design(base, cache)
-        try:
-            program = compile_circuit(design.core)
-        except ValueError:  # sequential core: no compiled program to ship
-            handles[group.lock_key] = None
-            continue
-        handle, segment = export_program(program)
-        registry.store("oracle", group.lock_key, handle, segment)
-        handles[group.lock_key] = handle
-    return handles
-
-
 def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
-    """Affinity-path parent exports: oracle program + design blob per lock.
+    """Pool-path parent exports: oracle program + design blob per lock.
 
     The parent already pays the lock load (disk hit, or compute + store
     on a cold cache), so shipping the deserialized design costs one
@@ -538,56 +492,21 @@ def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
     return oracle_handles, design_handles
 
 
-def _resolve_affinity(affinity: bool | None) -> bool:
-    """Explicit argument wins; else the ``REPRO_GRID_AFFINITY`` knob."""
-    if affinity is not None:
-        return affinity
-    return env_flag("REPRO_GRID_AFFINITY", default=True)
-
-
-def _collect_pool(futures, units, plan, ordered, result_groups) -> None:
-    """Fail-fast collection shared by both pool dispatch shapes.
-
-    *units* are the submitted work units (groups or bundles);
-    *result_groups(unit, result)* yields ``(group, member_results)``
-    pairs to scatter into *ordered* by original cell index.
-    """
-    by_future = dict(zip(futures, units))
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next((f for f in done if f.exception() is not None), None)
-    if failed is not None:
-        for future in not_done:
-            future.cancel()
-        exc = failed.exception()
-        if isinstance(exc, CellExecutionError):
-            raise exc
-        unit = by_future[failed]
-        group = unit.groups[0] if isinstance(unit, LockBundle) else unit
-        raise _wrap_cell_error(plan.cells[group.indices[0]], exc) from exc
-    for future, unit in zip(futures, units):
-        for group, results in result_groups(unit, future.result()):
-            for index, result in zip(group.indices, results):
-                ordered[index] = result
-
-
 def run_fused_cells(
     cells: Iterable[GridCell],
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     executor: CampaignExecutor | None = None,
-    affinity: bool | None = None,
 ) -> list[CellResult | AttackCellResult]:
     """Execute *cells* through the grid plan; results in input order.
 
     Serial (one worker or one group): groups run in-process, reusing
-    designs across groups that share a lock.  Pool, affinity on (the
-    default): one task per :class:`LockBundle` — every group of a lock
-    lands on one worker, which resolves the lock once; with a cache the
-    parent exports each unique lock (design blob + oracle program) into
-    shared memory shared by all of its groups.  Pool, affinity off: one
-    task per sibling group (the pre-runtime shape, kept for A/B
-    benchmarking), oracle programs still shipped per unique lock.
+    designs across groups that share a lock.  Pool: one
+    :func:`execute_bundle` task per :class:`LockBundle` — every group of
+    a lock lands on one worker, which resolves the lock once; with a
+    cache the parent exports each unique lock (design blob + oracle
+    program) into shared memory shared by all of its groups.
 
     *executor*, when given, must be a live :class:`CampaignExecutor`;
     its pool, cache policy and segment registry are used and it is NOT
@@ -627,60 +546,29 @@ def run_fused_cells(
     if own_executor:
         executor = CampaignExecutor(count, cache_dir, use_cache)
     try:
-        if _resolve_affinity(affinity):
-            bundles = plan_bundles(plan, slots=count)
-            oracle_handles: dict = {}
-            design_handles: dict = {}
-            if use_cache:
-                oracle_handles, design_handles = _export_artifacts(
-                    plan, _open_cache(cache_dir, use_cache), executor.segments
-                )
-            futures = [
-                executor.submit(
-                    execute_bundle,
-                    [plan.group_cells(g) for g in bundle.groups],
-                    lock_keys=[g.lock_key for g in bundle.groups],
-                    oracle_handles={
-                        bundle.lock_key: oracle_handles[bundle.lock_key]
-                    }
-                    if oracle_handles.get(bundle.lock_key) is not None
-                    else None,
-                    design_handles={
-                        bundle.lock_key: design_handles[bundle.lock_key]
-                    }
-                    if design_handles.get(bundle.lock_key) is not None
-                    else None,
-                )
-                for bundle in bundles
-            ]
-            _collect_pool(
-                futures,
-                bundles,
-                plan,
-                ordered,
-                lambda bundle, result: zip(bundle.groups, result),
+        bundles = plan_bundles(plan, slots=count)
+        oracle_handles: dict = {}
+        design_handles: dict = {}
+        if use_cache:
+            oracle_handles, design_handles = _export_artifacts(
+                plan, _open_cache(cache_dir, use_cache), executor.segments
             )
-        else:
-            handles: dict = {}
-            if use_cache:
-                handles = _export_oracles(
-                    plan, _open_cache(cache_dir, use_cache), executor.segments
-                )
-            futures = [
-                executor.submit(
-                    execute_group,
-                    plan.group_cells(group),
-                    oracle_handle=handles.get(group.lock_key),
-                )
-                for group in plan.groups
-            ]
-            _collect_pool(
-                futures,
-                plan.groups,
-                plan,
-                ordered,
-                lambda group, result: [(group, result)],
+        futures = [
+            executor.submit(
+                execute_bundle,
+                [plan.group_cells(g) for g in bundle.groups],
+                oracle_handle=oracle_handles.get(bundle.lock_key),
+                design_handle=design_handles.get(bundle.lock_key),
             )
+            for bundle in bundles
+        ]
+        outputs = _gather_fail_fast(
+            futures, [plan.cells[b.groups[0].indices[0]] for b in bundles]
+        )
+        for bundle, output in zip(bundles, outputs):
+            for group, results in zip(bundle.groups, output):
+                for index, result in zip(group.indices, results):
+                    ordered[index] = result
     finally:
         if own_executor:
             # Shutdown waits out the pool, then sweeps the registry —

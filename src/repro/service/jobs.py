@@ -1,9 +1,10 @@
 """Job state machine and the concurrency-safe in-flight dedupe table.
 
 A *job* is one submitted campaign (classic or adversary-scenario): its
-spec expands into independent cells that run on the service's shared
-:class:`~repro.runner.engine.CampaignExecutor` ProcessPool.  Two
-properties make the server safe for many concurrent tenants:
+spec expands into independent cells, each run on the service's shared
+:class:`~repro.runner.engine.CampaignExecutor` as a one-cell
+:func:`~repro.runner.grid.execute_bundle` task (the CLI's pool worker).
+Two properties make the server safe for many concurrent tenants:
 
 * **exactly-once computation** — cells are identified by the same
   content keys that key the artifact cache (``spec_key`` over the full
@@ -35,6 +36,7 @@ from enum import Enum
 from typing import Any, AsyncIterator, Mapping
 
 from repro.runner.engine import CampaignExecutor
+from repro.runner.grid import execute_bundle
 from repro.runner.serialize import result_record
 from repro.runner.spec import (
     AttackCampaignSpec,
@@ -248,10 +250,7 @@ class JobManager:
         self.metrics.cells_submitted += 1
         entry = self._inflight.get(key)
         if entry is None:
-            if isinstance(cell, AttackCellSpec):
-                pool_future = self.executor.submit_attack_cell(cell)
-            else:
-                pool_future = self.executor.submit_cell(cell)
+            pool_future = self.executor.submit(execute_bundle, [[cell]])
             entry = _Inflight(key=key, future=asyncio.wrap_future(pool_future))
             self._inflight[key] = entry
             self.metrics.cells_computed += 1
@@ -269,7 +268,7 @@ class JobManager:
     async def _watch(self, entry: _Inflight) -> None:
         """Await one unique computation; deliver to every waiter."""
         try:
-            result = await entry.future
+            [[result]] = await entry.future  # one group of one cell
         except asyncio.CancelledError:
             status, result, error = CELL_CANCELLED, None, None
         except Exception as exc:  # worker raised: a per-cell failure

@@ -165,8 +165,8 @@ def run_warm_verify(url: str, attacks: bool = True) -> int:
     served by the *worker-resident* runtime — the bit-identity of the
     two streamed result sets proves the reuse tier changes nothing,
     and the ``/metrics`` worker-cache counters prove it actually served
-    (a cache-backed server would short-circuit at the run/attack stage
-    and never touch the lock artifacts the tier pins).
+    (a cache-backed server would serve the run/attack stage from disk,
+    so the pass could not tell what the tier saved).
     """
     spec = attack_smoke_campaign() if attacks else smoke_campaign()
     client = ServiceClient(url)

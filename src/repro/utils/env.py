@@ -43,21 +43,6 @@ Knobs:
   ``attacks`` campaign CLI to one named defense (validated against the
   defense registry by :mod:`repro.defense.spec`; ``none`` selects the
   undefended baseline only).
-* ``REPRO_GRID_FUSE``      — campaign grid fusion (default **on**).
-  :func:`repro.runner.engine.run_campaign` routes cells through the
-  grid compiler (:mod:`repro.runner.grid`): sibling cells sharing a
-  lock/layout run as one task over in-memory artifacts and batched
-  array sweeps.  Results are bit-identical to the unfused path, so the
-  fast path is the default; ``REPRO_GRID_FUSE=0`` opts out and an
-  explicit ``fuse=`` argument on the campaign entry points overrides
-  the knob either way.
-* ``REPRO_GRID_AFFINITY``  — affinity-aware pool dispatch (default
-  **on**).  The fused pool path submits sibling groups sharing a lock
-  as one lock-key-sorted bundle per task, so each worker computes (or
-  unpickles) a lock at most once and the worker-resident artifact tier
-  serves repeats.  Results are bit-identical either way;
-  ``REPRO_GRID_AFFINITY=0`` restores one task per sibling group (the
-  pre-runtime shape, kept for A/B benchmarking).
 * ``REPRO_WORKER_CACHE_MB`` — byte budget (mebibytes) of the
   per-worker in-memory artifact tier (:mod:`repro.runner.worker`),
   default ``256``.  Pool workers pin deserialized locks, layouts and

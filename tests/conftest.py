@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from repro.benchgen import GeneratorConfig, c17, generate_random_circuit
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
+from repro.runner.engine import AttackCellResult, CellResult
+from repro.runner.serialize import canonical_json, result_record
+from repro.runner.spec import AttackCellSpec
+from repro.runner.stages import cell_attack, cell_run
+from repro.utils.artifact_cache import CacheStats
 
 
 @pytest.fixture
@@ -84,3 +89,21 @@ def tiny_mux_circuit() -> Circuit:
     circuit.add("z", GateType.OR, ("t0", "t1"))
     circuit.add_output("z")
     return circuit
+
+
+def per_cell_records(cells) -> str:
+    """Canonical JSON of *cells* each run alone through its stage function.
+
+    The differential reference for the grid compiler: ``cell_run`` /
+    ``cell_attack`` per cell with no cache, no in-memory artifacts shared
+    between cells and no group-scoped memos.
+    """
+    results = []
+    for cell in cells:
+        if isinstance(cell, AttackCellSpec):
+            results.append(
+                AttackCellResult(cell, cell_attack(cell), 0.0, CacheStats())
+            )
+        else:
+            results.append(CellResult(cell, cell_run(cell), 0.0, CacheStats()))
+    return canonical_json([result_record(r) for r in results])

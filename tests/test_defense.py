@@ -10,7 +10,7 @@ The load-bearing guarantees under test:
 * the ``defense`` stage cache key splits per (scheme, strength, seed,
   layout engine), while undefended cells keep their historical keys;
 * a defense x attack matrix grid plans one sibling group per (layout,
-  defense) and the fused path is bit-identical to the unfused path;
+  defense) and the fused path is bit-identical to a per-cell reference;
 * :func:`repro.defense.matrix_verdict` judges recovery drops, the
   lifting-family CCR ceiling, and stale/fallback cells.
 """
@@ -51,6 +51,7 @@ from repro.runner.spec import parse_scenario
 from repro.runner.stages import attack_payload, cell_layout, defense_payload
 from repro.utils.artifact_cache import spec_key
 from repro.utils.env import env_fraction
+from tests.conftest import per_cell_records
 
 CELL = CellSpec(
     benchmark="random:i10-o5-g90",
@@ -359,12 +360,10 @@ def test_matrix_plans_one_group_per_layout_defense():
     assert all(len(g) == 2 for g in plan.groups)
 
 
-def test_fused_matrix_matches_unfused(matrix_result, monkeypatch):
-    monkeypatch.setenv("REPRO_GRID_FUSE", "0")
-    unfused = run_attack_campaign(MATRIX, workers=1, use_cache=False)
-    assert canonical_json(
-        [attack_record(r) for r in unfused.cells]
-    ) == canonical_json([attack_record(r) for r in matrix_result.cells])
+def test_fused_matrix_matches_unfused(matrix_result):
+    assert per_cell_records(MATRIX.cells()) == canonical_json(
+        [attack_record(r) for r in matrix_result.cells]
+    )
 
 
 def test_matrix_cached_rerun_is_bit_identical(tmp_path, matrix_result):

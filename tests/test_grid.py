@@ -2,9 +2,11 @@
 
 The contract under test is strict: fusion may change *where* shared
 artifacts are computed and how compiled programs travel — never what is
-computed.  Every fused/unfused comparison below goes through
-:func:`repro.runner.serialize.canonical_json`, the same canonical form
-CI diffs, so any numeric drift in any metric fails loudly.
+computed.  Every comparison below is against a per-cell reference (each
+cell run alone through its stage function, see
+:func:`tests.conftest.per_cell_records`) in
+:func:`repro.runner.serialize.canonical_json` form, the same canonical
+form CI diffs, so any numeric drift in any metric fails loudly.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.sim.shared import (
     install_program,
     release_segment,
 )
+from tests.conftest import per_cell_records
 
 BASE = CellSpec(
     benchmark="random:i10-o5-g90",
@@ -90,81 +93,44 @@ def test_plan_preserves_input_order_and_distinct_locks():
 
 
 # ---------------------------------------------------------------------------
-# Fused execution: bit-identity with the legacy path
+# Fused execution: bit-identity with the per-cell reference
 
 
 @pytest.fixture(scope="module")
-def unfused_runs():
-    return run_campaign(GRID, workers=1, use_cache=False, fuse=False)
+def reference():
+    return per_cell_records(GRID)
 
 
-def test_fused_serial_bit_identical(unfused_runs):
-    fused = run_campaign(GRID, workers=1, use_cache=False, fuse=True)
-    assert _canon(fused) == _canon(unfused_runs)
-    assert list(fused.runs()) == list(unfused_runs.runs())
+def test_fused_serial_bit_identical(reference):
+    fused = run_campaign(GRID, workers=1, use_cache=False)
+    assert _canon(fused) == reference
+    assert list(fused.runs()) == [cell.result_key for cell in GRID]
 
 
-def test_fused_pool_bit_identical(unfused_runs, tmp_path):
+def test_fused_pool_bit_identical(reference, tmp_path):
     """Two workers over a real cache: shared-memory oracle shipping."""
-    fused = run_campaign(
-        GRID, workers=2, cache_dir=tmp_path, use_cache=True, fuse=True
-    )
-    assert _canon(fused) == _canon(unfused_runs)
+    fused = run_campaign(GRID, workers=2, cache_dir=tmp_path, use_cache=True)
+    assert _canon(fused) == reference
 
 
-def test_affinity_routing_bit_identical(unfused_runs, tmp_path):
-    """Lock-affine bundles vs per-group dispatch: same records exactly."""
-    per_group = run_fused_cells(
-        GRID, workers=2, cache_dir=tmp_path / "a", affinity=False
-    )
-    bundled = run_fused_cells(
-        GRID, workers=2, cache_dir=tmp_path / "b", affinity=True
-    )
+def test_affinity_routing_bit_identical(reference, tmp_path):
+    """Serial groups vs cacheless lock-affine pool bundles: same records."""
+    serial = run_fused_cells(GRID, workers=1, cache_dir=tmp_path)
+    bundled = run_fused_cells(GRID, workers=2, use_cache=False)
     records = canonical_json([result_record(r) for r in bundled])
-    assert records == canonical_json([result_record(r) for r in per_group])
-    assert records == _canon(unfused_runs)
+    assert records == canonical_json([result_record(r) for r in serial])
+    assert records == reference
 
 
 def test_fused_attacks_bit_identical():
-    unfused = run_attack_campaign(
-        ATTACKS, workers=1, use_cache=False, fuse=False
-    )
-    fused = run_attack_campaign(
-        ATTACKS, workers=1, use_cache=False, fuse=True
-    )
-    assert _canon(fused) == _canon(unfused)
-    assert list(fused.outcomes()) == list(unfused.outcomes())
+    cells = ATTACKS.cells()
+    fused = run_attack_campaign(ATTACKS, workers=1, use_cache=False)
+    assert _canon(fused) == per_cell_records(cells)
+    assert list(fused.outcomes()) == [cell.result_key for cell in cells]
 
 
 def test_fused_empty_grid():
     assert run_fused_cells([], workers=1, use_cache=False) == []
-
-
-def test_env_knob_routes_through_grid(monkeypatch):
-    import repro.runner.grid as grid_module
-
-    calls = []
-    original = grid_module.run_fused_cells
-
-    def recorder(cells, workers, cache_dir, use_cache):
-        calls.append(tuple(cells))
-        return original(cells, workers, cache_dir, use_cache)
-
-    monkeypatch.setattr(grid_module, "run_fused_cells", recorder)
-    # Fusion is the default: no env var needed to hit the grid compiler.
-    monkeypatch.delenv("REPRO_GRID_FUSE", raising=False)
-    run_campaign([BASE], workers=1, use_cache=False)
-    assert calls == [(BASE,)]
-    # REPRO_GRID_FUSE=0 opts out.
-    monkeypatch.setenv("REPRO_GRID_FUSE", "0")
-    run_campaign([BASE], workers=1, use_cache=False)
-    assert len(calls) == 1
-    # Explicit fuse=True overrides the opt-out; fuse=False the default.
-    run_campaign([BASE], workers=1, use_cache=False, fuse=True)
-    assert len(calls) == 2
-    monkeypatch.delenv("REPRO_GRID_FUSE", raising=False)
-    run_campaign([BASE], workers=1, use_cache=False, fuse=False)
-    assert len(calls) == 2
 
 
 def test_fused_wraps_member_failure_with_cell_id():

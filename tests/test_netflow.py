@@ -34,6 +34,7 @@ from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec
 from repro.runner.stages import cell_defense, cell_layout, locked_design
+from tests.conftest import per_cell_records
 
 
 def reference_solve(self, s: int, t: int, max_flow: int) -> tuple[int, int]:
@@ -361,12 +362,8 @@ def test_fused_grid_shares_flow_solves(solve_calls):
         hd_patterns=512,
         max_candidates=60,
     )
-    fused = run_attack_campaign(spec, workers=1, use_cache=False, fuse=True)
+    fused = run_attack_campaign(spec, workers=1, use_cache=False)
     fused_solves = len(solve_calls)
-    unfused = run_attack_campaign(spec, workers=1, use_cache=False, fuse=False)
+    reference = per_cell_records(spec.cells())
     assert (fused_solves, len(solve_calls) - fused_solves) == (1, 4)
-
-    def canon(result) -> str:
-        return canonical_json([result_record(r) for r in result.cells])
-
-    assert canon(fused) == canon(unfused)
+    assert canonical_json([result_record(r) for r in fused.cells]) == reference

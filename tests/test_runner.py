@@ -18,7 +18,6 @@ from repro.runner import (
     CampaignSpec,
     CellSpec,
     cell_run,
-    execute_cell,
     parse_benchmark,
     run_campaign,
     run_cost_campaign,
@@ -121,7 +120,7 @@ def test_cache_shares_lock_stage_across_splits(tmp_path):
     cells = TINY.cells()
     assert lock_payload(cells[0]) == lock_payload(cells[1])
     assert run_payload(cells[0]) != run_payload(cells[1])
-    execute_cell(cells[0], cache_dir=tmp_path)
+    run_campaign([cells[0]], workers=1, cache_dir=tmp_path)
     cache = ArtifactCache(tmp_path)
     assert cache.contains("lock", lock_payload(cells[1]))
     assert not cache.contains("run", run_payload(cells[1]))
@@ -149,9 +148,9 @@ def test_changed_spec_recomputes_not_reuses(tmp_path):
     from dataclasses import replace
 
     base = TINY.cells()[0]
-    execute_cell(base, cache_dir=tmp_path)
+    run_campaign([base], workers=1, cache_dir=tmp_path)
     changed = replace(base, hd_patterns=256)
-    result = execute_cell(changed, cache_dir=tmp_path)
+    [result] = run_campaign([changed], workers=1, cache_dir=tmp_path).cells
     # lock + layout stages are spec-identical and must be served from
     # cache; the run stage depends on hd_patterns and must recompute.
     assert result.cache.hits == 2
@@ -161,10 +160,10 @@ def test_changed_spec_recomputes_not_reuses(tmp_path):
 
 def test_corrupt_cache_entry_is_recomputed(tmp_path):
     base = TINY.cells()[0]
-    execute_cell(base, cache_dir=tmp_path)
+    run_campaign([base], workers=1, cache_dir=tmp_path)
     for path in tmp_path.glob("*/*.pkl"):
         path.write_bytes(b"not a pickle")
-    result = execute_cell(base, cache_dir=tmp_path)
+    [result] = run_campaign([base], workers=1, cache_dir=tmp_path).cells
     assert result.cache.hits == 0
     assert result.run == cell_run(base)
 

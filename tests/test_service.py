@@ -329,6 +329,32 @@ def test_cancel_pending_job(client):
     assert client.cancel(summary["id"])["cancelled"] is False
 
 
+def test_failed_cell_is_named_and_spares_the_rest(client):
+    """One bad cell fails alone: its sibling streams, the executor lives on."""
+    spec = CampaignSpec(
+        benchmarks=("random:i8-o4-g60", "random:i6-o4-g40"),
+        split_layers=(4,),
+        key_bits=(64,),  # more key-gates than the second core has nets
+        scale=1.0,
+        hd_patterns=256,
+        max_candidates=60,
+    )
+    good, bad = spec.cells()
+    before = client.metrics()
+    _, results, errors, done = _streamed(client, spec)
+    after = client.metrics()
+    assert [r["index"] for r in results] == [0]
+    assert results[0]["cell"] == good.to_payload()
+    assert [e["index"] for e in errors] == [1]
+    assert bad.cell_id in errors[0]["error"]
+    assert done["state"] == "failed"
+    assert after["cells"]["failed"] - before["cells"]["failed"] == 1
+    # The same executor serves the next job normally.
+    _, results, errors, done = _streamed(client, E2E)
+    assert not errors and done["state"] == "done"
+    assert [r["index"] for r in results] == [0, 1]
+
+
 def test_http_error_surfaces(client):
     with pytest.raises(ServiceError) as excinfo:
         client.job("j9999-nope")
