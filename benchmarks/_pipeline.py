@@ -27,12 +27,14 @@ from dataclasses import dataclass, field
 from repro.benchgen import TABLE_I_BENCHMARKS
 from repro.locking.atpg_lock import AtpgLockConfig
 from repro.runner import (
+    AttackCampaignSpec,
     BenchRun,
     CellSpec,
     cell_layout,
     cell_run,
     current_profile,
     locked_design,
+    run_attack_campaign,
     unprotected_layout,
 )
 from repro.utils.artifact_cache import ArtifactCache
@@ -67,7 +69,7 @@ __all__ = [
     "disk_cache",
     "lock_config",
     "get_artifacts",
-    "get_table3_row",
+    "get_table3_grid",
     "get_unprotected_layout",
     "table_benchmarks",
 ]
@@ -140,20 +142,53 @@ def get_unprotected_layout(name: str):
     return unprotected_layout(cell_spec(name), _DISK)
 
 
-def get_table3_row(name: str, scheme: str, key_bits: int, hd_patterns: int):
-    """One Table III cell through the runner's cached ``table3`` stage.
+#: Table III's prior-art defenses and the row label (citation) of each.
+TABLE_III_DEFENSES = {
+    "routing-perturbation": "[22]",
+    "wire-lifting": "[12]",
+    "beol-restore": "[13]",
+}
 
-    Bit-identical to the historical standalone computation (the stage
-    replicates it exactly); the cache makes the ISCAS prior-art grid a
-    one-time cost shared across harness reruns and processes.
+
+def get_table3_grid(
+    names: tuple[str, ...], key_bits: int, hd_patterns: int
+) -> dict[str, dict[str, tuple[float, float, float, float]]]:
+    """Table III as ordinary attack x defense cells, four per benchmark.
+
+    Every cell mounts the proximity attack at M4: the prior art protects
+    the unlocked design (``key_bits=0``), the proposed row is the
+    *key_bits* lock with no defense.  ISCAS-85 layouts clamp their
+    regular nets to M2/M3, so at M4 only what the lock or the defense
+    hides is broken.  Returns ``{benchmark: {scheme: (PNR, CCR, HD,
+    OER)}}``, where CCR is the physical CCR over each scheme's protected
+    nets: the nets a defense hid, or the proposed lock's key-nets.
     """
-    from repro.runner.stages import table3_row
-
-    return table3_row(
-        name,
-        scheme,
+    common = dict(
+        benchmarks=names,
+        scenarios=("proximity",),
+        split_layers=(4,),
         seed=SEED,
-        key_bits=key_bits,
         hd_patterns=hd_patterns,
-        cache=_DISK,
     )
+    cells = (
+        AttackCampaignSpec(
+            defenses=tuple(TABLE_III_DEFENSES), key_bits=(0,), **common
+        ).cells()
+        + AttackCampaignSpec(key_bits=(key_bits,), **common).cells()
+    )
+    result = run_attack_campaign(cells, workers=1, use_cache=_DISK is not None)
+    grid: dict[str, dict[str, tuple[float, float, float, float]]] = {}
+    for cell_result in result.cells:
+        acell, outcome = cell_result.cell, cell_result.outcome
+        if acell.defense is None:
+            scheme, ccr = "proposed", outcome.ccr.key_physical_ccr
+        else:
+            scheme = TABLE_III_DEFENSES[acell.defense.name]
+            ccr = outcome.diagnostics["defense"]["protected_ccr"]
+        grid.setdefault(acell.cell.benchmark, {})[scheme] = (
+            outcome.pnr.pnr_percent,
+            ccr,
+            outcome.hd_oer.hd_percent,
+            outcome.hd_oer.oer_percent,
+        )
+    return grid

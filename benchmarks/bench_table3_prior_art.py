@@ -24,11 +24,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import FULL, SEED, get_table3_row  # noqa: E402
+from _pipeline import FULL, SEED, get_table3_grid  # noqa: E402
 
-from repro.benchgen import TABLE_III_BENCHMARKS, load_iscas85
-from repro.defenses import evaluate_wire_lifting
-from repro.runner.stages import TABLE3_SCHEMES
+from repro.benchgen import TABLE_III_BENCHMARKS
+from repro.defense import apply_defense, resolve_defense
+from repro.runner import CellSpec, cell_layout
 
 HD_PATTERNS = 1_000_000 if FULL else 8_192
 BENCHES = TABLE_III_BENCHMARKS if FULL else ("c432", "c880", "c1355", "c1908")
@@ -44,34 +44,17 @@ PAPER_AVERAGES = {
 
 @pytest.fixture(scope="module")
 def table3_data():
-    """The Table III grid, served by the runner's cached stage.
+    """The Table III grid as ordinary attack x defense campaign cells.
 
-    Each cell comes from :func:`repro.runner.stages.table3_row` through
-    the shared on-disk artifact cache — bit-identical to the historical
-    in-harness computation, but computed once per spec across all
-    reruns, harnesses and processes.
+    Each benchmark contributes the proximity attack on three prior-art
+    defenses of the unlocked design plus the proposed 32-bit lock,
+    computed once per spec through the shared artifact cache.
     """
-    data = {}
-    for name in BENCHES:
-        data[name] = {
-            scheme: get_table3_row(
-                name, scheme, KEY_BITS_ISCAS, HD_PATTERNS
-            )
-            for scheme in TABLE3_SCHEMES
-        }
-    return data
+    return get_table3_grid(BENCHES, KEY_BITS_ISCAS, HD_PATTERNS)
 
 
 def _averages(table3_data, scheme):
-    rows = []
-    for name in table3_data:
-        cell = table3_data[name][scheme]
-        if scheme == "proposed":
-            rows.append(cell)
-        else:
-            rows.append(
-                (cell.pnr_percent, cell.ccr_percent, cell.hd_percent, cell.oer_percent)
-            )
+    rows = [table3_data[name][scheme] for name in table3_data]
     n = len(rows)
     return tuple(sum(r[i] for r in rows) / n for i in range(4))
 
@@ -142,10 +125,10 @@ def test_ordering_matches_paper(table3_data):
 
 
 def test_benchmark_defense_kernel(benchmark):
-    circuit = load_iscas85("c432", seed=SEED)
-    benchmark(
-        lambda: evaluate_wire_lifting(circuit, seed=SEED, hd_patterns=512)
-    )
+    cell = CellSpec(benchmark="c432", key_bits=0, seed=SEED)
+    layout = cell_layout(cell)
+    spec = resolve_defense("wire-lifting")
+    benchmark(lambda: apply_defense(spec, layout, cell.split_layer))
 
 
 if os.environ.get("REPRO_FULL"):

@@ -3,9 +3,22 @@
 The mirror image of :mod:`repro.adversary`: frozen cache-keyed
 :class:`~repro.defense.spec.DefenseSpec` configurations compiled through
 a named :class:`~repro.defense.engine.DefenseEngine` registry, so every
-attack engine is automatically evaluated against every defense.  The
-legacy :mod:`repro.defenses` package remains the bit-frozen Table III
-reference; new code goes through this registry.
+attack engine is automatically evaluated against every defense.
+
+The registry implements the three published defenses the paper's
+Table III compares against:
+
+* [22] Wang et al., ASPDAC'17 — routing perturbation;
+* [12] Patnaik et al., ASPDAC'18 — concerted wire lifting;
+* [13] Patnaik et al., DAC'18 — functionality restore through the BEOL.
+
+Each engine is a behaviourally faithful simplification: it produces a
+protected FEOL view that the same attack and metric pipeline then
+evaluates.  What matters for the reproduction is the *comparative
+shape* of Table III — which defense leaves how much signal for the
+attacker — not bit-exact mimicry of the original tools, none of which
+are public.  Table III itself runs as ordinary attack x defense cells
+(``benchmarks/bench_table3_prior_art.py``).
 """
 
 # Engine modules register themselves on import.

@@ -5,8 +5,7 @@ re-routed with deliberate detours so their trunks cross the split layer
 and the proximity heuristics mis-rank candidates.  Crucially the
 dangling ends stay within a small jog of the true partner — lots of
 residual signal, which is exactly why Table III still reports ~73% of
-perturbed connections recovered.  The port onto the shared engine base
-keeps that behaviour: the perturbation is real but weak.
+perturbed connections recovered.  The perturbation is real but weak.
 """
 
 from __future__ import annotations

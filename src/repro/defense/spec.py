@@ -32,10 +32,9 @@ SCHEME_ROUTING_PERTURBATION = "routing-perturbation"  # [22] Wang et al.
 #: pins one (the repo-wide experiment seed).
 DEFAULT_DEFENSE_SEED = 2019
 
-#: Published strength defaults per scheme (the values the legacy
-#: Table III implementations hardcode).  ``fraction`` is the share of
-#: candidate nets the defense protects; the remaining knobs are
-#: scheme-specific.
+#: Published strength defaults per scheme (the Table III settings).
+#: ``fraction`` is the share of candidate nets the defense protects;
+#: the remaining knobs are scheme-specific.
 SCHEME_DEFAULTS: dict[str, dict[str, float]] = {
     SCHEME_WIRE_LIFTING: {"fraction": 0.30},
     SCHEME_BEOL_RESTORE: {"fraction": 0.30, "obfuscate": 0.5},

@@ -7,14 +7,14 @@ and no per-net proximity signal — the candidate sets of co-sited nets
 overlap maximally.  Table III reports CCR ≈ 0 for this defense, at the
 price of elevated wiring and tall via stacks (the cost model below).
 
-Unlike the legacy Table III implementation (which rebuilds an
-unprotected layout from scratch), the engine protects the *locked*
-layout it is handed: the paper's key-nets stay lifted and the defense
-adds its own lifted population on top, so defense × attack matrices
-compose both protections.  Net selection keeps the legacy scoring
-(output reach × 40 + fanout × 10 + routed span, descending) via the
-single-pass :meth:`Circuit.output_reach_counts` reverse-reachability
-bitsets; the re-split runs through the compiled layout engine.
+The engine protects the *locked* layout it is handed: the paper's
+key-nets stay lifted and the defense adds its own lifted population on
+top, so defense × attack matrices compose both protections (Table III
+hands it a ``key_bits=0`` layout, i.e. the unlocked design).  Net
+selection scores output reach × 40 + fanout × 10 + routed span,
+descending, via the single-pass :meth:`Circuit.output_reach_counts`
+reverse-reachability bitsets; the re-split runs through the compiled
+layout engine.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ def select_protected_nets(
 ) -> list[str]:
     """Pick lifting candidates the way [12] prioritises.
 
-    Identical scoring to the legacy ``defenses.wire_lifting``
-    implementation — functionally central, high-fanout, long nets first
-    — but skipping the paper's own key-nets (already lifted by the
-    locked flow) and computed from one reverse-reachability pass instead
-    of per-net cone walks.  Returns nets in selection (score) order.
+    Functionally central, high-fanout, long nets first, skipping the
+    paper's own key-nets (already lifted by the locked flow); output
+    reach comes from one reverse-reachability pass instead of per-net
+    cone walks.  Returns nets in selection (score) order.
     """
     reach = circuit.output_reach_counts()
     scored = []

@@ -111,11 +111,17 @@ def atpg_lock(
     config: AtpgLockConfig | None = None,
     library: CellLibrary | None = None,
 ) -> tuple[LockedCircuit, AtpgLockReport]:
-    """Lock *circuit* (not modified) and return the locked design + report."""
+    """Lock *circuit* (not modified) and return the locked design + report.
+
+    ``key_bits == 0`` means no lock: the result is an unmodified copy
+    with an empty report (no fault injected, no resynthesis).
+    """
     config = config or AtpgLockConfig()
     lib = library or NANGATE45
-    rng = rng_for(config.seed, "atpg-lock", circuit.name)
     work = circuit.copy(f"{circuit.name}_locked")
+    if config.key_bits == 0:
+        return LockedCircuit(work, technique="none"), AtpgLockReport()
+    rng = rng_for(config.seed, "atpg-lock", circuit.name)
     report = AtpgLockReport(area_original=count_area(circuit, lib))
 
     plans = _plan_faults(work, config, lib, rng, report)

@@ -32,18 +32,8 @@ def layout_engine_knob() -> str:
 def resolve_layout_engine() -> str:
     """The concrete engine the knob selects: compiled or reference.
 
-    ``auto`` resolves to ``compiled`` whenever NumPy imports (the
-    engines are bit-identical, so the fast path is always safe) and
-    silently degrades to ``reference`` without it; forcing
-    ``compiled`` on a NumPy-less interpreter raises instead.
+    ``auto`` resolves to ``compiled`` (the engines are bit-identical, so
+    the fast path is always safe); ``reference`` survives as the
+    differential test oracle.
     """
-    knob = layout_engine_knob()
-    if knob == "reference":
-        return "reference"
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        if knob == "compiled":
-            raise
-        return "reference"
-    return "compiled"
+    return "reference" if layout_engine_knob() == "reference" else "compiled"

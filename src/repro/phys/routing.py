@@ -112,6 +112,18 @@ class Routing:
         return sum(net.length_um for net in self.nets.values())
 
 
+def clamp_regular_nets(routing: Routing) -> None:
+    """Force every non-key net onto the lowest routing pair (M2/M3).
+
+    ISCAS-85-sized designs (a few hundred cells) route comfortably in
+    the thin lower metals, so in the Table III setting nothing is broken
+    at M4 except what the lock or a defense deliberately hides.
+    """
+    for routed in routing.nets.values():
+        if not routed.is_key_net:
+            routed.lower_layer = 2
+
+
 #: Layer pairs available to signal routing, lowest first.
 ROUTING_PAIRS = (2, 4, 6, 8)
 

@@ -66,6 +66,13 @@ def parse_benchmark(name: str) -> GeneratorConfig | None:
     return None
 
 
+def _check_key_bits(key_bits: Iterable[int]) -> None:
+    """Reject negative key sizes (``0`` is valid: the unlocked design)."""
+    negative = [bits for bits in key_bits if bits < 0]
+    if negative:
+        raise ValueError(f"key sizes must be >= 0, got {negative}")
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One experiment cell: everything a worker needs, nothing shared."""
@@ -150,6 +157,7 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one benchmark")
         if not self.split_layers or not self.key_bits:
             raise ValueError("campaign needs split layers and key sizes")
+        _check_key_bits(self.key_bits)
 
     def cells(self) -> tuple[CellSpec, ...]:
         """Expand the grid, slowest-varying benchmark first.
@@ -316,6 +324,7 @@ class AttackCampaignSpec:
             )
         if not self.split_layers or not self.key_bits:
             raise ValueError("attack campaign needs split layers and key sizes")
+        _check_key_bits(self.key_bits)
 
     def base_campaign(self) -> CampaignSpec:
         """The classic campaign spec sharing this grid's cells."""

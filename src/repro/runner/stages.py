@@ -50,6 +50,7 @@ from repro.phys.layout import (
     build_locked_layout,
     build_unprotected_layout,
 )
+from repro.phys.routing import clamp_regular_nets
 from repro.runner.spec import AttackCellSpec, CellSpec, parse_benchmark
 from repro.runner.worker import worker_tier
 from repro.utils.artifact_cache import ArtifactCache, get_or_create
@@ -221,6 +222,19 @@ def locked_design(
     )
 
 
+def _clamps_regular_nets(cell: CellSpec) -> bool:
+    """Whether the cell's layouts keep regular nets on M2/M3.
+
+    True for ISCAS-85 designs (:func:`~repro.phys.routing.
+    clamp_regular_nets`), so at M4 only what the lock or a defense hides
+    is broken — Table III's setting.
+    """
+    return (
+        parse_benchmark(cell.benchmark) is None
+        and profile(cell.benchmark).suite == "iscas85"
+    )
+
+
 def cell_layout(
     cell: CellSpec,
     cache: ArtifactCache | None = None,
@@ -231,13 +245,16 @@ def cell_layout(
 
     def create() -> PhysicalLayout:
         locked = (design or locked_design(cell, cache)).locked
-        return build_locked_layout(
+        layout = build_locked_layout(
             locked,
             split_layer=cell.split_layer,
             seed=cell.seed,
             utilization=cell.utilization,
             prelift=prelift,
         )
+        if _clamps_regular_nets(cell):
+            clamp_regular_nets(layout.routing)
+        return layout
 
     payload = layout_payload(cell, prelift)
     return worker_tier(
@@ -262,9 +279,12 @@ def unprotected_layout(
             if design is not None
             else load_cell_circuit(cell).combinational_core()
         )
-        return build_unprotected_layout(
+        layout = build_unprotected_layout(
             core, seed=cell.seed, utilization=cell.utilization
         )
+        if _clamps_regular_nets(cell):
+            clamp_regular_nets(layout.routing)
+        return layout
 
     return get_or_create(cache, "unprotected", unprotected_payload(cell), create)
 
@@ -378,103 +398,6 @@ def cell_attack(
         )
 
     return get_or_create(cache, "attack", attack_payload(acell), create)
-
-
-TABLE3_SCHEMES = ("[22]", "[12]", "[13]", "proposed")
-
-
-def table3_payload(
-    benchmark: str, scheme: str, seed: int, key_bits: int, hd_patterns: int
-) -> dict[str, Any]:
-    from repro.phys.dispatch import resolve_layout_engine
-    from repro.sat.dispatch import resolve_sat_engine
-
-    return {
-        "stage": "table3",
-        "scheme": scheme,
-        "benchmark": benchmark,
-        "seed": seed,
-        "key_bits": key_bits,
-        "hd_patterns": hd_patterns,
-        "engine": resolve_layout_engine(),
-        "sat_engine": resolve_sat_engine(),
-    }
-
-
-def table3_row(
-    benchmark: str,
-    scheme: str,
-    seed: int,
-    key_bits: int,
-    hd_patterns: int,
-    cache: ArtifactCache | None = None,
-):
-    """One Table III cell (one defense scheme on one ISCAS benchmark).
-
-    The computation is exactly the historical standalone path of
-    ``benchmarks/bench_table3_prior_art.py`` — the raw ISCAS netlist
-    (no ``combinational_core`` renaming, no scale, the lock config's
-    default candidate budget), so metrics are bit-identical to the
-    pre-runner harness; the runner only contributes the content-keyed
-    cache and cross-process reuse.
-    """
-
-    def create():
-        from repro.benchgen import load_iscas85
-        from repro.defenses import (
-            evaluate_beol_restore,
-            evaluate_routing_perturbation,
-            evaluate_wire_lifting,
-        )
-        from repro.defenses.base import clamp_regular_nets
-
-        circuit = load_iscas85(benchmark, seed=seed)
-        if scheme == "[22]":
-            return evaluate_routing_perturbation(
-                circuit, seed=seed, hd_patterns=hd_patterns
-            )
-        if scheme == "[12]":
-            return evaluate_wire_lifting(
-                circuit, seed=seed, hd_patterns=hd_patterns
-            )
-        if scheme == "[13]":
-            return evaluate_beol_restore(
-                circuit, seed=seed, hd_patterns=hd_patterns
-            )
-        if scheme != "proposed":
-            raise ValueError(f"unknown Table III scheme {scheme!r}")
-
-        from repro.attacks.postprocess import reconnect_key_gates_to_ties
-        from repro.attacks.proximity import proximity_attack
-        from repro.locking.atpg_lock import AtpgLockConfig
-        from repro.metrics.ccr import compute_ccr
-        from repro.metrics.hd_oer import compute_hd_oer
-        from repro.metrics.pnr import compute_pnr
-
-        locked, _ = atpg_lock(
-            circuit,
-            AtpgLockConfig(key_bits=key_bits, seed=seed, run_lec=False),
-        )
-        layout = build_locked_layout(locked, split_layer=4, seed=seed)
-        clamp_regular_nets(layout.routing)  # ISCAS designs fit under M4
-        view = layout.feol_view()
-        result = reconnect_key_gates_to_ties(proximity_attack(view))
-        ccr = compute_ccr(result)
-        pnr = compute_pnr(result)
-        hd = compute_hd_oer(circuit, result.recovered, patterns=hd_patterns)
-        return (
-            pnr.pnr_percent,
-            ccr.key_physical_ccr,
-            hd.hd_percent,
-            hd.oer_percent,
-        )
-
-    return get_or_create(
-        cache,
-        "table3",
-        table3_payload(benchmark, scheme, seed, key_bits, hd_patterns),
-        create,
-    )
 
 
 def layout_cost_runs(

@@ -12,10 +12,9 @@ counters on every instance — enforced by the differential suite in
 ``tests/test_sat_compiled.py`` — so ``auto`` can default to the fast
 path without changing any result.
 
-The resolved engine participates in the campaign runner's cache keys
-(:func:`repro.runner.stages.attack_payload` /
-:func:`~repro.runner.stages.table3_payload`), so forcing an engine
-re-keys the SAT-consuming stages instead of aliasing into entries
+The resolved engine participates in the campaign runner's attack-stage
+cache key (:func:`repro.runner.stages.attack_payload`), so forcing an
+engine re-keys the SAT-consuming stage instead of aliasing into entries
 computed by the other engine.
 """
 
@@ -35,21 +34,11 @@ def sat_engine_knob() -> str:
 def resolve_sat_engine() -> str:
     """The concrete engine the knob selects: compiled or reference.
 
-    ``auto`` resolves to ``compiled`` whenever NumPy imports (the
-    engines are search-identical, so the fast path is always safe) and
-    silently degrades to ``reference`` without it; forcing ``compiled``
-    on a NumPy-less interpreter raises instead.
+    ``auto`` resolves to ``compiled`` (the engines are search-identical,
+    so the fast path is always safe); ``reference`` survives as the
+    differential test oracle.
     """
-    knob = sat_engine_knob()
-    if knob == "reference":
-        return "reference"
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        if knob == "compiled":
-            raise
-        return "reference"
-    return "compiled"
+    return "reference" if sat_engine_knob() == "reference" else "compiled"
 
 
 def make_solver(

@@ -43,9 +43,9 @@ def compiled_engine_for(circuit: Circuit, num_patterns: int):
     """The cached compiled engine for *circuit*, or ``None``.
 
     ``None`` means the caller should stay on the big-int path: the knob
-    forces it, numpy is unavailable, or the sweep is too small to
-    amortize compilation.  Sequential circuits are never compiled (the
-    callers' explicit ``is_sequential`` errors stay authoritative).
+    forces it, or the sweep is too small to amortize compilation.
+    Sequential circuits are never compiled (the callers' explicit
+    ``is_sequential`` errors stay authoritative).
     """
     if circuit.is_sequential:
         return None
@@ -57,12 +57,8 @@ def compiled_engine_for(circuit: Circuit, num_patterns: int):
         or len(circuit.gates) < COMPILED_MIN_GATES
     ):
         return None
-    try:
-        from repro.sim.compiled import compile_circuit
-    except ImportError:
-        if knob == "compiled":
-            raise
-        return None
+    from repro.sim.compiled import compile_circuit
+
     return compile_circuit(circuit)
 
 

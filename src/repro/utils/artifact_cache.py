@@ -49,7 +49,10 @@ from repro.utils.env import env_cache_dir
 #: v3: AttackOutcome diagnostics gained the ``recovery`` (and, for
 #: defended cells, ``defense``) blocks — the defense-matrix verdict
 #: reads them, so pre-bump attack artifacts would fail it as stale.
-CACHE_VERSION = 3
+#: v4: ISCAS-85 layouts clamp their regular nets to M2/M3 and a
+#: ``key_bits=0`` lock is the unmodified design — pre-bump ISCAS
+#: layouts and zero-bit locks would be served stale.
+CACHE_VERSION = 4
 
 #: Suffix of in-flight write temp files (see :meth:`ArtifactCache.put`).
 TMP_SUFFIX = ".tmp"

@@ -23,9 +23,8 @@ Knobs:
   (``auto``/``compiled``/``reference``; parsed by
   :mod:`repro.sat.dispatch`).  The engines are search-identical — same
   decisions, learned clauses, models and stats — so ``auto`` takes the
-  compiled array-native path whenever NumPy imports; the resolved
-  choice participates in the runner's SAT-consuming cache keys
-  (attack and Table III stages).
+  compiled array-native path; the resolved choice participates in the
+  runner's attack-stage cache key.
 * ``REPRO_ATTACK_SEED``   — default adversary-scenario seed (``0`` is a
   valid seed, unlike the scale knob).
 * ``REPRO_ATTACK_BUDGET`` — hypothesis budget for scenario key search

@@ -1,10 +1,10 @@
-"""End-to-end flow, security-layer math, and defense baseline tests."""
+"""End-to-end flow, security-layer math, and Table III defense tests."""
 
 import math
 
 import pytest
 
-from repro.benchgen import c17, load_iscas85
+from repro.benchgen import c17
 from repro.core import (
     SplitLockConfig,
     SplitLockFlow,
@@ -16,12 +16,8 @@ from repro.core import (
     theorem1_bound,
 )
 from repro.core.config import LayoutConfig
-from repro.defenses import (
-    evaluate_beol_restore,
-    evaluate_routing_perturbation,
-    evaluate_wire_lifting,
-)
 from repro.locking import AtpgLockConfig
+from repro.runner import AttackCampaignSpec, run_attack_campaign
 from tests.conftest import build_random_circuit
 
 
@@ -132,43 +128,78 @@ def test_flow_on_c17_smoke():
 
 
 # ----------------------------------------------------------------------
-# Defense baselines (Table III shape)
+# Table III as attack x defense cells (prior art vs the proposed lock)
 # ----------------------------------------------------------------------
+#: Cold c432 values at 2,048 HD patterns: (PNR, CCR, HD, OER) in percent.
+TABLE3_C432_GOLDEN = {
+    "routing-perturbation": (64.7619, 64.7619, 33.8518, 96.4844),  # [22]
+    "wire-lifting": (1.6854, 1.6854, 46.4146, 98.7793),  # [12]
+    "beol-restore": (0.5618, 0.5618, 51.2207, 99.5605),  # [13]
+    "proposed": (6.25, 6.25, 40.8552, 100.0),
+}
+
+
 @pytest.fixture(scope="module")
-def defense_outcomes():
-    circuit = load_iscas85("c432")
-    return {
-        "perturb": evaluate_routing_perturbation(circuit, hd_patterns=2048),
-        "lift": evaluate_wire_lifting(circuit, hd_patterns=2048),
-        "restore": evaluate_beol_restore(circuit, hd_patterns=2048),
-    }
-
-
-def test_routing_perturbation_is_weak(defense_outcomes):
-    outcome = defense_outcomes["perturb"]
-    assert outcome.ccr_percent > 35.0  # the attack recovers most
-    assert outcome.pnr_percent > 35.0
-
-
-def test_wire_lifting_is_strong(defense_outcomes):
-    outcome = defense_outcomes["lift"]
-    assert outcome.ccr_percent < 10.0
-    assert outcome.oer_percent > 90.0
-
-
-def test_beol_restore_is_strong(defense_outcomes):
-    outcome = defense_outcomes["restore"]
-    assert outcome.ccr_percent < 10.0
-    assert outcome.hd_percent > 20.0
-
-
-def test_defense_ordering_matches_table3(defense_outcomes):
-    """[22] leaves far more recoverable structure than [12]/[13]."""
-    assert (
-        defense_outcomes["perturb"].pnr_percent
-        > defense_outcomes["lift"].pnr_percent
+def table3_c432():
+    """The proximity attack on [22]/[12]/[13] over the unlocked design
+    (``key_bits=0``) and on the proposed 32-bit lock, all cold."""
+    common = dict(
+        benchmarks=("c432",),
+        scenarios=("proximity",),
+        split_layers=(4,),
+        hd_patterns=2048,
     )
-    assert (
-        defense_outcomes["perturb"].ccr_percent
-        > defense_outcomes["restore"].ccr_percent
+    prior_art = AttackCampaignSpec(
+        defenses=tuple(TABLE3_C432_GOLDEN)[:3], key_bits=(0,), **common
     )
+    proposed = AttackCampaignSpec(key_bits=(32,), **common)
+    result = run_attack_campaign(
+        prior_art.cells() + proposed.cells(), workers=1, use_cache=False
+    )
+    rows = {}
+    for r in result.cells:
+        outcome = r.outcome
+        if r.cell.defense is None:
+            scheme, ccr = "proposed", outcome.ccr.key_physical_ccr
+        else:
+            scheme = r.cell.defense.name
+            ccr = outcome.diagnostics["defense"]["protected_ccr"]
+        rows[scheme] = (
+            outcome.pnr.pnr_percent,
+            ccr,
+            outcome.hd_oer.hd_percent,
+            outcome.hd_oer.oer_percent,
+        )
+    return rows
+
+
+def test_table3_c432_golden(table3_c432):
+    for scheme, golden in TABLE3_C432_GOLDEN.items():
+        assert table3_c432[scheme] == pytest.approx(golden, abs=1e-3), scheme
+
+
+def test_routing_perturbation_is_weak(table3_c432):
+    pnr, ccr, _, _ = table3_c432["routing-perturbation"]
+    assert ccr > 35.0  # the attack recovers most
+    assert pnr > 35.0
+
+
+def test_wire_lifting_is_strong(table3_c432):
+    _, ccr, _, oer = table3_c432["wire-lifting"]
+    assert ccr < 10.0
+    assert oer > 90.0
+
+
+def test_beol_restore_is_strong(table3_c432):
+    _, ccr, hd, _ = table3_c432["beol-restore"]
+    assert ccr < 10.0
+    assert hd > 20.0
+
+
+def test_defense_ordering_matches_table3(table3_c432):
+    """[22] leaves far more recoverable structure than [12]/[13] and
+    the proposed lock."""
+    pnr22, ccr22, _, _ = table3_c432["routing-perturbation"]
+    for scheme in ("wire-lifting", "beol-restore", "proposed"):
+        pnr, ccr, _, _ = table3_c432[scheme]
+        assert pnr22 > pnr and ccr22 > ccr, scheme

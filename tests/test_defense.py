@@ -3,8 +3,8 @@
 The load-bearing guarantees under test:
 
 * :meth:`Circuit.output_reach_counts` (one reverse-reachability pass)
-  agrees with per-net ``transitive_fanout`` cone walks, and the legacy
-  ``select_lift_nets`` selection is unchanged by the rewrite;
+  agrees with per-net ``transitive_fanout`` cone walks, and the
+  ``select_protected_nets`` selection matches a cone-walk scoring;
 * every defense engine is deterministic, protects the nets it claims,
   and keeps the ``stub_arrays`` invalidation token honest;
 * the ``defense`` stage cache key splits per (scheme, strength, seed,
@@ -36,7 +36,7 @@ from repro.defense import (
     resolve_defense,
 )
 from repro.defense.spec import DEFAULT_DEFENSE_SEED, SCHEME_DEFAULTS
-from repro.defenses.wire_lifting import select_lift_nets
+from repro.defense.wire_lifting import select_protected_nets
 from repro.phys.geometry import stub_arrays
 from repro.runner import (
     AttackCampaignSpec,
@@ -85,7 +85,7 @@ def matrix_result():
 
 
 # ---------------------------------------------------------------------------
-# Reverse-reachability output counts (the select_lift_nets rewrite)
+# Reverse-reachability output counts (wire-lifting net selection)
 
 
 def test_output_reach_counts_matches_cone_walks():
@@ -107,7 +107,7 @@ def test_select_lift_nets_order_unchanged(layout):
     outputs = set(circuit.outputs)
     scored = []
     for net, routed in routing.nets.items():
-        if not routed.routes:
+        if routed.is_key_net or not routed.routes:
             continue
         span = sum(r.length for r in routed.routes)
         influence = len(outputs & circuit.transitive_fanout([net]))
@@ -116,8 +116,8 @@ def test_select_lift_nets_order_unchanged(layout):
         )
     scored.sort(reverse=True)
     count = max(1, int(len(scored) * 0.3))
-    naive = {net for _, net in scored[:count]}
-    assert select_lift_nets(circuit, routing, 0.3, None) == naive
+    naive = [net for _, net in scored[:count]]
+    assert select_protected_nets(circuit, routing, 0.3) == naive
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,17 @@ def test_atpg_lock_exact_key_budget():
     assert report.lec_equivalent is True
 
 
+def test_atpg_lock_zero_bits_is_unmodified():
+    circuit = build_random_circuit(9, num_inputs=10, num_gates=90)
+    locked, report = atpg_lock(circuit, AtpgLockConfig(key_bits=0, seed=2))
+    assert locked.key_length == 0
+    assert locked.circuit is not circuit
+    assert locked.circuit.inputs == circuit.inputs
+    assert locked.circuit.outputs == circuit.outputs
+    assert locked.circuit.gates == circuit.gates
+    assert report.selected_faults == [] and report.free_faults == []
+
+
 def test_atpg_lock_wrong_key_corrupts():
     circuit = build_random_circuit(10, num_inputs=10, num_gates=90)
     locked, _ = atpg_lock(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runner import (
+    AttackCampaignSpec,
     BenchRun,
     CampaignSpec,
     CellSpec,
@@ -66,6 +67,16 @@ def test_spec_rejects_unknown_benchmark():
         CampaignSpec(benchmarks=("b99",))
     with pytest.raises(ValueError):
         CampaignSpec(benchmarks=("random:nonsense",))
+
+
+def test_spec_rejects_negative_key_sizes():
+    with pytest.raises(ValueError, match="key sizes"):
+        CampaignSpec(benchmarks=("b14",), key_bits=(16, -5))
+    with pytest.raises(ValueError, match="key sizes"):
+        AttackCampaignSpec(benchmarks=("b14",), key_bits=(-5,))
+    # zero bits stays valid: the unlocked design
+    assert CampaignSpec(benchmarks=("b14",), key_bits=(0,)).cells()
+    assert AttackCampaignSpec(benchmarks=("b14",), key_bits=(0,)).cells()
 
 
 def test_random_descriptor_round_trip():

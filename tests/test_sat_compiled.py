@@ -20,7 +20,7 @@ import pytest
 from repro.benchgen import GeneratorConfig, generate_random_circuit
 from repro.locking.atpg_lock import AtpgLockConfig, atpg_lock
 from repro.runner.spec import AttackCampaignSpec
-from repro.runner.stages import attack_payload, table3_payload
+from repro.runner.stages import attack_payload
 from repro.sat.cnf import Cnf
 from repro.sat.compiled import CompiledCdclSolver
 from repro.sat.dispatch import make_solver, resolve_sat_engine
@@ -254,17 +254,13 @@ def test_sat_engine_participates_in_cache_keys(monkeypatch):
         key_bits=(10,),
     )
     acell = spec.cells()[0]
-    keys, t3_keys = {}, {}
+    keys = {}
     for engine in ("compiled", "reference"):
         monkeypatch.setenv("REPRO_SAT_ENGINE", engine)
         payload = attack_payload(acell)
         assert payload["sat_engine"] == engine
         keys[engine] = spec_key(payload)
-        t3 = table3_payload("b14", "proposed", 1, 32, 1000)
-        assert t3["sat_engine"] == engine
-        t3_keys[engine] = spec_key(t3)
     assert keys["compiled"] != keys["reference"]
-    assert t3_keys["compiled"] != t3_keys["reference"]
 
 
 # --------------------------------------------------------------------------

@@ -370,6 +370,15 @@ def test_http_error_surfaces(client):
     assert excinfo.value.status == 404
 
 
+def test_negative_key_size_is_rejected_with_400(client):
+    envelope = spec_payload(E2E)
+    envelope["spec"]["key_bits"] = [-5]
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(envelope)
+    assert excinfo.value.status == 400
+    assert "key sizes" in str(excinfo.value)
+
+
 def test_health_metrics_and_job_listing(client):
     health = client.health()
     assert health["status"] == "ok" and health["workers"] == 2
