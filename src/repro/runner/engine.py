@@ -224,12 +224,10 @@ class CampaignExecutor:
     ``REPRO_WORKER_CACHE_MB`` budget once and ships it through the pool
     initializer — worker-side environment reads would be unreliable
     under forkserver, whose server process snapshots the environment
-    when the *first* pool starts.  ``segments`` is the executor-owned
-    :class:`~repro.sim.shared.SegmentRegistry`: shared-memory exports
-    made on the executor's behalf live exactly as long as the executor,
-    so a service keeping one executor across jobs reuses one segment
-    per unique artifact, and :meth:`shutdown` (plus the registry's
-    atexit guard) sweeps them all.
+    when the *first* pool starts.  Workers resolve every artifact
+    themselves (tier, disk cache or compute); the parent only submits
+    tasks, so a service keeping one executor across jobs serves repeat
+    traffic from those warm tiers.
     """
 
     def __init__(
@@ -238,12 +236,9 @@ class CampaignExecutor:
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
     ) -> None:
-        from repro.sim.shared import SegmentRegistry
-
         self.workers = max(1, workers if workers is not None else default_workers())
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.use_cache = use_cache
-        self.segments = SegmentRegistry()
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=_mp_context(),
@@ -259,12 +254,6 @@ class CampaignExecutor:
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)
-        if wait:
-            # The pool drained: no worker still attaches the segments,
-            # so the campaign-spanning exports can finally be unlinked.
-            # (A no-wait shutdown leaves them to the atexit guard —
-            # an in-flight task may be about to attach one.)
-            self.segments.release()
 
     def __enter__(self) -> "CampaignExecutor":
         return self

@@ -29,32 +29,24 @@ service all reach it, the pool paths through :func:`execute_bundle`:
   array-domain comparison per sibling against recorded reference rows;
 * member attacks run inside
   :func:`repro.adversary.netflow.shared_flow_matches`, so siblings that
-  hand the network-flow matcher an equal instance solve it once;
-* on the pool path, the parent pre-computes each unique lock, exports
-  the oracle's compiled program into
-  :mod:`multiprocessing.shared_memory` and ships workers a kilobyte
-  handle (:mod:`repro.sim.shared`) instead of a pickled circuit.
+  hand the network-flow matcher an equal instance solve it once.
 
 On top of the per-group fusion sits **affinity-aware dispatch**:
 :func:`plan_bundles` collapses every sibling group sharing a lock into
 one :class:`LockBundle`, and the pool path submits one lock-key-sorted
-*bundle* per task, so a
-worker computes (or attaches) each lock exactly once for all of its
-groups, threading the design through them like the serial path does.
-With a cache, the parent additionally exports each unique lock — the
-oracle's compiled program *and* the locked design itself
-(:func:`repro.sim.shared.export_blob`) — into one shared-memory
-segment per artifact, registered with the executor-owned
-:class:`~repro.sim.shared.SegmentRegistry` whose lifetime spans the
-campaign (and, for a shared executor, every campaign it serves).
-Workers pin the attached artifacts in their resident tier
-(:mod:`repro.runner.worker`), so repeated traffic never re-unpickles
-them.  The campaign service submits each unique cell as a one-group
-bundle, so its results come from this same worker.
+*bundle* per task, so the worker running a bundle resolves its lock
+exactly once — from its resident tier (:mod:`repro.runner.worker`),
+the disk cache, or by computing it — and threads the design through
+the bundle's groups like the serial path does.  A bundle split to fill
+idle workers resolves its lock once per half, the halves in parallel.
+The parent computes nothing: every lock is resolved inside a cell,
+concurrently across workers, and charged to that cell's cache
+accounting.  The campaign service submits each unique cell as a
+one-group bundle, so its results come from this same worker.
 
 Everything is bit-identical to running each cell alone through the
 stage functions: the fusion only moves *where* shared artifacts are
-computed and how their programs travel — never what is computed.
+computed — never what is computed.
 ``tests/test_grid.py`` enforces the identity differentially against a
 per-cell reference; ``benchmarks/bench_campaign.py`` tracks the
 wall-clock win under the ``BENCH_campaign`` regression gate.
@@ -91,20 +83,7 @@ from repro.runner.stages import (
     lock_payload,
     locked_design,
 )
-from repro.runner.worker import (
-    active_runtime,
-    worker_stats_delta,
-    worker_stats_snapshot,
-)
-from repro.sim.compiled import compile_circuit
-from repro.sim.shared import (
-    SharedBlobHandle,
-    attach_blob,
-    attach_program,
-    export_blob,
-    export_program,
-    install_program,
-)
+from repro.runner.worker import worker_stats_delta, worker_stats_snapshot
 from repro.utils.artifact_cache import CacheStats, StageStats, spec_key
 
 __all__ = [
@@ -250,51 +229,15 @@ def _stats_delta(before: CacheStats, cache) -> CacheStats:
     return delta
 
 
-def _adopt_oracle(design: LockedDesign, handle) -> None:
-    """Install a shared-memory oracle program onto the group's core.
-
-    Skipped when the core already carries a valid compiled program —
-    a tier-resident design keeps its installed (attached or compiled)
-    program across tasks, and re-attaching would only map a fresh
-    segment view of the identical arrays.
-    """
-    core = design.core
-    cached = getattr(core, "_compiled_cache", None)
-    if (
-        cached is not None
-        and cached._topo_ref is not None
-        and cached._topo_ref is getattr(core, "_topo_cache", None)
-    ):
-        return
-    install_program(core, attach_program(handle))
-
-
-def _design_from_handle(handle: SharedBlobHandle) -> LockedDesign:
-    """The exported locked design, served from the tier when resident."""
-    runtime = active_runtime()
-    if runtime is None:
-        return attach_blob(handle)
-    design = runtime.get(handle.stage, handle.key)
-    if design is None:
-        design = attach_blob(handle)
-        runtime.put(handle.stage, handle.key, design)
-    return design
-
-
 def _run_group(
     cells: Sequence[GridCell],
     cache,
     design: LockedDesign | None = None,
-    oracle_handle=None,
-    design_handle: SharedBlobHandle | None = None,
 ) -> tuple[list[CellResult | AttackCellResult], LockedDesign]:
     """Execute one group sharing lock/layout/defense/programs in memory.
 
     Returns the member results (group order) and the group's design so
     in-process callers can reuse it across groups sharing a lock.
-    *design_handle*, when present, is the parent's shared-memory export
-    of the design — attached (or tier-served) instead of re-deriving it
-    through the lock stage.
     """
     results: list[CellResult | AttackCellResult] = []
     layout = None
@@ -305,13 +248,8 @@ def _run_group(
             start = time.perf_counter()
             before = _stats_snapshot(cache)
             try:
-                if design is None and design_handle is not None:
-                    design = _design_from_handle(design_handle)
                 if design is None:
                     design = locked_design(base, cache)
-                if oracle_handle is not None:
-                    _adopt_oracle(design, oracle_handle)
-                    oracle_handle = None
                 if layout is None:
                     layout = cell_layout(base, cache, design=design)
                 if isinstance(cell, AttackCellSpec):
@@ -369,8 +307,8 @@ class LockBundle:
     """Every sibling group of one lock, dispatched as a single task.
 
     The executing worker threads the lock's design through its groups
-    exactly like the serial path, so the lock is computed (or attached)
-    once per bundle instead of once per group.
+    exactly like the serial path, so the lock is resolved once per
+    bundle instead of once per group.
     """
 
     lock_key: str
@@ -387,11 +325,13 @@ class LockBundle:
 def plan_bundles(plan: GridPlan, slots: int | None = None) -> list[LockBundle]:
     """Bundle *plan*'s groups by lock key, lock-key-sorted (stable).
 
+    The worker running a bundle resolves its lock once for every group.
     With *slots*, over-wide bundles are split (largest first, by cell
     count) until every pool slot has work or no bundle has more than
-    one group left — a split bundle's halves recompute the lock twice,
-    which still beats idle workers.  The result is a deterministic
-    function of (plan, slots), so submission order is reproducible.
+    one group left — a split bundle's halves resolve the lock in
+    parallel on two workers, which still beats idle workers.  The
+    result is a deterministic function of (plan, slots), so submission
+    order is reproducible.
     """
     by_lock: dict[str, list[SiblingGroup]] = {}
     for group in plan.groups:
@@ -419,8 +359,6 @@ def execute_bundle(
     group_cells: Sequence[Sequence[GridCell]],
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    oracle_handle=None,
-    design_handle: SharedBlobHandle | None = None,
 ) -> list[list[CellResult | AttackCellResult]]:
     """Pool worker: one lock bundle, group by group (module-level: picklable).
 
@@ -428,68 +366,19 @@ def execute_bundle(
     bundles and the service's one-cell bundles alike.  Every group of a
     bundle shares one lock (:func:`plan_bundles` bundles by lock key and
     split halves keep it), so the design resolved for the first group
-    is threaded through the rest in-process.  *oracle_handle* /
-    *design_handle*, when present, are the parent's shared-memory
-    exports of that lock.
+    is threaded through the rest in-process.
     """
     cache = _open_cache(cache_dir, use_cache)
     design = None
     out: list[list[CellResult | AttackCellResult]] = []
     for cells in group_cells:
-        results, design = _run_group(
-            cells,
-            cache,
-            design=design,
-            oracle_handle=oracle_handle,
-            design_handle=design_handle,
-        )
+        results, design = _run_group(cells, cache, design=design)
         out.append(results)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Fused campaign driver
-
-
-def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
-    """Pool-path parent exports: oracle program + design blob per lock.
-
-    The parent already pays the lock load (disk hit, or compute + store
-    on a cold cache), so shipping the deserialized design costs one
-    pickle into one segment that *every* bundle and group of the lock
-    reads — workers skip the per-task disk unpickle entirely.  A
-    registry shared across campaigns (the service executor's) serves
-    repeat campaigns from the existing segments without touching the
-    lock stage at all.
-    """
-    oracle_handles: dict[str, object] = {}
-    design_handles: dict[str, object] = {}
-    for group in plan.groups:
-        key = group.lock_key
-        if key in design_handles:
-            continue
-        cached_design = registry.lookup("lock", key)
-        if cached_design is not None:
-            design_handles[key] = cached_design
-            oracle = registry.lookup("oracle", key)
-            if oracle is not None:
-                oracle_handles[key] = oracle
-            continue
-        base = _base_cell(plan.cells[group.indices[0]])
-        design = locked_design(base, cache)
-        # Export the blob before compiling: the pickled design must not
-        # drag the compiled program (shipped separately, zero-copy) in.
-        handle, segment = export_blob(design, stage="lock", key=key)
-        registry.store("lock", key, handle, segment)
-        design_handles[key] = handle
-        try:
-            program = compile_circuit(design.core)
-        except ValueError:  # sequential core: no compiled program to ship
-            continue
-        ohandle, osegment = export_program(program)
-        registry.store("oracle", key, ohandle, osegment)
-        oracle_handles[key] = ohandle
-    return oracle_handles, design_handles
 
 
 def run_fused_cells(
@@ -503,17 +392,16 @@ def run_fused_cells(
 
     Serial (one worker or one group): groups run in-process, reusing
     designs across groups that share a lock.  Pool: one
-    :func:`execute_bundle` task per :class:`LockBundle` — every group of
-    a lock lands on one worker, which resolves the lock once; with a
-    cache the parent exports each unique lock (design blob + oracle
-    program) into shared memory shared by all of its groups.
+    :func:`execute_bundle` task per :class:`LockBundle` — the worker
+    running a bundle resolves its lock once for all of the bundle's
+    groups (a split bundle's halves resolve it in parallel on two
+    workers).
 
     *executor*, when given, must be a live :class:`CampaignExecutor`;
-    its pool, cache policy and segment registry are used and it is NOT
-    shut down — consecutive campaigns on one executor reuse both warm
-    workers (their resident artifact tiers) and the registry's exported
-    segments.  Otherwise a private executor is created and torn down,
-    releasing every segment exported for this campaign.
+    its pool and cache policy are used and it is NOT shut down —
+    consecutive campaigns on one executor reuse its warm workers (their
+    resident artifact tiers).  Otherwise a private executor is created
+    and torn down.
     """
     cells = tuple(cells)
     if not cells:
@@ -547,18 +435,9 @@ def run_fused_cells(
         executor = CampaignExecutor(count, cache_dir, use_cache)
     try:
         bundles = plan_bundles(plan, slots=count)
-        oracle_handles: dict = {}
-        design_handles: dict = {}
-        if use_cache:
-            oracle_handles, design_handles = _export_artifacts(
-                plan, _open_cache(cache_dir, use_cache), executor.segments
-            )
         futures = [
             executor.submit(
-                execute_bundle,
-                [plan.group_cells(g) for g in bundle.groups],
-                oracle_handle=oracle_handles.get(bundle.lock_key),
-                design_handle=design_handles.get(bundle.lock_key),
+                execute_bundle, [plan.group_cells(g) for g in bundle.groups]
             )
             for bundle in bundles
         ]
@@ -571,9 +450,5 @@ def run_fused_cells(
                     ordered[index] = result
     finally:
         if own_executor:
-            # Shutdown waits out the pool, then sweeps the registry —
-            # segments are released exactly once even when a worker
-            # task raised mid-group (and the registry's atexit guard
-            # backstops hard exits).
             executor.shutdown()
     return [ordered[i] for i in range(len(cells))]

@@ -11,7 +11,7 @@ program the previous task just dropped.
 
 :class:`WorkerRuntime` closes that gap: a content-keyed in-memory LRU,
 one per worker process, that pins the **deserialized** artifacts —
-locks (with their installed compiled programs), layouts and defended
+locks (with their cached compiled programs), layouts and defended
 views — across tasks, campaigns and service jobs.  Keys are the very
 ``spec_key`` stage keys of the disk cache, so the tier can only ever
 serve the identical artifact the disk (or a recompute) would produce;

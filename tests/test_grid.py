@@ -1,8 +1,7 @@
 """Grid compiler: sibling planning, fused execution, bit-identity.
 
 The contract under test is strict: fusion may change *where* shared
-artifacts are computed and how compiled programs travel — never what is
-computed.  Every comparison below is against a per-cell reference (each
+artifacts are computed — never what is computed.  Every comparison below is against a per-cell reference (each
 cell run alone through its stage function, see
 :func:`tests.conftest.per_cell_records`) in
 :func:`repro.runner.serialize.canonical_json` form, the same canonical
@@ -16,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.benchgen import load_iscas85
 from repro.runner.engine import (
     CellExecutionError,
     run_attack_campaign,
@@ -25,13 +23,7 @@ from repro.runner.engine import (
 from repro.runner.grid import plan_campaign, run_fused_cells
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec, CellSpec
-from repro.sim.compiled import compile_circuit
-from repro.sim.shared import (
-    attach_program,
-    export_program,
-    install_program,
-    release_segment,
-)
+from repro.utils.artifact_cache import CacheStats
 from tests.conftest import per_cell_records
 
 BASE = CellSpec(
@@ -108,7 +100,7 @@ def test_fused_serial_bit_identical(reference):
 
 
 def test_fused_pool_bit_identical(reference, tmp_path):
-    """Two workers over a real cache: shared-memory oracle shipping."""
+    """Two workers over a real cache: each worker resolves its own lock."""
     fused = run_campaign(GRID, workers=2, cache_dir=tmp_path, use_cache=True)
     assert _canon(fused) == reference
 
@@ -144,36 +136,31 @@ def test_fused_wraps_member_failure_with_cell_id():
     assert clone.detail == excinfo.value.detail
 
 
+def test_pool_fails_fast_naming_the_failing_cell():
+    """A worker raising mid-bundle surfaces as the failing cell's error."""
+    bad = replace(BASE, utilization=-1.0)  # locks fine, layout raises
+    with pytest.raises(CellExecutionError) as excinfo:
+        run_fused_cells(GRID + [bad], workers=2, use_cache=False)
+    assert excinfo.value.cell_id == bad.cell_id
+
+
 # ---------------------------------------------------------------------------
-# Shared-memory program transport
+# Cache accounting on the pool path
 
 
-def test_shared_program_round_trip():
-    circuit = load_iscas85("c432", seed=1).combinational_core()
-    compiled = compile_circuit(circuit)
-    handle, segment = export_program(compiled)
-    try:
-        clone = attach_program(handle)
-        stimulus = {net: (1 << 64) - 1 - i for i, net in enumerate(circuit.inputs)}
-        want = compiled.simulate_batch_array(stimulus, 64, [None])
-        got = clone.simulate_batch_array(stimulus, 64, [None])
-        assert (want == got).all()
-        # Install onto a pickle-round-tripped circuit (a worker's copy):
-        # the compiled cache must serve the attached program afterwards.
-        worker_circuit = pickle.loads(pickle.dumps(circuit))
-        install_program(worker_circuit, clone)
-        assert compile_circuit(worker_circuit) is clone
-    finally:
-        release_segment(segment)
+def _lock_stats(results):
+    total = CacheStats()
+    for result in results:
+        total.merge(result.cache)
+    return total.stage("lock")
 
 
-def test_install_program_rejects_mismatched_circuit():
-    circuit = load_iscas85("c432", seed=1).combinational_core()
-    other = load_iscas85("c17", seed=1).combinational_core()
-    handle, segment = export_program(compile_circuit(circuit))
-    try:
-        clone = attach_program(handle)
-        with pytest.raises(ValueError):
-            install_program(other, clone)
-    finally:
-        release_segment(segment)
+def test_pool_charges_every_lock_lookup_to_a_cell(tmp_path):
+    """Each unique lock is looked up once, inside a cell, cold and warm."""
+    cells = [BASE, replace(BASE, hd_seed=6), replace(BASE, key_bits=8)]
+    plan = plan_campaign(cells)
+    assert plan.unique_locks == 2
+    cold = _lock_stats(run_fused_cells(cells, workers=2, cache_dir=tmp_path))
+    assert (cold.hits, cold.misses) == (0, plan.unique_locks)
+    warm = _lock_stats(run_fused_cells(cells, workers=2, cache_dir=tmp_path))
+    assert (warm.hits, warm.misses) == (plan.unique_locks, 0)

@@ -1,28 +1,25 @@
-"""Persistent worker runtime: LRU tier, blob transport, segment lifetime.
+"""Persistent worker runtime: the LRU tier, bundle planning, warm reuse.
 
 Three contracts under test:
 
 * the worker-resident artifact tier (:mod:`repro.runner.worker`) is a
   correct byte-budgeted LRU whose presence is unobservable in results
   (same content keys as the disk cache, passthrough when disabled);
-* the shared-memory blob transport and :class:`SegmentRegistry`
-  round-trip exactly and release idempotently, including via the
-  atexit sweep;
-* **no named shared-memory segment outlives a campaign** — after a
-  fused pool campaign, after a mid-group worker failure, and after
-  ``CampaignExecutor.shutdown``, ``/dev/shm`` holds nothing new.
+* :func:`~repro.runner.grid.plan_bundles` groups sibling groups by lock
+  key deterministically and splits bundles only to fill idle slots;
+* a shared executor serves a repeat campaign from its workers' warm
+  tiers with canonical-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.runner.worker as worker_module
-from repro.runner.engine import CampaignExecutor, CellExecutionError
+from repro.runner.engine import CampaignExecutor
 from repro.runner.grid import plan_bundles, plan_campaign, run_fused_cells
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import CellSpec
@@ -33,13 +30,6 @@ from repro.runner.worker import (
     worker_stats_delta,
     worker_stats_snapshot,
     worker_tier,
-)
-from repro.sim.shared import (
-    SegmentRegistry,
-    _sweep_registries,
-    attach_blob,
-    export_blob,
-    release_segment,
 )
 from repro.utils.env import env_worker_cache_mb
 
@@ -184,48 +174,6 @@ def test_env_worker_cache_mb(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Blob transport and segment lifetime
-
-
-def test_blob_round_trip():
-    payload = {"arrays": np.arange(64).reshape(8, 8), "name": "blob"}
-    handle, segment = export_blob(payload, stage="lock", key="k123")
-    try:
-        clone = attach_blob(handle)
-        assert clone["name"] == "blob"
-        assert (clone["arrays"] == payload["arrays"]).all()
-        assert (handle.stage, handle.key) == ("lock", "k123")
-    finally:
-        release_segment(segment)
-
-
-def test_release_segment_is_idempotent():
-    _, segment = export_blob({"x": 1})
-    release_segment(segment)
-    release_segment(segment)  # second release: a clean no-op
-
-
-def test_segment_registry_releases_once_and_forgets_handles():
-    registry = SegmentRegistry()
-    handle, segment = export_blob({"x": 1}, stage="lock", key="k")
-    registry.store("lock", "k", handle, segment)
-    assert registry.lookup("lock", "k") is handle
-    assert registry.lookup("lock", "other") is None
-    assert registry.release() == 1
-    assert registry.lookup("lock", "k") is None
-    assert registry.release() == 0  # idempotent
-
-
-def test_atexit_guard_sweeps_live_registries():
-    registry = SegmentRegistry()
-    _, segment = export_blob({"x": 1})
-    registry.adopt(segment)
-    _sweep_registries()
-    assert len(registry) == 0
-    release_segment(segment)  # already released: must not raise
-
-
-# ---------------------------------------------------------------------------
 # Bundle planning
 
 
@@ -250,50 +198,6 @@ def test_plan_bundles_splits_widest_bundle_to_fill_slots():
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory lifetime across real pool campaigns
-
-SHM_DIR = Path("/dev/shm")
-
-needs_dev_shm = pytest.mark.skipif(
-    not SHM_DIR.is_dir(), reason="needs a POSIX /dev/shm to observe segments"
-)
-
-
-def _segment_names() -> set[str]:
-    return {p.name for p in SHM_DIR.iterdir() if p.name.startswith("psm_")}
-
-
-@needs_dev_shm
-def test_no_segment_leak_after_fused_pool_campaign(tmp_path):
-    before = _segment_names()
-    results = run_fused_cells(GRID, workers=2, cache_dir=tmp_path)
-    assert len(results) == len(GRID)
-    assert _segment_names() - before == set()
-
-
-@needs_dev_shm
-def test_no_segment_leak_after_mid_group_worker_failure(tmp_path):
-    # Locks fine (the parent exports its segments), then the layout
-    # stage raises inside the worker mid-bundle.
-    bad = replace(BASE, utilization=-1.0)
-    before = _segment_names()
-    with pytest.raises(CellExecutionError):
-        run_fused_cells(GRID + [bad], workers=2, cache_dir=tmp_path)
-    assert _segment_names() - before == set()
-
-
-@needs_dev_shm
-def test_executor_shutdown_releases_registered_segments(tmp_path):
-    before = _segment_names()
-    executor = CampaignExecutor(1, tmp_path, True)
-    handle, segment = export_blob({"x": 1}, stage="lock", key="k")
-    executor.segments.store("lock", "k", handle, segment)
-    assert _segment_names() - before != set()
-    executor.shutdown()
-    assert _segment_names() - before == set()
-
-
-# ---------------------------------------------------------------------------
 # Warm workers on a shared executor: reuse with bit-identity
 
 
@@ -301,17 +205,10 @@ def test_shared_executor_serves_second_campaign_from_warm_tier(tmp_path):
     executor = CampaignExecutor(1, tmp_path, True)
     try:
         cold = run_fused_cells(GRID, executor=executor)
-        exported = len(executor.segments)
-        assert exported > 0  # lock design blob + oracle program
         warm = run_fused_cells(GRID, executor=executor)
-        # The second campaign reused the registry's exports...
-        assert len(executor.segments) == exported
-        # ...and the worker's resident tier actually served artifacts.
-        assert sum(r.cache.worker.hits for r in warm) > 0
-        assert _canon(warm) == _canon(cold)
     finally:
         executor.shutdown()
-    if SHM_DIR.is_dir():
-        assert not [
-            s for s in executor.segments._segments
-        ], "registry still holds segments after shutdown"
+    # The worker's resident tier served the second campaign's artifacts
+    # without changing a single bit of its results.
+    assert sum(r.cache.worker.hits for r in warm) > 0
+    assert _canon(warm) == _canon(cold)
