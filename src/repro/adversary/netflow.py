@@ -21,6 +21,24 @@ of flow, each one an augmenting path of a few arcs:
   left: each node keeps the list of its residual arcs, updated in place
   along every augmenting path, so a matched sink pin offers one usable
   arc (back to its driver) instead of its whole candidate list.
+* **Bipartite fast path.**  Once per solve, :class:`_Bipartite`
+  checks that the network has the matcher's layered shape — ``S`` ->
+  driver nets -> sink pins -> ``T``, every sink id above every net id,
+  unit candidate and sink arcs, no parallel arcs, no flow yet.  Any
+  other graph runs the plain heap loop.  On that shape:
+
+  - *Zero-level batch.*  Nearly all relaxations come from ``S`` and
+    the nets at reduced distance 0.  Those nets pop consecutively in
+    id order and label only sinks, so their combined effect is one
+    per-sink minimum over the open candidate arcs (lowest net id wins
+    ties), computed over CSR arrays sorted by (sink, net) with
+    ``np.minimum.reduceat``.  The labelled sinks are heapified and the
+    heap loop finishes the Dijkstra.  The open-arc mask is updated
+    along each augmenting path.
+  - *Uncontended exit.*  If every sink's cheapest net fits the nets'
+    capacities, that assignment is the solver's answer: every net
+    stays at distance 0 and no path reroutes.  It is written into the
+    arc capacities directly, with no Dijkstra at all.
 * **Group memo.**  Inside :func:`shared_flow_matches` (entered once per
   sibling group by the grid compiler), equal matching instances — the
   netflow and oracle-key scenarios over one layout, or a cell repeated
@@ -32,7 +50,9 @@ per unit, kept in ``tests/test_netflow.py`` as the differential
 oracle).  The early exit changes the potentials, so among several
 *equal-cost* optimal matchings it may pick a different one; on
 tie-free costs, and on every smoke and defense-matrix instance, the
-matching itself is identical.
+matching itself is identical.  The bipartite fast path changes
+nothing: it is identical to the early-exit heap solver, arc for arc
+(every entry of ``cap``), also kept in the tests as an oracle.
 
 Combinational-loop avoidance (hint 4) is not expressible as flow
 capacity, so it runs as a deterministic repair pass over the decoded
@@ -104,11 +124,25 @@ class MinCostFlow:
         place as the path's arcs saturate or gain reverse capacity.
         Saturated arcs (``cap == 0``) mark the chosen forward arcs.
 
+        On a fresh bipartite matching network (:class:`_Bipartite`,
+        checked once here) the uncontended exit may solve it outright;
+        otherwise each Dijkstra starts with the zero-level batch.  Both
+        are exact: flow, cost and every entry of ``cap`` equal the plain
+        heap loop's, arc for arc.
+
         Flow and cost equal full-Dijkstra SSP's on every network; among
         several equal-cost optimal flows the one chosen may differ (see
         the module's tie contract).
         """
         to, cap, cost = self.to, self.cap, self.cost
+        layers = _Bipartite.of(self, s, t)
+        if layers is not None:
+            uncontended = layers.uncontended(cap, max_flow)
+            if uncontended is not None:
+                return uncontended
+            open_slot = layers.slot
+        else:
+            open_slot = {}
         # residual[u] holds (arc, head, cost) for u's arcs with cap > 0;
         # slot[a] is a's index there, so removal swaps in the last one.
         entry = list(zip(range(len(to)), to, cost))
@@ -121,17 +155,22 @@ class MinCostFlow:
                 slot[a] = position
         n = self.num_nodes
         potential = [0] * n
-        unreached = float("inf")
+        unreached = float("inf") if layers is None else _Bipartite.UNREACHED
         heappush, heappop = heapq.heappush, heapq.heappop
         flow = total_cost = 0
         while flow < max_flow:
             # label[v] = dist[v] + potential[v]: comparing labels compares
             # reduced distances without the per-arc potential lookup.
-            label: list = [unreached] * n
-            parent_edge = [-1] * n
             settled: list[int] = []
-            label[s] = potential[s]
-            heap: list[tuple[int, int]] = [(0, s)]
+            if layers is None:
+                label: list = [unreached] * n
+                parent_edge = [-1] * n
+                label[s] = potential[s]
+                heap: list[tuple[int, int]] = [(0, s)]
+            else:
+                label, parent_edge, heap = layers.zero_level(
+                    s, residual[s], potential, settled
+                )
             while heap:
                 d, u = heappop(heap)
                 base = d + potential[u]
@@ -176,9 +215,172 @@ class MinCostFlow:
                     arcs.append(entry[back])
                 cap[back] += push
                 total_cost += push * cost[a]
+                forward = a & -2
+                if forward in open_slot:
+                    layers.open[open_slot[forward]] = cap[forward] > 0
                 v = to[back]
             flow += push
         return flow, total_cost
+
+
+class _Bipartite:
+    """The net -> sink arcs of a fresh bipartite matching network.
+
+    :meth:`of` accepts exactly the matcher's shape: ``s`` feeds the left
+    nodes (driver nets) through zero-cost arcs, every left -> right arc
+    (candidate pair) has unit capacity, each right node (sink pin)
+    drains to ``t`` through one zero-cost unit arc, every right id is
+    above every left id, no two arcs join the same pair and no arc
+    carries flow yet.  The candidate arcs are held as CSR arrays sorted
+    by (sink, net), with an ``open`` mask of those with capacity left.
+    """
+
+    #: Label of a node Dijkstra has not reached.  :meth:`of` bounds the
+    #: arc costs, so every real label stays far below it.
+    UNREACHED = 2**63 - 1
+
+    def __init__(self, to, cap, cost, arcs, s_arc, t_arc) -> None:
+        """Index the candidate *arcs*; every array is int64, per arc or node."""
+        nets, sinks = to[arcs + 1], to[arcs]
+        order = np.lexsort((nets, sinks))
+        self.head = to
+        self.arc = arcs[order]
+        self.net = nets[order]
+        self.sink = sinks[order]
+        self.cost = cost[self.arc]
+        starts = np.r_[True, self.sink[1:] != self.sink[:-1]]
+        self.segment = np.cumsum(starts) - 1
+        self.starts = np.flatnonzero(starts)
+        self.open = np.ones(len(self.arc), dtype=bool)
+        #: CSR position of each candidate arc, for updating ``open``.
+        self.slot = dict(zip(self.arc.tolist(), range(len(self.arc))))
+        self.s_arc = s_arc  # per node: its arc from s, or -1
+        self.t_arc = t_arc  # per node: its arc to t, or -1
+        left = s_arc >= 0
+        self.supply = np.zeros(len(s_arc), dtype=np.int64)
+        self.supply[left] = cap[s_arc[left]]
+
+    @classmethod
+    def of(cls, flow: MinCostFlow, s: int, t: int) -> "_Bipartite | None":
+        """The network's bipartite view, or ``None`` for any other shape."""
+        n = flow.num_nodes
+        if max(flow.cap, default=0) >= 2**62 or sum(flow.cost[0::2]) >= 2**61:
+            return None  # keep capacities and labels well inside int64
+        to = np.asarray(flow.to, dtype=np.int64)
+        cap = np.asarray(flow.cap, dtype=np.int64)
+        cost = np.asarray(flow.cost, dtype=np.int64)
+        head, tail = to[0::2], to[1::2]
+        from_s, into_t = tail == s, head == t
+        middle = ~(from_s | into_t)
+        left, right = head[from_s], tail[into_t]
+        if (
+            s == t
+            or cap[1::2].any()
+            or (head == s).any()
+            or (tail == t).any()
+            or (from_s & into_t).any()
+            or not (left.size and right.size and middle.any())
+            or left.max() >= right.min()
+            or np.unique(left).size != left.size
+            or np.unique(right).size != right.size
+            or cost[0::2][from_s | into_t].any()
+            or (cap[0::2][into_t | middle] != 1).any()
+        ):
+            return None
+        side = np.zeros(n, dtype=np.int8)
+        side[left], side[right] = 1, 2
+        pairs = tail[middle] * n + head[middle]
+        if (
+            (side[tail[middle]] != 1).any()
+            or (side[head[middle]] != 2).any()
+            or np.unique(pairs).size != pairs.size
+        ):
+            return None
+        s_arc = np.full(n, -1, dtype=np.int64)
+        t_arc = np.full(n, -1, dtype=np.int64)
+        s_arc[left] = 2 * np.flatnonzero(from_s)
+        t_arc[right] = 2 * np.flatnonzero(into_t)
+        return cls(to, cap, cost, 2 * np.flatnonzero(middle), s_arc, t_arc)
+
+    def cheapest(self, nets: np.ndarray) -> np.ndarray:
+        """CSR position of each sink's cheapest open arc from *nets*.
+
+        *nets* is a per-node mask.  Among equal costs the lowest net id
+        wins; sinks without such an arc are left out.
+        """
+        live = self.open & nets[self.net]
+        value = np.where(live, self.cost, np.iinfo(np.int64).max)
+        best = np.minimum.reduceat(value, self.starts)
+        hit = np.flatnonzero(live & (value == best[self.segment]))
+        segment = self.segment[hit]
+        return hit[np.r_[True, segment[1:] != segment[:-1]][: len(hit)]]
+
+    def uncontended(self, cap: list[int], max_flow: int) -> tuple[int, int] | None:
+        """Solve outright when each sink's cheapest net fits, else ``None``.
+
+        Each sink takes its cheapest net (lowest id among equal costs).
+        If that assignment fits *max_flow* and every net's capacity
+        from ``s``, the heap solver augments exactly these paths: every
+        net with capacity left stays at reduced distance 0, and a path
+        rerouted through a matched sink costs at least the direct one,
+        which strict relaxation never prefers.  The paths are written
+        into *cap* unit by unit, as the solver would leave them.
+        """
+        first = self.cheapest(self.supply > 0)
+        used = np.bincount(self.net[first], minlength=len(self.supply))
+        if len(first) > max_flow or (used > self.supply).any():
+            return None
+        sinks = self.sink[first].tolist()
+        for arc in self.arc[first].tolist() + self.t_arc[sinks].tolist():
+            cap[arc] -= 1
+            cap[arc + 1] += 1
+        for net in np.flatnonzero(used).tolist():
+            arc = int(self.s_arc[net])
+            cap[arc] -= int(used[net])
+            cap[arc + 1] += int(used[net])
+        return len(first), int(self.cost[first].sum())
+
+    def zero_level(
+        self,
+        s: int,
+        s_arcs: list[tuple[int, int, int]],
+        potential: list[int],
+        settled: list[int],
+    ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        """Settle ``s`` and its zero-distance nets in one step.
+
+        After ``s`` pops, every net it labels at reduced distance 0 sits
+        in the heap at key ``(0, id)``.  Those nets label only sinks,
+        whose ids are all higher, so the heap pops them next, one after
+        another in id order.  Their combined relaxation is one per-sink
+        minimum over the open arcs, the lowest net id winning ties,
+        which is what :meth:`cheapest` computes.
+
+        Returns the Dijkstra state the heap loop resumes from: labels
+        (:attr:`UNREACHED` where unset), parent arcs and a heap of the
+        other nets ``s`` labelled plus the sinks just labelled.
+        """
+        base = potential[s]
+        pot = np.array(potential, dtype=np.int64)
+        label = np.full(len(pot), self.UNREACHED, dtype=np.int64)
+        parent = np.full(len(pot), -1, dtype=np.int64)
+        arcs = np.array([a for a, _, _ in s_arcs], dtype=np.int64)
+        nets = self.head[arcs]
+        label[s] = label[nets] = base  # s's arcs cost 0
+        parent[nets] = arcs
+        zero = pot[nets] == base
+        level = np.zeros(len(pot), dtype=bool)
+        level[nets[zero]] = True
+        first = self.cheapest(level)
+        sinks = self.sink[first]
+        label[sinks] = base + self.cost[first]
+        parent[sinks] = self.arc[first]
+        queued = np.concatenate((nets[~zero], sinks))
+        heap = list(zip((label[queued] - pot[queued]).tolist(), queued.tolist()))
+        heapq.heapify(heap)
+        settled.append(s)
+        settled.extend(nets[zero].tolist())
+        return label.tolist(), parent.tolist(), heap
 
 
 @dataclass

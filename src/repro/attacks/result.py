@@ -142,62 +142,69 @@ def _break_cycles(circuit, patched_pins: set[tuple[str, int]]) -> int:
     randomized attack variants we break any residual cycle at one of the
     guessed pins (never at an FEOL-visible connection) — the functional
     damage stays on the attacker's side of the ledger.
+
+    The gates Kahn peeling cannot remove (DFFs count as sources) are the
+    members and feeders of cycles.  The pin broken next is the first
+    patched pin, in gate-name order, whose gate and driver both survive
+    the peel; repeat until the peel removes every gate.  One peel serves
+    every break: a broken pin reads a fresh tie cell, so its gate waits
+    on one fanin less and the peel continues from there.  Breaking only
+    ever shrinks the set of eligible pins, so one pointer walks the
+    sorted surviving gates once.  Returns the number of pins broken.
     """
-    from repro.netlist.circuit import NetlistError
-    from repro.netlist.gate_types import GateType
+    from repro.netlist.gate_types import SOURCE_TYPES, GateType
 
-    broken = 0
-    while True:
-        try:
-            circuit.topological_order()
-            return broken
-        except NetlistError:
-            pass
-        cyclic = _nets_on_cycles(circuit)
-        rewired = False
-        for gate_name in sorted(cyclic):
-            gate = circuit.gates[gate_name]
-            for position, fin in enumerate(gate.fanin):
-                if (gate_name, position) in patched_pins and fin in cyclic:
-                    tie = circuit.fresh_name(f"{gate_name}_loopbrk")
-                    circuit.add(tie, GateType.TIELO)
-                    fanin = list(gate.fanin)
-                    fanin[position] = tie
-                    circuit.replace_gate(gate.with_fanin(fanin))
-                    patched_pins.discard((gate_name, position))
-                    broken += 1
-                    rewired = True
-                    break
-            if rewired:
-                break
-        if not rewired:  # pragma: no cover - cycle through visible edges
-            raise RuntimeError("unbreakable cycle in recovered netlist")
-
-
-def _nets_on_cycles(circuit) -> set[str]:
-    """Gates not removable by Kahn peeling = members/feeders of cycles."""
-    from repro.netlist.gate_types import SOURCE_TYPES
-
-    indegree: dict[str, int] = {}
+    gates = circuit.gates
+    readers = {net: list(names) for net, names in circuit.fanout_map().items()}
+    pending: dict[str, int] = {}  # unpeeled gate -> fanins not yet peeled
     ready: list[str] = []
-    for gate in circuit.gates.values():
+    for gate in gates.values():
         if gate.gate_type in SOURCE_TYPES or gate.is_dff:
-            indegree[gate.name] = 0
             ready.append(gate.name)
         else:
-            indegree[gate.name] = len(gate.fanin)
-    fanout = circuit.fanout_map()
-    cursor = 0
-    while cursor < len(ready):
-        name = ready[cursor]
-        cursor += 1
-        for reader in fanout[name]:
-            if circuit.gates[reader].is_dff:
-                continue
-            indegree[reader] -= 1
-            if indegree[reader] == 0:
-                ready.append(reader)
-    return {name for name, degree in indegree.items() if degree > 0}
+            pending[gate.name] = len(gate.fanin)
+
+    def peel(ready: list[str]) -> None:
+        while ready:
+            for reader in readers[ready.pop()]:
+                if reader in pending:  # DFF readers do not wait on D
+                    pending[reader] -= 1
+                    if pending[reader] == 0:
+                        del pending[reader]
+                        ready.append(reader)
+
+    def breakable_pin(name: str) -> int | None:
+        """Position of *name*'s first patched pin inside the loops."""
+        if name in pending:
+            for position, fin in enumerate(gates[name].fanin):
+                if (name, position) in patched_pins and fin in pending:
+                    return position
+        return None
+
+    peel(ready)
+    order = sorted(pending)
+    cursor = broken = 0
+    while pending:
+        while cursor < len(order) and breakable_pin(order[cursor]) is None:
+            cursor += 1
+        if cursor == len(order):  # a cycle through visible edges only
+            raise RuntimeError("unbreakable cycle in recovered netlist")
+        name = order[cursor]
+        position = breakable_pin(name)
+        gate = gates[name]
+        tie = circuit.fresh_name(f"{name}_loopbrk")
+        circuit.add(tie, GateType.TIELO)
+        fanin = list(gate.fanin)
+        readers[fanin[position]].remove(name)
+        fanin[position] = tie
+        circuit.replace_gate(gate.with_fanin(fanin))
+        patched_pins.discard((name, position))
+        broken += 1
+        pending[name] -= 1
+        if pending[name] == 0:
+            del pending[name]
+            peel([name])
+    return broken
 
 
 def _nearest_source(view: FeolView, sink) -> str | None:

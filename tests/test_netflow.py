@@ -1,14 +1,18 @@
-"""Min-cost-flow matcher: differential tests against textbook SSP.
+"""Min-cost-flow matcher: differential tests against two oracles.
 
 :func:`reference_solve` is the successive-shortest-path solver the
 matcher shipped with before the early-exit rewrite — one full heap
 Dijkstra over every arc per unit of flow — kept verbatim as the oracle.
+:func:`early_exit_solve` is the heap solver before the bipartite fast
+path (zero-level batch and uncontended exit), also kept verbatim.
 The contract under test:
 
 * flow value and optimal cost always equal the reference's;
 * the matching itself is identical on tie-free costs and on every
   smoke and defense-matrix instance (early exit moves potentials, so
   among *equal-cost* optimal matchings it may pick another one);
+* the solver is identical to :func:`early_exit_solve` arc for arc:
+  equal flow, cost and full ``cap`` array on every network;
 * the group memo (:func:`shared_flow_matches`) is invisible in results.
 """
 
@@ -28,7 +32,7 @@ from repro.adversary.engine import (
     DEFAULT_LOAD_LIMIT,
     AttackContext,
 )
-from repro.adversary.netflow import _match_nets, shared_flow_matches
+from repro.adversary.netflow import _Bipartite, _match_nets, shared_flow_matches
 from repro.runner.engine import run_attack_campaign
 from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
 from repro.runner.serialize import canonical_json, result_record
@@ -83,6 +87,77 @@ def reference_solve(self, s: int, t: int, max_flow: int) -> tuple[int, int]:
             self.cap[index ^ 1] += push
             total_cost += push * self.cost[index]
             v = self.to[index ^ 1]
+        flow += push
+    return flow, total_cost
+
+
+def early_exit_solve(self, s: int, t: int, max_flow: int) -> tuple[int, int]:
+    """The early-exit heap solver over a residual adjacency."""
+    to, cap, cost = self.to, self.cap, self.cost
+    # residual[u] holds (arc, head, cost) for u's arcs with cap > 0;
+    # slot[a] is a's index there, so removal swaps in the last one.
+    entry = list(zip(range(len(to)), to, cost))
+    residual = [
+        [entry[a] for a in arcs if cap[a] > 0] for arcs in self.graph
+    ]
+    slot = [0] * len(to)
+    for arcs in residual:
+        for position, (a, _, _) in enumerate(arcs):
+            slot[a] = position
+    n = self.num_nodes
+    potential = [0] * n
+    unreached = float("inf")
+    heappush, heappop = heapq.heappush, heapq.heappop
+    flow = total_cost = 0
+    while flow < max_flow:
+        label: list = [unreached] * n
+        parent_edge = [-1] * n
+        settled: list[int] = []
+        label[s] = potential[s]
+        heap: list[tuple[int, int]] = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            base = d + potential[u]
+            if base > label[u]:
+                continue  # stale entry
+            settled.append(u)
+            if u == t:
+                break
+            for a, v, c in residual[u]:
+                x = base + c
+                if x < label[v]:
+                    label[v] = x
+                    parent_edge[v] = a
+                    heappush(heap, (x - potential[v], v))
+        if label[t] == unreached:
+            break  # no augmenting path: capacity exhausted
+        reach = label[t] - potential[t]
+        for u in settled:
+            potential[u] = label[u] - reach
+        push = max_flow - flow
+        v = t
+        while v != s:
+            a = parent_edge[v]
+            push = min(push, cap[a])
+            v = to[a ^ 1]
+        v = t
+        while v != s:
+            a = parent_edge[v]
+            back = a ^ 1
+            cap[a] -= push
+            if cap[a] == 0:
+                arcs = residual[to[back]]
+                last = arcs.pop()
+                if last[0] != a:
+                    arcs[slot[a]] = last
+                    slot[last[0]] = slot[a]
+            if cap[back] == 0:
+                arcs = residual[to[a]]
+                slot[back] = len(arcs)
+                arcs.append(entry[back])
+            cap[back] += push
+            total_cost += push * cost[a]
+            v = to[back]
         flow += push
     return flow, total_cost
 
@@ -201,6 +276,97 @@ def test_general_graph_flow_and_cost_match_reference(graph):
     )
 
 
+def _solve_fast_and_early_exit(instance, max_flow: int):
+    """(result, cap) of the solver and of the early-exit heap solver."""
+    fast, _, t_node = _network(instance)
+    slow, _, _ = _network(instance)
+    got = fast.solve(0, t_node, max_flow)
+    want = early_exit_solve(slow, 0, t_node, max_flow)
+    return (got, fast.cap), (want, slow.cap)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bipartite_instances(tie_free=False), st.data())
+def test_tie_heavy_networks_are_identical_to_early_exit_solver(instance, data):
+    # Full cap arrays, so every tie resolves to the same arcs; partial
+    # max_flow stops mid-solve.
+    max_flow = data.draw(st.integers(0, instance[1] + 1))
+    got, want = _solve_fast_and_early_exit(instance, max_flow)
+    assert got == want
+
+
+def test_batch_skips_saturated_candidate_arcs():
+    # After net 1 takes sink 1, its saturated arc to sink 1 is its
+    # cheapest; a batch that still counted it would label sink 1 too
+    # low and settle it out of turn, moving later tie-breaks.
+    arcs = [((0, 0), 4), ((1, 0), 2), ((1, 1), 0), ((0, 1), 2), ((1, 2), 2)]
+    got, want = _solve_fast_and_early_exit((2, 3, [False, False], 2, arcs), 3)
+    assert got == want
+
+
+def test_uncontended_exit_picks_lowest_id_net_for_tied_sinks(monkeypatch):
+    # Nets 2, 1, 0 (added in that order) tie on sinks 0-2; net 2 is
+    # strictly cheapest on sink 3.  Unbounded loads: no contention.
+    arcs = [((net, sink), 5) for sink in range(3) for net in (2, 1, 0)]
+    arcs += [((2, 3), 4), ((0, 3), 5)]
+    instance = (3, 4, [False] * 3, None, arcs)
+    exits = []
+    uncontended = _Bipartite.uncontended
+
+    def spy(self, cap, max_flow):
+        exits.append(uncontended(self, cap, max_flow))
+        return exits[-1]
+
+    monkeypatch.setattr(_Bipartite, "uncontended", spy)
+    flow, candidate_arcs, t_node = _network(instance)
+    assert flow.solve(0, t_node, 4) == (4, 19)
+    assert exits == [(4, 19)]
+    chosen = {
+        pair for (pair, _), arc in zip(arcs, candidate_arcs) if flow.cap[arc] == 0
+    }
+    assert chosen == {(0, 0), (0, 1), (0, 2), (2, 3)}
+    got, want = _solve_fast_and_early_exit(instance, 4)
+    assert got == want
+
+
+def test_contended_instances_skip_the_exit():
+    # Load limit 1 with two sinks preferring net 0: contended.
+    arcs = [((0, 0), 1), ((1, 0), 3), ((0, 1), 1), ((1, 1), 2)]
+    instance = (2, 2, [False, False], 1, arcs)
+    flow, _, t_node = _network(instance)
+    assert _Bipartite.of(flow, 0, t_node).uncontended(list(flow.cap), 2) is None
+    got, want = _solve_fast_and_early_exit(instance, 2)
+    assert got == want
+    assert got[0] == (2, 3)  # sink 1 yields net 0 to sink 0
+
+
+def test_bipartite_view_only_on_the_matchers_shape():
+    def network(num_nets=2, num_sinks=2):
+        flow, _, t_node = _network(
+            (num_nets, num_sinks, [False] * num_nets, None, [((0, 0), 1), ((1, 1), 1)])
+        )
+        return flow, t_node
+
+    flow, t_node = network()
+    assert _Bipartite.of(flow, 0, t_node) is not None
+    parallel, t_node = network()
+    parallel.add_edge(1, 3, 1, 2)  # net 0 -> sink 0 again
+    wide, _ = network()
+    wide.add_edge(2, 3, 2, 0)  # a candidate arc of capacity 2
+    used, _ = network()
+    used.cap[1] = 1  # the reverse of s -> net 0 carries flow
+    for other in (parallel, wide, used):
+        assert _Bipartite.of(other, 0, t_node) is None
+    # Sinks numbered below nets: the heap loop alone.
+    swapped = MinCostFlow(6)
+    for sink, net in ((1, 3), (2, 4)):
+        swapped.add_edge(0, net, 1, 0)
+        swapped.add_edge(net, sink, 1, 1)
+        swapped.add_edge(sink, 5, 1, 0)
+    assert _Bipartite.of(swapped, 0, 5) is None
+    assert swapped.solve(0, 5, 2) == (2, 2)
+
+
 def test_add_edge_rejects_negative_cost():
     flow = MinCostFlow(2)
     with pytest.raises(ValueError, match="negative cost"):
@@ -279,6 +445,23 @@ def test_matrix_matchings_match_reference(monkeypatch):
     assert len(views) == 3
     for view in views.values():
         _assert_matches_reference(view, monkeypatch)
+
+
+def test_smoke_networks_are_identical_to_early_exit_solver(smoke_view, monkeypatch):
+    for scenario_name in ("netflow", "learned"):
+        candidates, costs, load_limit = _instance(smoke_view, scenario_name)
+        solved = []
+        for solve in (MinCostFlow.solve, early_exit_solve):
+
+            def recording(self, s, t, max_flow, solve=solve):
+                result = solve(self, s, t, max_flow)
+                solved.append((result, list(self.cap)))
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(MinCostFlow, "solve", recording)
+                _match_nets(candidates, costs, load_limit)
+        assert solved[0] == solved[1], scenario_name
 
 
 def test_match_nets_clamps_negative_costs(smoke_view):
