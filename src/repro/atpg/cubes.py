@@ -89,6 +89,10 @@ def exact_cover(
     minterm) followed by a greedy unate cover.  Raises ``ValueError`` when
     the on-set exceeds *max_minterms* (callers prefilter faults by failing
     count, mirroring the paper's cost-driven fault selection).
+
+    Minterms must lie below ``2 ** num_vars``.  Cube membership is tested
+    on the on-set (``m & mask == values``) rather than by expanding
+    cubes: the on-set is small, a cube's minterm space need not be.
     """
     if not minterms:
         return []
@@ -125,23 +129,30 @@ def exact_cover(
         best = None
         best_gain = -1
         for cube in prime_list:
-            gain = sum(1 for m in expand_cube(cube, num_vars) if m in uncovered)
+            mask, values = cube.mask, cube.values
+            gain = sum(1 for m in uncovered if m & mask == values)
             if gain > best_gain:
                 best_gain = gain
                 best = cube
         if best is None or best_gain <= 0:  # pragma: no cover - defensive
             raise RuntimeError("covering failed to progress")
         cover.append(best)
-        uncovered.difference_update(expand_cube(best, num_vars))
+        uncovered = {m for m in uncovered if m & best.mask != best.values}
     return cover
 
 
 def _cube_inside(cube: Cube, on_set: set[int], num_vars: int) -> bool:
-    """True when every minterm of *cube* belongs to *on_set*."""
+    """True when every minterm of *cube* belongs to *on_set*.
+
+    The on-set holds distinct minterms below ``2 ** num_vars``, so the
+    cube lies inside it exactly when it holds as many on-set minterms as
+    the cube has.
+    """
     size = cube.num_minterms(num_vars)
     if size > len(on_set):
         return False
-    return all(m in on_set for m in expand_cube(cube, num_vars))
+    mask, values = cube.mask, cube.values
+    return sum(1 for m in on_set if m & mask == values) == size
 
 
 def cover_care_bits(cover: Sequence[Cube]) -> int:

@@ -13,6 +13,7 @@ most area back.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.atpg.patterns import FailingPatterns
@@ -54,9 +55,17 @@ def cascade_removed_area(
     NOT/BUF forward the constant; XOR absorbs it).  This tracks what
     :func:`repro.synth.resynth.resynthesize` actually reclaims far better
     than the MFFC alone, because constants cascade across fanout.
+
+    The cascade is event-driven: only readers of a net that just became
+    constant are evaluated, popped from a heap keyed by topological
+    index.  A gate can fold only once a fanin is constant, and every pop
+    comes after its constant fanins, so ``constant`` gains the same
+    gates in the same topological order as a sweep over the whole fanout
+    cone, and the area sums add in the same order (bit-identical floats).
     """
     lib = library or NANGATE45
     fanout = circuit.fanout_map()
+    logic = circuit.logic_nets()
     outputs = set(circuit.outputs)
 
     def gate_area(name: str) -> float:
@@ -70,27 +79,33 @@ def cascade_removed_area(
         candidate = stack.pop()
         if candidate in cone:
             continue
-        gate = circuit.gates[candidate]
-        if gate.is_input or gate.is_dff or gate.is_tie or candidate in outputs:
+        if candidate not in logic or candidate in outputs:
             continue
         readers = fanout[candidate]
         if readers and all(r in cone for r in readers):
             cone.add(candidate)
-            stack.extend(gate.fanin)
+            stack.extend(circuit.gates[candidate].fanin)
 
-    # (b) constant cascade through the fanout
+    # (b) constant cascade through the fanout, in topological order
     constant: dict[str, int] = {net: value}
-    order = {n: i for i, n in enumerate(circuit.topological_order())}
-    worklist = sorted(circuit.transitive_fanout([net]), key=order.__getitem__)
-    for name in worklist:
-        if name == net or name in constant:
-            continue
+    index = circuit.topological_index()
+    queued: set[str] = set()
+    heap: list[tuple[int, str]] = []
+
+    def schedule(source: str) -> None:
+        for reader in fanout[source]:
+            if reader in logic and reader not in queued:
+                queued.add(reader)
+                heapq.heappush(heap, (index[reader], reader))
+
+    schedule(net)
+    while heap:
+        _, name = heapq.heappop(heap)
         gate = circuit.gates[name]
-        if gate.is_dff or gate.is_input or gate.is_tie:
-            continue
         folded = _fold_value(gate.gate_type, [constant.get(n) for n in gate.fanin])
         if folded is not None:
             constant[name] = folded
+            schedule(name)
 
     area = gate_area(net)
     area += sum(gate_area(n) for n in cone if n != net)

@@ -10,6 +10,12 @@ contains the fault site.  The module between the cut and the sinks is the
 unit on which the exact failing set is computed (see
 :mod:`repro.atpg.patterns`), and the cut nets are where the restore
 comparator taps.
+
+No step here scans the whole circuit per fault: the sinks come from the
+circuit's cached sink table (one bit per PO entry in output order, then
+one per DFF entry in DFF order, built in a single reverse-topological
+pass), and cut growth and module extraction read the cached non-source
+set and topological index.
 """
 
 from __future__ import annotations
@@ -34,17 +40,20 @@ def affected_sinks(circuit: Circuit, net: str) -> tuple[list[str], dict[str, lis
     """Sinks observed by a fault at *net*: PO nets and DFF data nets.
 
     Returns ``(sink_nets, aliases)`` where aliases maps a sink net to the
-    primary outputs listing it and the DFFs reading it as data.
+    primary outputs listing it and the DFFs reading it as data.  Decodes
+    the net's bits of :meth:`Circuit.sink_table` in ascending order, so
+    sinks and aliases come out in the order a per-net walk would give:
+    every PO in output order, then every DFF in DFF order.
     """
-    reach = circuit.transitive_fanout([net])
+    table = circuit.sink_table()
+    entries = table.entries
+    bits = table.masks[net]
     aliases: dict[str, list[str]] = {}
-    for out in circuit.outputs:
-        if out in reach:
-            aliases.setdefault(out, []).append(f"PO:{out}")
-    for dff_name in circuit.dffs:
-        d_net = circuit.gates[dff_name].fanin[0]
-        if d_net in reach:
-            aliases.setdefault(d_net, []).append(f"DFF:{dff_name}")
+    while bits:
+        low = bits & -bits
+        sink, alias = entries[low.bit_length() - 1]
+        aliases.setdefault(sink, []).append(alias)
+        bits ^= low
     return list(aliases), aliases
 
 
@@ -66,6 +75,7 @@ def grow_cut(
     no feasible cut exists.
     """
     levels = circuit.levels()
+    logic = circuit.logic_nets()
     if tainted is None:
         tainted = circuit.transitive_fanout([must_contain])
     interior: set[str] = set(sinks)
@@ -73,10 +83,6 @@ def grow_cut(
     for sink in sinks:
         frontier.update(circuit.gates[sink].fanin)
     frontier -= interior
-
-    def expandable(net: str) -> bool:
-        gate = circuit.gates[net]
-        return not (gate.is_input or gate.is_dff or gate.is_tie)
 
     guard = 0
     while True:
@@ -90,13 +96,13 @@ def grow_cut(
         elif len(frontier) <= max_support and must_contain in interior:
             return sorted(frontier)
         else:
-            candidates = [n for n in frontier if expandable(n)]
+            candidates = [n for n in frontier if n in logic]
             if not candidates:
                 return None
             # expanding the deepest net tends to shrink the frontier
             # (reconvergence) and pulls the cut toward the inputs.
             target = max(candidates, key=lambda n: (levels[n], n))
-        if not expandable(target):
+        if target not in logic:
             return None
         gate = circuit.gates[target]
         frontier.discard(target)
@@ -170,29 +176,27 @@ def _extract_between(
     circuit: Circuit, cut: list[str], sinks: list[str]
 ) -> Circuit | None:
     """Standalone circuit of the logic between *cut* and *sinks*."""
-    cut_set = set(cut)
+    logic = circuit.logic_nets()
     module = Circuit("fault_module")
     for net in cut:
         module.add(net, GateType.INPUT)
     # include every gate on a path cut -> sinks: backward walk from sinks
     # stopping at cut nets.
     needed: list[str] = []
-    seen: set[str] = set(cut_set)
+    seen: set[str] = set(cut)
     stack = list(sinks)
     while stack:
         net = stack.pop()
         if net in seen:
             continue
         seen.add(net)
-        gate = circuit.gates[net]
-        if gate.is_input or gate.is_dff or gate.is_tie:
+        if net not in logic:
             return None  # a source leaked past the cut: infeasible
         needed.append(net)
-        stack.extend(n for n in gate.fanin if n not in seen)
-    order = {name: i for i, name in enumerate(circuit.topological_order())}
-    for net in sorted(needed, key=order.__getitem__):
-        gate = circuit.gates[net]
-        module.add(net, gate.gate_type, gate.fanin)
+        stack.extend(n for n in circuit.gates[net].fanin if n not in seen)
+    needed.sort(key=circuit.topological_index().__getitem__)
+    for net in needed:
+        module.add_gate(circuit.gates[net])
     for sink in sinks:
         module.add_output(sink)
     return module

@@ -13,7 +13,7 @@ designs").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.netlist.gate_types import (
     COMBINATIONAL_TYPES,
@@ -71,6 +71,32 @@ class Gate:
         return Gate(self.name, gate_type, self.fanin)
 
 
+class SinkTable(NamedTuple):
+    """Every net's observing sinks, one bit per alias entry.
+
+    ``entries[i]`` is ``(sink_net, alias)`` for bit *i*: first one
+    ``PO:<out>`` entry per primary output in :attr:`Circuit.outputs`
+    order (keyed by the output net), then one ``DFF:<q>`` entry per DFF
+    in :attr:`Circuit.dffs` order (keyed by its D net).  ``masks[net]``
+    has bit *i* set when the entry's sink net lies in
+    ``transitive_fanout([net])``; ``po_mask`` holds the bit of the first
+    entry of each distinct output net.
+    """
+
+    entries: tuple[tuple[str, str], ...]
+    masks: dict[str, int]
+    po_mask: int
+
+
+class _Roles(NamedTuple):
+    """Gate names by role, from one scan of the gate dict."""
+
+    inputs: tuple[str, ...]
+    dffs: tuple[str, ...]
+    tie_cells: tuple[str, ...]
+    logic: frozenset[str]  # every net not driven by an INPUT, DFF or TIE
+
+
 @dataclass
 class CircuitStats:
     """Summary statistics of a circuit (used in reports and profiles)."""
@@ -91,6 +117,15 @@ class Circuit:
     Gates are stored in insertion order in :attr:`gates` (name -> Gate).
     Primary inputs are gates of type ``INPUT``; primary outputs are net
     names listed in :attr:`outputs` (an output may alias any driven net).
+
+    Derived views are cached: fanout, topological order and index,
+    levels, the compiled simulation program, the role lists
+    (:attr:`inputs`, :attr:`dffs`, :attr:`tie_cells`,
+    :attr:`is_sequential`, :meth:`logic_nets`) and the
+    :meth:`sink_table`.  Every edit made through the methods here
+    (adding, replacing or removing a gate; adding or renaming an output)
+    clears them all, so edit :attr:`gates` and :attr:`outputs` only
+    through those methods, or call :meth:`_invalidate` afterwards.
     """
 
     def __init__(
@@ -106,6 +141,7 @@ class Circuit:
         self._topo_cache: list[str] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._compiled_cache: object | None = None
+        self._views: dict[str, object] = {}
         for gate in gates:
             self.add_gate(gate)
         for net in outputs:
@@ -135,6 +171,7 @@ class Circuit:
         if net in self.outputs:
             raise NetlistError(f"net {net!r} is already a primary output")
         self.outputs.append(net)
+        self._invalidate()
 
     def replace_gate(self, gate: Gate) -> None:
         """Replace the driver of ``gate.name`` (which must already exist)."""
@@ -153,6 +190,7 @@ class Circuit:
     def rename_output(self, old: str, new: str) -> None:
         """Re-point a primary output from net *old* to net *new*."""
         self.outputs[self.outputs.index(old)] = new
+        self._invalidate()
 
     def fresh_name(self, prefix: str) -> str:
         """Return a net name starting with *prefix* not yet used."""
@@ -168,6 +206,7 @@ class Circuit:
         self._topo_cache = None
         self._levels_cache = None
         self._compiled_cache = None
+        self._views = {}
 
     # ------------------------------------------------------------------
     # Pickling
@@ -182,32 +221,53 @@ class Circuit:
         self.name = state["name"]
         self.gates = state["gates"]
         self.outputs = state["outputs"]
-        self._fanout_cache = None
-        self._topo_cache = None
-        self._levels_cache = None
-        self._compiled_cache = None
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    def _roles(self) -> _Roles:
+        roles = self._views.get("roles")
+        if roles is None:
+            inputs: list[str] = []
+            dffs: list[str] = []
+            ties: list[str] = []
+            logic: set[str] = set()
+            for gate in self.gates.values():
+                if gate.is_input:
+                    inputs.append(gate.name)
+                elif gate.is_dff:
+                    dffs.append(gate.name)
+                elif gate.is_tie:
+                    ties.append(gate.name)
+                else:
+                    logic.add(gate.name)
+            roles = _Roles(tuple(inputs), tuple(dffs), tuple(ties), frozenset(logic))
+            self._views["roles"] = roles
+        return roles
+
     @property
     def inputs(self) -> list[str]:
         """Primary input net names, in insertion order."""
-        return [g.name for g in self.gates.values() if g.is_input]
+        return list(self._roles().inputs)
 
     @property
     def dffs(self) -> list[str]:
         """Names of all DFF gates, in insertion order."""
-        return [g.name for g in self.gates.values() if g.is_dff]
+        return list(self._roles().dffs)
 
     @property
     def tie_cells(self) -> list[str]:
         """Names of all TIEHI/TIELO gates, in insertion order."""
-        return [g.name for g in self.gates.values() if g.is_tie]
+        return list(self._roles().tie_cells)
 
     @property
     def is_sequential(self) -> bool:
-        return any(g.is_dff for g in self.gates.values())
+        return bool(self._roles().dffs)
+
+    def logic_nets(self) -> frozenset[str]:
+        """Nets whose driver is not a source (INPUT, DFF or TIE); cached."""
+        return self._roles().logic
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -285,6 +345,14 @@ class Circuit:
             )
         self._topo_cache = order
         return order
+
+    def topological_index(self) -> dict[str, int]:
+        """Map net -> position in :meth:`topological_order` (cached)."""
+        index = self._views.get("topo_index")
+        if index is None:
+            index = {net: i for i, net in enumerate(self.topological_order())}
+            self._views["topo_index"] = index
+        return index
 
     def depth(self) -> int:
         """Longest combinational path length in gate levels."""
@@ -372,33 +440,56 @@ class Circuit:
                 stack.append(reader)
         return seen
 
+    def sink_table(self) -> SinkTable:
+        """Every net's PO/DFF sinks, from one reverse-topological pass (cached).
+
+        Equivalent to intersecting ``transitive_fanout([net])`` with the
+        sink entries (see :class:`SinkTable`) for every net at once, with
+        one bitset per net instead of one cone walk per net.  The
+        :meth:`transitive_fanout` semantics are kept exactly: a net sees
+        its own entries, and a DFF reader adds its own entries without
+        being traversed (its Q output belongs to the next cycle).
+        """
+        table = self._views.get("sinks")
+        if table is None:
+            entries: list[tuple[str, str]] = []
+            own: dict[str, int] = {}
+            po_mask = 0
+            for out in self.outputs:
+                bit = 1 << len(entries)
+                if out not in own:
+                    po_mask |= bit
+                own[out] = own.get(out, 0) | bit
+                entries.append((out, f"PO:{out}"))
+            for name in self._roles().dffs:
+                d_net = self.gates[name].fanin[0]
+                own[d_net] = own.get(d_net, 0) | (1 << len(entries))
+                entries.append((d_net, f"DFF:{name}"))
+            fanout = self.fanout_map()
+            gates = self.gates
+            masks: dict[str, int] = {}
+            for net in reversed(self.topological_order()):
+                bits = own.get(net, 0)
+                for reader in fanout[net]:
+                    if gates[reader].is_dff:
+                        bits |= own.get(reader, 0)
+                    else:
+                        bits |= masks[reader]
+                masks[net] = bits
+            table = SinkTable(tuple(entries), masks, po_mask)
+            self._views["sinks"] = table
+        return table
+
     def output_reach_counts(self) -> dict[str, int]:
         """Map net -> number of primary outputs in its fanout cone.
 
-        Equivalent to ``sum(1 for o in outputs if o in
-        transitive_fanout([net]))`` for every net at once, but computed
-        in a single reverse pass over the topological order with one
-        output-membership bitset per net instead of one scalar cone walk
-        per net.  The :meth:`transitive_fanout` semantics are preserved
-        exactly: a net observes itself when it is an output, and a DFF
-        reader joins the cone without being traversed through (its Q
-        output belongs to the next cycle).
+        Equivalent to ``sum(1 for o in set(outputs) if o in
+        transitive_fanout([net]))`` for every net at once: a popcount
+        over the PO bits of :meth:`sink_table`.
         """
-        out_bit: dict[str, int] = {}
-        for net in self.outputs:
-            if net not in out_bit:
-                out_bit[net] = 1 << len(out_bit)
-        fanout = self.fanout_map()
-        mask: dict[str, int] = {}
-        for net in reversed(self.topological_order()):
-            bits = out_bit.get(net, 0)
-            for reader in fanout[net]:
-                if self.gates[reader].is_dff:
-                    bits |= out_bit.get(reader, 0)
-                else:
-                    bits |= mask[reader]
-            mask[net] = bits
-        return {net: bits.bit_count() for net, bits in mask.items()}
+        table = self.sink_table()
+        po_mask = table.po_mask
+        return {net: (bits & po_mask).bit_count() for net, bits in table.masks.items()}
 
     def support(self, nets: Iterable[str]) -> list[str]:
         """Source nets (INPUTs, TIEs, DFF outputs) feeding *nets*' cones."""

@@ -23,10 +23,9 @@ def substitute_net(circuit: Circuit, old: str, new: str) -> int:
                 gate.with_fanin(new if n == old else n for n in gate.fanin)
             )
             edits += 1
-    for index, net in enumerate(circuit.outputs):
-        if net == old:
-            circuit.outputs[index] = new
-            edits += 1
+    for _ in range(circuit.outputs.count(old)):
+        circuit.rename_output(old, new)
+        edits += 1
     return edits
 
 

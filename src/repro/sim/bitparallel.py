@@ -21,6 +21,7 @@ forces either engine.  Both produce bit-identical words.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Mapping, Sequence
 
@@ -97,21 +98,25 @@ def exhaustive_words(inputs: Sequence[str]) -> tuple[dict[str, int], int]:
 
     Lane *p* carries the assignment whose bit *i* (LSB = ``inputs[0]``)
     equals ``(p >> i) & 1`` — the classic periodic-pattern construction.
-    Returns ``(words, num_patterns)``.
+    Returns ``(words, num_patterns)``; the words are memoised per width,
+    and every call returns a fresh dict.
     """
-    n = len(inputs)
+    columns = _exhaustive_columns(len(inputs))
+    return dict(zip(inputs, columns)), 1 << len(inputs)
+
+
+@functools.cache
+def _exhaustive_columns(n: int) -> tuple[int, ...]:
     num_patterns = 1 << n
-    words: dict[str, int] = {}
-    for index, net in enumerate(inputs):
+    columns: list[int] = []
+    for index in range(n):
         period = 1 << index
         block = (1 << period) - 1  # `period` ones
         word = 0
-        stride = period * 2
-        ones_positions = range(period, num_patterns, stride)
-        for start in ones_positions:
+        for start in range(period, num_patterns, period * 2):
             word |= block << start
-        words[net] = word
-    return words, num_patterns
+        columns.append(word)
+    return tuple(columns)
 
 
 def random_words(

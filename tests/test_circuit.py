@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.locking.partition import affected_sinks
 from repro.netlist.circuit import Circuit, Gate, NetlistError
 from repro.netlist.gate_types import GateType
+from repro.netlist.transforms import substitute_net
 from tests.conftest import tiny_mux_circuit
 
 
@@ -165,3 +167,50 @@ def test_remove_and_replace(c17_circuit):
     assert "N22" not in c17_circuit.gates
     with pytest.raises(NetlistError):
         c17_circuit.remove_gate("N22")
+
+
+def _sink_views(circuit):
+    return (
+        [affected_sinks(circuit, net) for net in circuit.gates],
+        circuit.output_reach_counts(),
+        circuit.inputs,
+        circuit.dffs,
+    )
+
+
+def test_output_edits_invalidate_cached_views(sequential_circuit):
+    """Output-only edits must not serve stale sink tables."""
+    edits = [
+        lambda c: c.add_output(c.dffs[0]),
+        lambda c: c.rename_output(c.outputs[0], c.dffs[1]),
+        lambda c: substitute_net(c, c.outputs[1], c.dffs[2]),
+    ]
+    for edit in edits:
+        circuit = sequential_circuit.copy()
+        _sink_views(circuit)  # populate every cache
+        edit(circuit)
+        assert _sink_views(circuit) == _sink_views(circuit.copy())
+
+
+def test_substitute_net_repoints_every_output_listing():
+    circuit = tiny_mux_circuit()
+    circuit.add_output("t0")
+    circuit.add_output("t1")
+    substitute_net(circuit, "t1", "t0")  # t0 is now listed twice
+    circuit.output_reach_counts()
+    assert substitute_net(circuit, "t0", "ns") == 3  # OR's fanin + two POs
+    assert circuit.outputs == ["z", "ns", "ns"]
+    counts = circuit.output_reach_counts()
+    assert counts == circuit.copy().output_reach_counts()
+    assert (counts["s"], counts["a"]) == (2, 0)  # distinct outputs only
+
+
+def test_cached_role_lists_are_callers_own(c17_circuit):
+    inputs = c17_circuit.inputs
+    inputs.append("bogus")
+    assert "bogus" not in c17_circuit.inputs
+    c17_circuit.add_input("N99")
+    assert c17_circuit.inputs[-1] == "N99"
+    assert "N99" not in inputs
+    order = c17_circuit.topological_order()
+    assert c17_circuit.topological_index() == {n: i for i, n in enumerate(order)}

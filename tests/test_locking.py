@@ -1,10 +1,24 @@
 """Locking tests: partitioning, restore circuitry, ATPG lock, random lock."""
 
+import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+
 from repro.atpg import StuckAtFault, enumerate_failing_patterns, internal_faults
+from repro.benchgen import (
+    GeneratorConfig,
+    generate_random_circuit,
+    load_iscas85,
+    load_itc99,
+)
 from repro.locking import (
     AtpgLockConfig,
     LockedCircuit,
@@ -189,6 +203,66 @@ def test_locked_circuit_model():
     assert locked.protected_nets == set(locked.tie_cells) | set(locked.key_gates)
     with pytest.raises(ValueError):
         locked.with_key([0])
+
+
+# ----------------------------------------------------------------------
+# Lock identity
+# ----------------------------------------------------------------------
+#: sha256 of ``pickle.dumps((locked, report), protocol=4)`` for a 16-bit
+#: ``atpg_lock`` (seed 3) of three small benchgen designs.  Any change to
+#: lock planning that moves a selected fault, a key bit, a gate or a
+#: report field moves these.
+LOCK_PINS = {
+    "random": "e9e6bc07616daafb6fd33949d66ffef8b40f0d7b86feb7c6ab06bedac941da99",
+    "c432": "b4e1b212daa814da26be5c0cb2b30c9d5dfea27f0694904a9a812f518f6c37cf",
+    "b14": "49e15dbd887e4c77867a36486b6a6ef24c2e096c4498c34a19444ff8e0049103",
+}
+
+
+def _pin_design(name):
+    if name == "random":
+        config = GeneratorConfig(
+            num_inputs=10, num_outputs=3, num_gates=90, pocket_fraction=0.0
+        )
+        return generate_random_circuit(config, seed=8, name="h8")
+    if name == "c432":
+        return load_iscas85("c432")
+    return load_itc99("b14", scale=0.02).combinational_core()
+
+
+def lock_digest(name: str) -> str:
+    locked, report = atpg_lock(_pin_design(name), AtpgLockConfig(key_bits=16, seed=3))
+    return hashlib.sha256(pickle.dumps((locked, report), protocol=4)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_PINS))
+def test_lock_is_byte_identical_to_pin(name):
+    assert lock_digest(name) == LOCK_PINS[name]
+
+
+def test_lock_does_not_depend_on_hash_seed():
+    """Planning caches hold sets of nets; the lock must not follow their
+    iteration order."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    root = str(Path(__file__).resolve().parents[1])
+    script = "from tests.test_locking import lock_digest; print(lock_digest('b14'))"
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, root, env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        digests.append(done.stdout.strip())
+    assert digests == [LOCK_PINS["b14"]] * 2
 
 
 # ----------------------------------------------------------------------
