@@ -27,7 +27,7 @@ from repro.adversary.scenario import Scenario
 from repro.attacks.ideal import ideal_attack
 from repro.attacks.proximity import ProximityAttackConfig, proximity_attack
 from repro.attacks.random_guess import random_guess_attack
-from repro.attacks.result import AttackResult, rebuild_netlist
+from repro.attacks.result import AttackResult
 from repro.attacks.sat_attack import sat_futility_attack
 from repro.locking.key import LockedCircuit
 from repro.netlist.circuit import Circuit
@@ -178,14 +178,15 @@ class FlowMatcherEngine(AttackEngine):
             view, candidates, costs, load_limit=load_limit
         )
         result = AttackResult(
-            view, assignment, strategy=self.strategy, engine=self.name
+            view,
+            assignment,
+            strategy=self.strategy,
+            engine=self.name,
+            netlist_name=f"{view.circuit_name}_{self.name}",
         )
         result.diagnostics.update(diagnostics)
         result.diagnostics["load_limit"] = load_limit
         result.diagnostics.update(cost_diagnostics)
-        result.recovered = rebuild_netlist(
-            view, assignment, f"{view.circuit_name}_{self.name}"
-        )
         return result
 
 

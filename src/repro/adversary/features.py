@@ -33,6 +33,7 @@ import numpy as np
 from repro.attacks.hints import proximity_score
 from repro.phys.geometry import (
     ALIGN_TOL_UM as _ALIGN_TOL_UM,
+    _cache_token,
     block_size_for,
     candidate_order,
     score_block,
@@ -184,7 +185,39 @@ def _pair_features(
 def build_candidates(
     view: FeolView, per_sink: int = 16, with_labels: bool = False
 ) -> CandidateSet:
-    """Assemble candidates + features (+ ground-truth labels) for *view*."""
+    """Candidates + features (+ ground-truth labels) for *view*, memoised.
+
+    The set is built once per view and argument pair and kept on the
+    view (``_candidates``), so the netflow, learned and oracle-key cells
+    of one view share it.  The memo is keyed by the stub arrays' cache
+    token (:func:`repro.phys.geometry._cache_token`): a defense-style
+    stub-list reassignment rebuilds it.  Callers share the set, so its
+    arrays are read-only.  ``FeolView`` pickles drop the memo, as they
+    drop the stub arrays.
+    """
+    token = _cache_token(view)
+    cached = getattr(view, "_candidates", None)
+    if cached is None or cached[0] != token:
+        cached = view._candidates = (token, {})
+    key = (per_sink, with_labels)
+    candidates = cached[1].get(key)
+    if candidates is None:
+        candidates = cached[1][key] = _build_candidates(
+            view, per_sink, with_labels
+        )
+        for array in (
+            candidates.pairs,
+            candidates.features,
+            candidates.labels,
+        ):
+            if array is not None:
+                array.flags.writeable = False
+    return candidates
+
+
+def _build_candidates(
+    view: FeolView, per_sink: int, with_labels: bool
+) -> CandidateSet:
     sinks, sources, per = candidate_sources(view, per_sink=per_sink)
     span = coordinate_span(view)
     arrays = stub_arrays(view)

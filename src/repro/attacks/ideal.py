@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.attacks.result import AttackResult, rebuild_netlist
+from repro.attacks.result import AttackResult
 from repro.phys.split import FeolView
 
 
@@ -28,12 +28,13 @@ def ideal_attack(view: FeolView, seed: int = 0) -> AttackResult:
         else:
             assignment[stub.stub_id] = rng.choice(tie_nets)
     result = AttackResult(
-        view, assignment, strategy="ideal-proximity", engine="ideal"
+        view,
+        assignment,
+        strategy="ideal-proximity",
+        engine="ideal",
+        netlist_name=f"{view.circuit_name}_ideal",
     )
     result.diagnostics["seed"] = seed
-    result.recovered = rebuild_netlist(
-        view, assignment, f"{view.circuit_name}_ideal"
-    )
     return result
 
 

@@ -26,7 +26,7 @@ from repro.attacks.hints import (
     load_allows,
     timing_allows,
 )
-from repro.attacks.result import AttackResult, rebuild_netlist
+from repro.attacks.result import AttackResult
 from repro.phys.geometry import (
     block_size_for,
     candidate_order,
@@ -170,13 +170,14 @@ def proximity_attack(
             break
 
     result = AttackResult(
-        view, assignment, strategy="proximity", engine="proximity"
+        view,
+        assignment,
+        strategy="proximity",
+        engine="proximity",
+        netlist_name=f"{view.circuit_name}_recovered",
     )
     result.diagnostics["rejected"] = rejected
     result.diagnostics["config"] = asdict(config)
-    result.recovered = rebuild_netlist(
-        view, assignment, f"{view.circuit_name}_recovered"
-    )
     del rng  # reserved for future stochastic tie-breaking
     return result
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.attacks.result import AttackResult, rebuild_netlist
+from repro.attacks.result import AttackResult
 from repro.phys.split import FeolView
 
 
@@ -29,10 +29,11 @@ def random_guess_attack(view: FeolView, seed: int = 0) -> AttackResult:
         elif tie_nets:
             assignment[stub.stub_id] = rng.choice(tie_nets)
     result = AttackResult(
-        view, assignment, strategy="random-guess", engine="random"
+        view,
+        assignment,
+        strategy="random-guess",
+        engine="random",
+        netlist_name=f"{view.circuit_name}_randomguess",
     )
     result.diagnostics["seed"] = seed
-    result.recovered = rebuild_netlist(
-        view, assignment, f"{view.circuit_name}_randomguess"
-    )
     return result

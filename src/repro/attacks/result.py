@@ -6,12 +6,18 @@ scorer, random guessing, the ideal attacker and the oracle-less SAT
 probe — so metrics (:mod:`repro.metrics.ccr`, ``pnr``, ``hd_oer``) and
 the runner's cached ``attack`` stage consume one shape.
 
-The result is **artifact-cache friendly**: every field pickles cleanly
-(``recovered`` drops its derived topological/level/compile caches via
-:class:`~repro.netlist.circuit.Circuit` pickling), and ``diagnostics``
-holds only plain values (dicts/lists/scalars — attack configs are
-stored as dicts, never as live config objects), so cached bytes are a
-stable function of the producing spec.
+The recovered netlist is built **when first read**: an engine records
+only the netlist's name, and :attr:`AttackResult.recovered` rebuilds it
+from ``(view, assignment, netlist_name)`` on first access and keeps it.
+The scenario pipeline scores the post-processed netlist, so the raw
+result's netlist — read by no metric (the footnote-6 CCR reads only the
+assignment) — is never built.
+
+Results are never pickled into an artifact: the cached ``attack`` stage
+stores an :class:`~repro.adversary.evaluate.AttackOutcome` of plain
+reports, and ``diagnostics`` holds only plain values (dicts/lists/
+scalars — attack configs are stored as dicts, never as live config
+objects).
 """
 
 from __future__ import annotations
@@ -27,21 +33,36 @@ class AttackResult:
     """Outcome of an attack on one FEOL view.
 
     ``assignment`` maps every broken sink-stub id to the *net name* of the
-    source the attacker connected it to.  ``recovered`` is the netlist the
-    attacker would hand to a fab — broken pins wired per the assignment.
-    ``strategy`` is the human-readable pipeline label (postprocessing
-    appends to it); ``engine`` is the registry name of the producing
-    engine.  ``key_guess`` carries the key-bit vector the attacker would
-    commit to, when the engine forms one.
+    source the attacker connected it to; it must not change once the
+    result exists.  ``recovered`` is the netlist the attacker would hand
+    to a fab — broken pins wired per the assignment — built when first
+    read and named ``netlist_name`` (``None``, for a result that carries
+    no netlist, when no name is set).  ``strategy`` is the
+    human-readable pipeline label (postprocessing appends to it);
+    ``engine`` is the registry name of the producing engine.
+    ``key_guess`` carries the key-bit vector the attacker would commit
+    to, when the engine forms one.
     """
 
     view: FeolView
     assignment: dict[int, str] = field(default_factory=dict)
-    recovered: Circuit | None = None
     strategy: str = "unspecified"
     engine: str = "unspecified"
     key_guess: tuple[int, ...] | None = None
     diagnostics: dict[str, object] = field(default_factory=dict)
+    netlist_name: str | None = None
+    _recovered: Circuit | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def recovered(self) -> Circuit | None:
+        """The attacker's netlist, rebuilt on first read, then kept."""
+        if self._recovered is None and self.netlist_name is not None:
+            self._recovered = rebuild_netlist(
+                self.view, self.assignment, self.netlist_name
+            )
+        return self._recovered
 
     def assigned_net(self, stub_id: int) -> str | None:
         return self.assignment.get(stub_id)
@@ -55,31 +76,26 @@ class AttackResult:
         """A follow-up result on the same view (post-processing steps).
 
         Diagnostics are copied (never shared) so pipeline stages can
-        annotate without mutating their input; the recovered netlist is
-        rebuilt when a new assignment is supplied.
+        annotate without mutating their input.  A new assignment gets a
+        new netlist (named *netlist_name*, default ``<circuit>_recovered``);
+        without one, the follow-up keeps this result's netlist, renamed
+        to *netlist_name* if given.  Either is built when first read.
         """
-        new_assignment = (
-            dict(self.assignment) if assignment is None else assignment
-        )
-        out = AttackResult(
+        if assignment is not None:
+            name = netlist_name or f"{self.view.circuit_name}_recovered"
+        elif self.netlist_name is not None:
+            name = netlist_name or self.netlist_name
+        else:
+            name = None  # no netlist to keep
+        return AttackResult(
             self.view,
-            new_assignment,
+            dict(self.assignment) if assignment is None else assignment,
             strategy=strategy or self.strategy,
             engine=self.engine,
             key_guess=self.key_guess,
             diagnostics=dict(self.diagnostics),
+            netlist_name=name,
         )
-        if assignment is None:
-            out.recovered = self.recovered
-            if netlist_name is not None and out.recovered is not None:
-                out.recovered = out.recovered.copy(netlist_name)
-        else:
-            out.recovered = rebuild_netlist(
-                self.view,
-                new_assignment,
-                netlist_name or f"{self.view.circuit_name}_recovered",
-            )
-        return out
 
 
 def rebuild_netlist(view: FeolView, assignment: dict[int, str], name: str) -> Circuit:

@@ -51,10 +51,35 @@ class PhysicalLayout:
         return {bit.tie_cell for bit in self.key_bits}
 
     def feol_view(self, split_layer: int | None = None) -> FeolView:
+        """The FEOL view at *split_layer* (default: the layout's own).
+
+        Split once per layer and kept in the layout's ``_views`` dict:
+        every caller of one layout and layer shares one view, with its
+        cached stub arrays and candidate sets.  That is sound because
+        nothing mutates a layout after its stage returns —
+        ``clamp_regular_nets`` runs inside the layout stage, before any
+        view exists — and attacks only read views (the defenses re-split
+        a copy of the routing into views of their own).  The dict is
+        left out of pickles (:meth:`__getstate__`), so cached layout
+        blobs and worker-tier byte sizes are those of a never-split
+        layout.
+        """
         layer = split_layer if split_layer is not None else self.split_layer
         if layer is None:
             raise ValueError("no split layer configured for this layout")
-        return split_layout(self.circuit, self.routing, layer, self.key_nets)
+        views = self.__dict__.setdefault("_views", {})
+        view = views.get(layer)
+        if view is None:
+            view = views[layer] = split_layout(
+                self.circuit, self.routing, layer, self.key_nets
+            )
+        return view
+
+    def __getstate__(self) -> dict:
+        """Drop the derived FEOL views from pickles (see :meth:`feol_view`)."""
+        state = dict(self.__dict__)
+        state.pop("_views", None)
+        return state
 
 
 def build_unprotected_layout(

@@ -92,14 +92,16 @@ class FeolView:
         object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:
-        """Drop the transient stub-array cache from pickles.
+        """Drop the transient stub-array and candidate caches from pickles.
 
-        The arrays (see :mod:`repro.phys.geometry`) are derived data,
-        rebuilt on demand; persisting them would bloat every cached
-        attack artifact that embeds a view.
+        The arrays (see :mod:`repro.phys.geometry`) and the candidate
+        sets (see :func:`repro.adversary.features.build_candidates`) are
+        derived data, rebuilt on demand; persisting them would bloat
+        every cached artifact that embeds a view.
         """
         state = dict(self.__dict__)
         state.pop("_stub_arrays", None)
+        state.pop("_candidates", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -20,6 +20,7 @@ workloads far beyond the paper's six circuits.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable, Mapping
@@ -29,6 +30,7 @@ from repro.attacks.proximity import ProximityAttackConfig
 from repro.defense.spec import DefenseSpec, resolve_defense
 from repro.benchgen import GeneratorConfig, profile
 from repro.locking.atpg_lock import AtpgLockConfig
+from repro.phys.stackup import STACK
 
 #: Seeds shared with the seed harnesses so runner results are
 #: bit-identical to the historical serial pipeline.
@@ -66,11 +68,61 @@ def parse_benchmark(name: str) -> GeneratorConfig | None:
     return None
 
 
-def _check_key_bits(key_bits: Iterable[int]) -> None:
-    """Reject negative key sizes (``0`` is valid: the unlocked design)."""
-    negative = [bits for bits in key_bits if bits < 0]
-    if negative:
-        raise ValueError(f"key sizes must be >= 0, got {negative}")
+def _check_int(
+    what: str, value: Any, low: int | None = None, high: int | None = None
+) -> None:
+    """Reject a non-integer (booleans included) or out-of-range *value*."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    too_low = low is not None and value < low
+    if too_low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be {bounds}, got {value}")
+
+
+def _check_real(what: str, value: Any, high: float | None = None) -> None:
+    """Reject anything but a finite number in ``(0, high]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+        or (high is not None and value > high)
+    ):
+        bounds = "> 0" if high is None else f"in (0, {high}]"
+        raise ValueError(f"{what} must be a number {bounds}, got {value!r}")
+
+
+def _check_names(what: str, names: Iterable[Any]) -> None:
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must be names, got {name!r}")
+
+
+def _check_grid(spec: "CampaignSpec | AttackCampaignSpec") -> None:
+    """Field types and ranges shared by both campaign kinds.
+
+    Runs when a spec is built, so a malformed submission fails with
+    ``ValueError`` at parse time (a 400 from the service) instead of
+    expanding into cells that fail inside pool workers.  Unknown
+    benchmark names still raise ``KeyError`` from :func:`profile`.
+    """
+    _check_names("benchmarks", spec.benchmarks)
+    for name in spec.benchmarks:
+        parse_benchmark(name)
+    for layer in spec.split_layers:
+        # a split needs a layer above it to lift the key-nets to
+        _check_int("split layers", layer, 1, STACK.top - 1)
+    for bits in spec.key_bits:
+        # 0 is valid: the unlocked design
+        _check_int("key sizes", bits, 0)
+    for name in ("seed", "hd_seed", "postprocess_seed"):
+        _check_int(name, getattr(spec, name))
+    _check_int("hd_patterns", spec.hd_patterns, 1)
+    _check_int("max_candidates", spec.max_candidates, 1)
+    if spec.scale is not None:
+        _check_real("scale", spec.scale)
+    _check_real("utilization", spec.utilization, 1.0)
 
 
 @dataclass(frozen=True)
@@ -151,13 +203,13 @@ class CampaignSpec:
     attack: ProximityAttackConfig = field(default_factory=ProximityAttackConfig)
 
     def __post_init__(self) -> None:
-        for name in self.benchmarks:
-            parse_benchmark(name)
         if not self.benchmarks:
             raise ValueError("campaign needs at least one benchmark")
         if not self.split_layers or not self.key_bits:
             raise ValueError("campaign needs split layers and key sizes")
-        _check_key_bits(self.key_bits)
+        _check_grid(self)
+        if not isinstance(self.attack, ProximityAttackConfig):
+            raise ValueError(f"attack must be a config, got {self.attack!r}")
 
     def cells(self) -> tuple[CellSpec, ...]:
         """Expand the grid, slowest-varying benchmark first.
@@ -191,16 +243,13 @@ class CampaignSpec:
     @staticmethod
     def from_payload(payload: dict[str, Any]) -> "CampaignSpec":
         data = dict(payload)
-        attack = data.pop("attack", None)
         for key in ("benchmarks", "split_layers", "key_bits"):
             if key in data:
                 data[key] = tuple(data[key])
-        spec = CampaignSpec(**data)
+        attack = data.pop("attack", None)
         if attack is not None:
-            object.__setattr__(
-                spec, "attack", ProximityAttackConfig(**attack)
-            )
-        return spec
+            data["attack"] = ProximityAttackConfig(**attack)
+        return CampaignSpec(**data)
 
 
 def expand(
@@ -307,8 +356,8 @@ class AttackCampaignSpec:
     postprocess_seed: int = DEFAULT_POSTPROCESS_SEED
 
     def __post_init__(self) -> None:
-        for name in self.benchmarks:
-            parse_benchmark(name)
+        _check_names("scenarios", self.scenarios)
+        _check_names("defenses", self.defenses)
         for name in self.scenarios:
             parse_scenario(name)
         for name in self.defenses:
@@ -324,7 +373,7 @@ class AttackCampaignSpec:
             )
         if not self.split_layers or not self.key_bits:
             raise ValueError("attack campaign needs split layers and key sizes")
-        _check_key_bits(self.key_bits)
+        _check_grid(self)
 
     def base_campaign(self) -> CampaignSpec:
         """The classic campaign spec sharing this grid's cells."""

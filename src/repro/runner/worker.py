@@ -20,6 +20,14 @@ budget comes from ``REPRO_WORKER_CACHE_MB`` (resolved *outside* cache
 keys — capacity cannot change content), sized by pickled length —
 the same bytes the disk cache would store.
 
+A resident layout also carries what attacks derive from it: the FEOL
+views :meth:`~repro.phys.layout.PhysicalLayout.feol_view` splits (one
+per split layer), each with its stub arrays and memoised candidate
+sets, so later jobs on the layout skip the split.  The byte budget
+counts only the pickled size, measured at insert, and pickles leave
+these derived caches out: the tier's accounting is that of a layout
+that was never split.
+
 The runtime is enabled explicitly, by the pool-worker initializer of
 :class:`repro.runner.engine.CampaignExecutor` — never in the main
 process — so serial in-process paths, benchmarks and tests keep their

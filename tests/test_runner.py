@@ -12,12 +12,15 @@ The two load-bearing guarantees:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runner import (
     AttackCampaignSpec,
     BenchRun,
     CampaignSpec,
     CellSpec,
+    attack_smoke_campaign,
     cell_run,
     parse_benchmark,
     run_campaign,
@@ -25,6 +28,7 @@ from repro.runner import (
     smoke_campaign,
 )
 from repro.runner.cli import main as cli_main
+from repro.runner.spec import parse_spec_payload, spec_payload
 from repro.runner.stages import lock_payload, run_payload
 from repro.utils.artifact_cache import ArtifactCache, spec_key
 
@@ -77,6 +81,76 @@ def test_spec_rejects_negative_key_sizes():
     # zero bits stays valid: the unlocked design
     assert CampaignSpec(benchmarks=("b14",), key_bits=(0,)).cells()
     assert AttackCampaignSpec(benchmarks=("b14",), key_bits=(0,)).cells()
+
+
+def _smoke_payloads() -> list[dict]:
+    return [
+        spec_payload(smoke_campaign()),
+        spec_payload(attack_smoke_campaign()),
+    ]
+
+
+@pytest.mark.parametrize(
+    "envelope", _smoke_payloads(), ids=["campaign", "attacks"]
+)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("benchmarks", [5]),
+        ("benchmarks", [[]]),
+        ("seed", "x"),
+        ("split_layers", ["x"]),
+        ("hd_patterns", -1),
+        ("scale", "a"),
+        ("seed", True),
+        ("key_bits", [False]),
+        ("split_layers", [0]),
+        ("utilization", 0),
+        ("scale", float("nan")),
+    ],
+)
+def test_malformed_spec_fields_fail_at_parse_time(envelope, field, value):
+    """Bad field types and ranges never reach the cells or the workers."""
+    mutated = {"kind": envelope["kind"], "spec": {**envelope["spec"]}}
+    mutated["spec"][field] = value
+    with pytest.raises(ValueError):
+        parse_spec_payload(mutated)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    envelope=st.sampled_from(_smoke_payloads()),
+    data=st.data(),
+)
+def test_single_field_mutations_raise_only_value_error(envelope, data):
+    """Any one field replaced by any JSON value: parsing and expanding
+    the spec either succeeds or raises ``ValueError`` (a 400), never
+    another exception type."""
+    field = data.draw(st.sampled_from(sorted(envelope["spec"])))
+    mutated = {"kind": envelope["kind"], "spec": {**envelope["spec"]}}
+    mutated["spec"][field] = data.draw(_JSON_VALUES)
+    try:
+        parse_spec_payload(mutated).cells()
+    except ValueError:
+        pass
+
+
+def test_emitted_payloads_parse_to_the_same_key():
+    for envelope in _smoke_payloads():
+        spec = parse_spec_payload(envelope)
+        assert spec_key(spec_payload(spec)) == spec_key(envelope)
 
 
 def test_random_descriptor_round_trip():
