@@ -24,16 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.adversary.evaluate import AttackOutcome
 from repro.benchgen import TABLE_I_BENCHMARKS
 from repro.locking.atpg_lock import AtpgLockConfig
 from repro.runner import (
     AttackCampaignSpec,
-    BenchRun,
     CellSpec,
+    cell_attack,
     cell_layout,
-    cell_run,
     current_profile,
     locked_design,
+    proximity_cell,
     run_attack_campaign,
     unprotected_layout,
 )
@@ -63,7 +64,6 @@ __all__ = [
     "IDEAL_RUNS",
     "KEY_BITS",
     "SEED",
-    "BenchRun",
     "BenchArtifacts",
     "cell_spec",
     "disk_cache",
@@ -84,7 +84,7 @@ class BenchArtifacts:
     locked: object
     lock_report: object
     layouts: dict[int, object] = field(default_factory=dict)
-    runs: dict[int, BenchRun] = field(default_factory=dict)
+    runs: dict[int, AttackOutcome] = field(default_factory=dict)
 
 
 #: Per-process memo on top of the on-disk artifact cache.
@@ -127,7 +127,9 @@ def get_artifacts(name: str) -> BenchArtifacts:
         cell = cell_spec(name, split_layer=split)
         layout = cell_layout(cell, _DISK, design=design)
         artifacts.layouts[split] = layout
-        artifacts.runs[split] = cell_run(cell, _DISK, design=design, layout=layout)
+        artifacts.runs[split] = cell_attack(
+            proximity_cell(cell), _DISK, design=design, layout=layout
+        )
     _CACHE[name] = artifacts
     return artifacts
 

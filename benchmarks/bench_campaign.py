@@ -7,7 +7,8 @@ ratios are purely the optimisation under test:
 
 1. **Fusion** — ten cells over a single lock/layout, differing only in
    ``hd_seed``, run once unfused (a serial loop calling
-   :func:`repro.runner.stages.cell_run` per cell) and once fused (the
+   :func:`repro.runner.stages.cell_attack` on each cell's
+   ``proximity_cell``) and once fused (the
    grid compiler groups the siblings and executes them over shared
    in-memory artifacts and batched array sweeps).  Serial, so no pool
    effects.  Emits ``fuse_speedup``.
@@ -56,8 +57,12 @@ from repro.runner.grid import (  # noqa: E402
     run_fused_cells,
 )
 from repro.runner.serialize import canonical_json, result_record  # noqa: E402
-from repro.runner.spec import CellSpec  # noqa: E402
-from repro.runner.stages import cell_run  # noqa: E402
+from repro.runner.spec import (  # noqa: E402
+    AttackCellSpec,
+    CellSpec,
+    proximity_cell,
+)
+from repro.runner.stages import cell_attack  # noqa: E402
 from repro.utils.artifact_cache import CacheStats  # noqa: E402
 
 #: Lock/layout-heavy base cell: the shared stages dominate, which is
@@ -81,7 +86,7 @@ def sibling_grid(count: int) -> list[CellSpec]:
 
 def multi_lock_grid(
     locks: int, layouts: int, members: int
-) -> list[CellSpec]:
+) -> list[AttackCellSpec]:
     """A lock-heavy pool grid: *locks* x *layouts* sibling groups.
 
     Each benchmark seed is a distinct lock; each utilization variant a
@@ -91,11 +96,13 @@ def multi_lock_grid(
     times while the bundled path resolves it once.
     """
     return [
-        replace(
-            BASE,
-            seed=BASE.seed + lock,
-            utilization=round(0.62 + 0.04 * layout, 2),
-            hd_seed=BASE.hd_seed + member,
+        proximity_cell(
+            replace(
+                BASE,
+                seed=BASE.seed + lock,
+                utilization=round(0.62 + 0.04 * layout, 2),
+                hd_seed=BASE.hd_seed + member,
+            )
         )
         for lock in range(locks)
         for layout in range(layouts)
@@ -104,12 +111,12 @@ def multi_lock_grid(
 
 
 def run_per_cell(cells: list[CellSpec]):
-    """The unfused reference: each cell alone through ``cell_run``."""
+    """The unfused reference: each cell alone through ``cell_attack``."""
     start = time.perf_counter()
     results = []
     for cell in cells:
         cell_start = time.perf_counter()
-        run = cell_run(cell)
+        run = cell_attack(proximity_cell(cell))
         results.append(
             CellResult(cell, run, time.perf_counter() - cell_start, CacheStats())
         )
@@ -122,7 +129,7 @@ def run_fused(cells: list[CellSpec]):
     return result.cells, time.perf_counter() - start
 
 
-def _per_group(cells: list[CellSpec]) -> list:
+def _per_group(cells: list[AttackCellSpec]) -> list:
     """One single-group bundle task per sibling group; cell order."""
     plan = plan_campaign(cells)
     with CampaignExecutor(POOL_WORKERS, use_cache=False) as executor:
@@ -137,11 +144,11 @@ def _per_group(cells: list[CellSpec]) -> list:
     return [ordered[i] for i in range(len(cells))]
 
 
-def _bundled(cells: list[CellSpec]) -> list:
+def _bundled(cells: list[AttackCellSpec]) -> list:
     return run_fused_cells(cells, workers=POOL_WORKERS, use_cache=False)
 
 
-def run_pool(cells: list[CellSpec], runner, worker_cache_mb: int):
+def run_pool(cells: list[AttackCellSpec], runner, worker_cache_mb: int):
     """One cacheless pool pass; returns (results, seconds, merged stats)."""
     os.environ["REPRO_WORKER_CACHE_MB"] = str(worker_cache_mb)
     try:
@@ -178,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # -- 1. serial fusion A/B --------------------------------------------
     cells = sibling_grid(6 if args.quick else 10)
-    plan = plan_campaign(cells)
+    plan = plan_campaign(map(proximity_cell, cells))
     print(f"fusion plan: {plan.describe()}")
 
     unfused, unfused_seconds = run_per_cell(cells)

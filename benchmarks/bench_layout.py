@@ -145,9 +145,10 @@ def engine_diff_smoke() -> int:
     import tempfile
 
     from repro.runner.profiles import smoke_campaign
+    from repro.runner.spec import proximity_cell
     from repro.runner.stages import (
+        cell_attack,
         cell_layout,
-        cell_run,
         layout_payload,
         locked_design,
     )
@@ -165,7 +166,9 @@ def engine_diff_smoke() -> int:
                 keys[engine] = spec_key(layout_payload(cell))
                 design = locked_design(cell, cache)
                 layouts[engine] = cell_layout(cell, cache, design=design)
-                runs[engine] = cell_run(cell, cache, design=design)
+                runs[engine] = cell_attack(
+                    proximity_cell(cell), cache, design=design
+                )
             finally:
                 del os.environ["REPRO_LAYOUT_ENGINE"]
     if keys["reference"] == keys["compiled"]:

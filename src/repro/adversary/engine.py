@@ -17,7 +17,7 @@ enters only through ``ctx.oracle`` when the scenario grants one.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class AttackContext:
     locked: LockedCircuit | None = None
     oracle: Circuit | None = None
     cache: object | None = None
+    attack: ProximityAttackConfig = field(default_factory=ProximityAttackConfig)
     diagnostics: dict[str, object] = field(default_factory=dict)
 
 
@@ -97,17 +98,19 @@ def engine_names() -> tuple[str, ...]:
 # Legacy attacks behind the engine interface
 # ----------------------------------------------------------------------
 class ProximityEngine(AttackEngine):
-    """The greedy proximity attack (Wang et al. style)."""
+    """The greedy proximity attack (Wang et al. style), configured by
+    ``ctx.attack``; a scenario without hints switches off the timing and
+    load hints (acyclicity is a fabricability constraint, not a hint)."""
 
     name = "proximity"
 
     def run(self, ctx: AttackContext) -> AttackResult:
         hints = ctx.scenario.has_hints
-        config = ProximityAttackConfig(
+        config = replace(
+            ctx.attack,
             seed=ctx.seed,
-            use_loop_hint=True,  # acyclicity is a fabricability constraint
-            use_timing_hint=hints,
-            use_load_hint=hints,
+            use_timing_hint=ctx.attack.use_timing_hint and hints,
+            use_load_hint=ctx.attack.use_load_hint and hints,
         )
         return proximity_attack(ctx.view, config)
 

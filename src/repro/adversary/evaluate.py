@@ -24,6 +24,7 @@ from typing import Mapping
 from repro.adversary.engine import AttackContext, get_engine
 from repro.adversary.scenario import Scenario
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
+from repro.attacks.proximity import ProximityAttackConfig
 from repro.attacks.result import AttackResult
 from repro.locking.key import LockedCircuit
 from repro.metrics.ccr import CcrReport, compute_ccr
@@ -59,6 +60,8 @@ class AttackOutcome:
     ccr: CcrReport
     ccr_raw: CcrReport  # before the key-pin post-processing
     pnr: PnrReport
+    broken_nets: int  # of the attacked view
+    visible_nets: int
     hd_oer: HdOerReport | None = None
     key_guess: tuple[int, ...] | None = None
     key_accuracy: float | None = None
@@ -239,6 +242,7 @@ def run_scenario(
     hd_patterns: int,
     hd_seed: int = 5,
     postprocess_seed: int = 13,
+    attack: ProximityAttackConfig | None = None,
     cache: object | None = None,
     total_regular_connections: int | None = None,
     protected_nets: frozenset[str] | None = None,
@@ -249,7 +253,7 @@ def run_scenario(
     Pure function of its arguments (the scenario must already be
     resolved — a ``None`` seed or budget is a programming error here),
     so outcomes are bit-identical across serial, parallel and cached
-    execution.
+    execution.  *attack* configures the ``proximity`` engine.
 
     ``total_regular_connections`` (the regular routed-connection count
     of the *undefended* layout) enables the ``recovery`` diagnostics
@@ -272,6 +276,7 @@ def run_scenario(
         locked=locked,
         oracle=original if scenario.has_oracle else None,
         cache=cache,
+        attack=attack or ProximityAttackConfig(),
     )
     raw = engine.run(ctx)
     result = raw
@@ -288,6 +293,8 @@ def run_scenario(
         ccr=compute_ccr(result),
         ccr_raw=compute_ccr(raw),
         pnr=compute_pnr(result),
+        broken_nets=view.broken_net_count,
+        visible_nets=len(view.visible_nets),
         diagnostics=dict(result.diagnostics),
     )
 

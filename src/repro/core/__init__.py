@@ -1,12 +1,7 @@
 """The paper's contribution: the SplitLock flow and its security layer."""
 
 from repro.core.config import LayoutConfig, SplitLockConfig
-from repro.core.flow import (
-    FlowResult,
-    SplitEvaluation,
-    SplitLockFlow,
-    evaluate_split_layout,
-)
+from repro.core.flow import FlowResult, SplitLockFlow
 from repro.core.security import (
     SecurityAssessment,
     assess,
@@ -23,13 +18,11 @@ __all__ = [
     "FlowResult",
     "LayoutConfig",
     "SecurityAssessment",
-    "SplitEvaluation",
     "SplitLockConfig",
     "SplitLockFlow",
     "assess",
     "brute_force_work_factor",
     "constrained_keyspace_size",
-    "evaluate_split_layout",
     "expected_logical_ccr_random_guess",
     "is_negligible",
     "keyspace_size",

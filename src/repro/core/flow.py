@@ -10,25 +10,23 @@
   lifting with stacked vias, ECO re-route).
 
 ``evaluate_split`` then mounts the improved proximity attack of
-Sec. IV-A on a chosen split and reports the Table I/II metrics.
-
-The attack-and-measure step itself is the module-level
-:func:`evaluate_split_layout` — a pure function of its arguments with no
-flow state, safe to ship to ``ProcessPoolExecutor`` workers.  The
-campaign runner (:mod:`repro.runner`) parallelises over it.
+Sec. IV-A on a chosen split and reports the Table I/II metrics.  It is
+a thin call into :func:`repro.adversary.evaluate.run_scenario` with the
+``proximity`` scenario — the same attack cell the campaign runner
+(:mod:`repro.runner`) executes for Tables I/II.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attacks.postprocess import reconnect_key_gates_to_ties
-from repro.attacks.proximity import ProximityAttackConfig, proximity_attack
+from repro.adversary.evaluate import AttackOutcome, run_scenario
+from repro.adversary.scenario import parse_scenario
+from repro.attacks.proximity import ProximityAttackConfig
 from repro.core.config import SplitLockConfig
 from repro.locking.atpg_lock import AtpgLockReport, atpg_lock
 from repro.locking.key import LockedCircuit
-from repro.metrics.ccr import CcrReport, compute_ccr
-from repro.metrics.hd_oer import DEFAULT_HD_PATTERNS, HdOerReport, compute_hd_oer
+from repro.metrics.hd_oer import DEFAULT_HD_PATTERNS
 from repro.netlist.circuit import Circuit
 from repro.phys.cost import LayoutCost, measure_layout_cost
 from repro.phys.layout import (
@@ -36,18 +34,6 @@ from repro.phys.layout import (
     build_locked_layout,
     build_unprotected_layout,
 )
-
-
-@dataclass
-class SplitEvaluation:
-    """Attack metrics for one split layer (one Table I/II row slice)."""
-
-    split_layer: int
-    ccr: CcrReport
-    ccr_without_postprocess: CcrReport
-    hd_oer: HdOerReport
-    broken_nets: int
-    visible_nets: int
 
 
 @dataclass
@@ -80,43 +66,6 @@ class FlowResult:
                 layout.circuit, layout.floorplan, layout.routing
             )
         return costs
-
-
-def evaluate_split_layout(
-    original: Circuit,
-    layout: PhysicalLayout,
-    split_layer: int | None = None,
-    attack_config: ProximityAttackConfig | None = None,
-    hd_patterns: int | None = None,
-    hd_seed: int = 5,
-    postprocess_seed: int = 13,
-) -> SplitEvaluation:
-    """Attack one split layout and compute the paper's metrics.
-
-    Pure function of its arguments (every stochastic step takes an
-    explicit seed), so parallel and serial execution produce bit-identical
-    reports; all inputs and the result pickle cleanly across process
-    boundaries.  *hd_patterns* defaults to the budget shared with
-    :func:`repro.metrics.hd_oer.compute_hd_oer`.
-    """
-    layer = split_layer if split_layer is not None else layout.split_layer
-    if layer is None:
-        raise ValueError("no split layer configured for this layout")
-    patterns = hd_patterns if hd_patterns is not None else DEFAULT_HD_PATTERNS
-    view = layout.feol_view(layer)
-    raw = proximity_attack(view, attack_config)
-    improved = reconnect_key_gates_to_ties(raw, seed=postprocess_seed)
-    hd_oer = compute_hd_oer(
-        original, improved.recovered, patterns=patterns, seed=hd_seed
-    )
-    return SplitEvaluation(
-        split_layer=layer,
-        ccr=compute_ccr(improved),
-        ccr_without_postprocess=compute_ccr(raw),
-        hd_oer=hd_oer,
-        broken_nets=view.broken_net_count,
-        visible_nets=len(view.visible_nets),
-    )
 
 
 class SplitLockFlow:
@@ -154,15 +103,18 @@ class SplitLockFlow:
         result: FlowResult,
         split_layer: int,
         attack_config: ProximityAttackConfig | None = None,
-        hd_patterns: int | None = None,
+        hd_patterns: int = DEFAULT_HD_PATTERNS,
         postprocess_seed: int = 13,
-    ) -> SplitEvaluation:
+    ) -> AttackOutcome:
         """Attack one split layout and compute the paper's metrics."""
-        return evaluate_split_layout(
+        return run_scenario(
+            parse_scenario("proximity").resolve(),
+            result.split_layouts[split_layer].feol_view(split_layer),
+            result.locked,
             result.original,
-            result.split_layouts[split_layer],
+            benchmark=result.original.name,
             split_layer=split_layer,
-            attack_config=attack_config,
             hd_patterns=hd_patterns,
             postprocess_seed=postprocess_seed,
+            attack=attack_config,
         )

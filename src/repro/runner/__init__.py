@@ -44,15 +44,14 @@ from repro.runner.spec import (
     expand_attack,
     parse_benchmark,
     parse_spec_payload,
+    proximity_cell,
     spec_payload,
 )
 from repro.runner.stages import (
-    BenchRun,
     LockedDesign,
     cell_attack,
     cell_defense,
     cell_layout,
-    cell_run,
     layout_cost_runs,
     locked_design,
     unprotected_layout,
@@ -63,7 +62,6 @@ __all__ = [
     "AttackCampaignSpec",
     "AttackCellResult",
     "AttackCellSpec",
-    "BenchRun",
     "CampaignExecutor",
     "CampaignResult",
     "CampaignSpec",
@@ -78,7 +76,6 @@ __all__ = [
     "cell_defense",
     "cell_layout",
     "cell_record",
-    "cell_run",
     "current_profile",
     "default_workers",
     "defense_smoke_campaign",
@@ -89,6 +86,7 @@ __all__ = [
     "parse_benchmark",
     "parse_spec_payload",
     "prorated_key_bits",
+    "proximity_cell",
     "result_record",
     "run_attack_campaign",
     "run_campaign",

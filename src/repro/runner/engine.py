@@ -2,12 +2,11 @@
 
 ``run_campaign`` / ``run_attack_campaign`` expand a campaign spec (or
 take an explicit cell list) and hand the cells to the grid compiler
-(:mod:`repro.runner.grid`), the one executor of lock/attack cells — for
-the serial CLI, the pool CLI, the benchmarks and the campaign service
-alike.  This module owns what they share: the
-result dataclasses, the long-lived :class:`CampaignExecutor` pool and
-the fail-fast collection of pool futures.  Three properties make the
-parallelism safe:
+(:mod:`repro.runner.grid`), the one executor of cells — for the serial
+CLI, the pool CLI, the benchmarks and the campaign service alike.  This
+module owns what they share: the result dataclasses, the long-lived
+:class:`CampaignExecutor` pool and the fail-fast collection of pool
+futures.  Three properties make the parallelism safe:
 
 * cells are **independent** — each carries its full configuration and
   derives every random stream from its own explicit seeds, so results
@@ -43,8 +42,9 @@ from repro.runner.spec import (
     CellSpec,
     expand,
     expand_attack,
+    proximity_cell,
 )
-from repro.runner.stages import BenchRun, layout_cost_runs
+from repro.runner.stages import layout_cost_runs
 from repro.runner.worker import enable_worker_runtime, worker_cache_budget_bytes
 from repro.utils.artifact_cache import ArtifactCache, CacheStats
 from repro.utils.env import env_int
@@ -52,10 +52,10 @@ from repro.utils.env import env_int
 
 @dataclass
 class CellResult:
-    """One executed cell: its spec, metrics and execution accounting."""
+    """One executed Tables I/II cell: spec, ``proximity`` outcome, accounting."""
 
     cell: CellSpec
-    run: BenchRun
+    run: AttackOutcome
     seconds: float
     cache: CacheStats
 
@@ -69,7 +69,7 @@ class CampaignResult:
 
     def runs(
         self,
-    ) -> dict[tuple[str, int, int, int, int, int], BenchRun]:
+    ) -> dict[tuple[str, int, int, int, int, int], AttackOutcome]:
         """Metrics keyed by :attr:`CellSpec.result_key`.
 
         The key carries every seed — (benchmark, split_layer, key_bits,
@@ -317,17 +317,19 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute every cell of *spec*; results in deterministic spec order.
 
-    The cells are compiled into sibling groups by
-    :mod:`repro.runner.grid` and executed group by group, sharing
-    lock/layout artifacts and compiled programs in memory.
+    Each cell runs as its :func:`~repro.runner.spec.proximity_cell`
+    through :func:`run_attack_campaign`.
     """
-    from repro.runner.grid import run_fused_cells
-
     cells = expand(spec)
-    start = time.perf_counter()
-    results = run_fused_cells(cells, workers, cache_dir, use_cache)
+    attacks = run_attack_campaign(
+        map(proximity_cell, cells), workers, cache_dir, use_cache
+    )
     return CampaignResult(
-        cells=results, wall_seconds=time.perf_counter() - start
+        cells=[
+            CellResult(cell, r.outcome, r.seconds, r.cache)
+            for cell, r in zip(cells, attacks.cells)
+        ],
+        wall_seconds=attacks.wall_seconds,
     )
 
 
@@ -339,8 +341,7 @@ def run_attack_campaign(
 ) -> AttackCampaignResult:
     """Execute every scenario cell of *spec*, grouped and cached.
 
-    Routes through the grid compiler exactly as :func:`run_campaign`;
-    scenario cells over one (benchmark, split, key_bits, seeds) base
+    Scenario cells over one (benchmark, split, key_bits, seeds) base
     are siblings and share their locked design, layout and compiled
     programs in memory.
     """

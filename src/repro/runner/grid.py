@@ -14,9 +14,11 @@ cells with equal (layout, defense) key prefixes form a
 **defense** artifact, so the defended FEOL view is computed once per
 group — and groups with equal lock keys share a lock node above them.
 :func:`run_fused_cells` then executes group by group instead of cell by
-cell.  :func:`_run_group` is the **only** code that executes a
-lock/attack cell — serial CLI, pool CLI, benchmarks and the campaign
-service all reach it, the pool paths through :func:`execute_bundle`:
+cell.  :func:`_run_group` is the **only** code that executes a cell (an
+:class:`~repro.runner.spec.AttackCellSpec`; Tables I/II cells arrive as
+``proximity`` cells) — serial CLI, pool CLI, benchmarks and the
+campaign service all reach it, the pool paths through
+:func:`execute_bundle`:
 
 * the group's lock and layout are computed **once** and handed to every
   member in memory (``design=``/``layout=`` on the stage functions), so
@@ -65,19 +67,17 @@ from repro.runner.engine import (
     AttackCellResult,
     CampaignExecutor,
     CellExecutionError,
-    CellResult,
     _gather_fail_fast,
     _open_cache,
     _wrap_cell_error,
     default_workers,
 )
-from repro.runner.spec import AttackCellSpec, CellSpec
+from repro.runner.spec import AttackCellSpec
 from repro.runner.stages import (
     LockedDesign,
     cell_attack,
     cell_defense,
     cell_layout,
-    cell_run,
     defense_payload,
     layout_payload,
     lock_payload,
@@ -95,14 +95,6 @@ __all__ = [
     "execute_bundle",
     "run_fused_cells",
 ]
-
-GridCell = CellSpec | AttackCellSpec
-
-
-def _base_cell(cell: GridCell) -> CellSpec:
-    """The plain cell carrying the lock/layout axes of *cell*."""
-    return cell.cell if isinstance(cell, AttackCellSpec) else cell
-
 
 @dataclass(frozen=True)
 class SiblingGroup:
@@ -129,10 +121,10 @@ class SiblingGroup:
 class GridPlan:
     """The campaign DAG: cells grouped under shared lock/layout nodes."""
 
-    cells: tuple[GridCell, ...]
+    cells: tuple[AttackCellSpec, ...]
     groups: tuple[SiblingGroup, ...]
 
-    def group_cells(self, group: SiblingGroup) -> tuple[GridCell, ...]:
+    def group_cells(self, group: SiblingGroup) -> tuple[AttackCellSpec, ...]:
         return tuple(self.cells[i] for i in group.indices)
 
     @property
@@ -147,7 +139,7 @@ class GridPlan:
         )
 
 
-def plan_campaign(cells: Iterable[GridCell]) -> GridPlan:
+def plan_campaign(cells: Iterable[AttackCellSpec]) -> GridPlan:
     """Group *cells* by their (layout, defense) cache-key prefix,
     preserving first-seen group order and per-group member order (both
     deterministic functions of the input order, so plans are stable
@@ -158,12 +150,11 @@ def plan_campaign(cells: Iterable[GridCell]) -> GridPlan:
     members: dict[tuple[str, str], list[int]] = {}
     lock_of: dict[tuple[str, str], str] = {}
     for index, cell in enumerate(cells):
-        base = _base_cell(cell)
+        base = cell.cell
         layout_key = spec_key(layout_payload(base))
-        defense = getattr(cell, "defense", None)
         defense_key = (
-            spec_key(defense_payload(base, defense))
-            if defense is not None
+            spec_key(defense_payload(base, cell.defense))
+            if cell.defense is not None
             else ""
         )
         key = (layout_key, defense_key)
@@ -230,21 +221,21 @@ def _stats_delta(before: CacheStats, cache) -> CacheStats:
 
 
 def _run_group(
-    cells: Sequence[GridCell],
+    cells: Sequence[AttackCellSpec],
     cache,
     design: LockedDesign | None = None,
-) -> tuple[list[CellResult | AttackCellResult], LockedDesign]:
+) -> tuple[list[AttackCellResult], LockedDesign]:
     """Execute one group sharing lock/layout/defense/programs in memory.
 
     Returns the member results (group order) and the group's design so
     in-process callers can reuse it across groups sharing a lock.
     """
-    results: list[CellResult | AttackCellResult] = []
+    results: list[AttackCellResult] = []
     layout = None
     defended = None
     with shared_reference_sweeps(), shared_flow_matches():
         for cell in cells:
-            base = _base_cell(cell)
+            base = cell.cell
             start = time.perf_counter()
             before = _stats_snapshot(cache)
             try:
@@ -252,45 +243,28 @@ def _run_group(
                     design = locked_design(base, cache)
                 if layout is None:
                     layout = cell_layout(base, cache, design=design)
-                if isinstance(cell, AttackCellSpec):
-                    if cell.defense is not None and defended is None:
-                        # Group members share one defense by plan
-                        # construction, so the defended view is
-                        # computed once and handed to every sibling.
-                        defended = cell_defense(
-                            base,
-                            cell.defense,
-                            cache,
-                            design=design,
-                            layout=layout,
-                        )
-                    outcome = cell_attack(
-                        cell,
-                        cache,
-                        design=design,
-                        layout=layout,
-                        defended=(
-                            defended if cell.defense is not None else None
-                        ),
+                if cell.defense is not None and defended is None:
+                    # Group members share one defense by plan
+                    # construction, so the defended view is computed
+                    # once and handed to every sibling.
+                    defended = cell_defense(
+                        base, cell.defense, cache, design=design, layout=layout
                     )
-                    results.append(
-                        AttackCellResult(
-                            cell=cell,
-                            outcome=outcome,
-                            seconds=time.perf_counter() - start,
-                            cache=_stats_delta(before, cache),
-                        )
+                outcome = cell_attack(
+                    cell,
+                    cache,
+                    design=design,
+                    layout=layout,
+                    defended=defended if cell.defense is not None else None,
+                )
+                results.append(
+                    AttackCellResult(
+                        cell=cell,
+                        outcome=outcome,
+                        seconds=time.perf_counter() - start,
+                        cache=_stats_delta(before, cache),
                     )
-                else:
-                    run = cell_run(cell, cache, design=design, layout=layout)
-                    results.append(
-                        CellResult(
-                            cell=cell,
-                            run=run,
-                            seconds=time.perf_counter() - start,
-                            cache=_stats_delta(before, cache),
-                        )
-                    )
+                )
             except CellExecutionError:
                 raise
             except Exception as exc:
@@ -356,21 +330,21 @@ def plan_bundles(plan: GridPlan, slots: int | None = None) -> list[LockBundle]:
 
 
 def execute_bundle(
-    group_cells: Sequence[Sequence[GridCell]],
+    group_cells: Sequence[Sequence[AttackCellSpec]],
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-) -> list[list[CellResult | AttackCellResult]]:
+) -> list[list[AttackCellResult]]:
     """Pool worker: one lock bundle, group by group (module-level: picklable).
 
-    The one worker that executes lock/attack cells on a pool — campaign
-    bundles and the service's one-cell bundles alike.  Every group of a
+    The one worker that executes cells on a pool — campaign bundles and
+    the service's one-cell bundles alike.  Every group of a
     bundle shares one lock (:func:`plan_bundles` bundles by lock key and
     split halves keep it), so the design resolved for the first group
     is threaded through the rest in-process.
     """
     cache = _open_cache(cache_dir, use_cache)
     design = None
-    out: list[list[CellResult | AttackCellResult]] = []
+    out: list[list[AttackCellResult]] = []
     for cells in group_cells:
         results, design = _run_group(cells, cache, design=design)
         out.append(results)
@@ -382,12 +356,12 @@ def execute_bundle(
 
 
 def run_fused_cells(
-    cells: Iterable[GridCell],
+    cells: Iterable[AttackCellSpec],
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     executor: CampaignExecutor | None = None,
-) -> list[CellResult | AttackCellResult]:
+) -> list[AttackCellResult]:
     """Execute *cells* through the grid plan; results in input order.
 
     Serial (one worker or one group): groups run in-process, reusing
@@ -414,7 +388,7 @@ def run_fused_cells(
         use_cache = executor.use_cache
     count = workers if workers is not None else default_workers()
     count = max(1, min(count, len(plan.groups)))
-    ordered: dict[int, CellResult | AttackCellResult] = {}
+    ordered: dict[int, AttackCellResult] = {}
 
     if count == 1 and executor is None:
         cache = _open_cache(cache_dir, use_cache)

@@ -6,6 +6,8 @@ NDJSON streams and the CI service-verification layer — so "the HTTP
 path is bit-identical to the CLI path" is checkable by construction:
 both sides render through these functions and the comparison strips
 only the volatile execution-accounting keys (:data:`VOLATILE_KEYS`).
+A Tables I/II cell runs as its ``proximity`` attack cell;
+:func:`cell_record` renders that outcome as the classic record.
 """
 
 from __future__ import annotations
@@ -23,10 +25,19 @@ VOLATILE_KEYS = ("seconds",)
 
 
 def cell_record(result: CellResult) -> dict[str, Any]:
-    """One classic campaign cell as a JSON-ready record."""
+    """One classic ``{"cell", "run"}`` record (the pinned digests' shape)."""
+    run = result.run
     return {
         "cell": result.cell.to_payload(),
-        "run": asdict(result.run),
+        "run": {
+            "benchmark": run.benchmark,
+            "split_layer": run.split_layer,
+            "ccr": asdict(run.ccr),
+            "ccr_raw": asdict(run.ccr_raw),
+            "hd_oer": asdict(run.hd_oer),
+            "broken_nets": run.broken_nets,
+            "visible_nets": run.visible_nets,
+        },
         "seconds": result.seconds,
     }
 

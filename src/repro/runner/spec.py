@@ -2,9 +2,10 @@
 
 A :class:`CampaignSpec` names a grid of experiments — benchmarks crossed
 with split layers and key sizes under shared seeds and budgets — and
-expands it into independent :class:`CellSpec` cells.  Each cell is a
-complete, self-contained description of one (benchmark, split layer,
-key size) experiment: a frozen dataclass of plain scalars that
+expands it into independent :class:`CellSpec` cells, each executed as
+the ``proximity`` attack cell :func:`proximity_cell` builds.  Each cell
+is a complete, self-contained description of one (benchmark, split
+layer, key size) experiment: a frozen dataclass of plain scalars that
 
 * pickles across :class:`~concurrent.futures.ProcessPoolExecutor`
   workers,
@@ -431,6 +432,12 @@ def expand_attack(
     if isinstance(spec, AttackCampaignSpec):
         return spec.cells()
     return tuple(spec)
+
+
+def proximity_cell(cell: CellSpec) -> AttackCellSpec:
+    """The attack cell a Tables I/II cell runs as: the undefended
+    ``proximity`` scenario (Sec. IV-A, configured by ``cell.attack``)."""
+    return AttackCellSpec(cell, parse_scenario("proximity").resolve())
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ The cell pipeline factors into staged, individually-cached pieces —
 
 * **lock**    — benchmark generation + ATPG locking (shared by every
   split layer and attack config of a benchmark),
-* **layout**  — the secure split layout (shared by every attack config),
-* **run**     — proximity attack + post-processing + CCR/HD/OER,
+* **layout**  — the secure split layout (shared by every scenario),
 * **defense** — one resolved defense spec applied to the split layout
   (shared by every scenario attacking the same defended view),
 * **attack**  — one adversary scenario mounted on the (possibly
-  defended) split layout (shared lock/layout/defense artifacts; one
-  cache entry per scenario),
+  defended) split layout, then CCR/HD/OER (one cache entry per
+  scenario; Tables I/II are the undefended ``proximity`` scenario),
 
 — each a deterministic function of a :class:`~repro.runner.spec.CellSpec`
 slice.  Every stage is wrapped in the content-keyed on-disk cache
@@ -37,12 +36,9 @@ from typing import Any
 from repro.adversary.evaluate import AttackOutcome, run_scenario
 from repro.benchgen import load_iscas85, load_itc99, profile
 from repro.benchgen.random_logic import generate_random_circuit
-from repro.core.flow import SplitEvaluation, evaluate_split_layout
 from repro.defense import DefendedView, DefenseSpec, apply_defense
 from repro.locking.atpg_lock import AtpgLockReport, atpg_lock
 from repro.locking.key import LockedCircuit
-from repro.metrics.ccr import CcrReport
-from repro.metrics.hd_oer import HdOerReport
 from repro.netlist.circuit import Circuit
 from repro.phys.cost import LayoutCost, measure_layout_cost
 from repro.phys.layout import (
@@ -54,33 +50,6 @@ from repro.phys.routing import clamp_regular_nets
 from repro.runner.spec import AttackCellSpec, CellSpec, parse_benchmark
 from repro.runner.worker import worker_tier
 from repro.utils.artifact_cache import ArtifactCache, get_or_create
-
-
-@dataclass
-class BenchRun:
-    """Everything measured for one (benchmark, split-layer) cell."""
-
-    benchmark: str
-    split_layer: int
-    ccr: CcrReport
-    ccr_raw: CcrReport  # without the key-gate post-processing (footnote 6)
-    hd_oer: HdOerReport
-    broken_nets: int
-    visible_nets: int
-
-    @staticmethod
-    def from_evaluation(
-        benchmark: str, evaluation: SplitEvaluation
-    ) -> "BenchRun":
-        return BenchRun(
-            benchmark=benchmark,
-            split_layer=evaluation.split_layer,
-            ccr=evaluation.ccr,
-            ccr_raw=evaluation.ccr_without_postprocess,
-            hd_oer=evaluation.hd_oer,
-            broken_nets=evaluation.broken_nets,
-            visible_nets=evaluation.visible_nets,
-        )
 
 
 @dataclass
@@ -147,17 +116,6 @@ def unprotected_payload(cell: CellSpec) -> dict[str, Any]:
     }
 
 
-def run_payload(cell: CellSpec) -> dict[str, Any]:
-    return {
-        "stage": "run",
-        "layout": layout_payload(cell),
-        "attack": asdict(cell.attack),
-        "postprocess_seed": cell.postprocess_seed,
-        "hd_patterns": cell.hd_patterns,
-        "hd_seed": cell.hd_seed,
-    }
-
-
 def defense_payload(cell: CellSpec, spec: "DefenseSpec") -> dict[str, Any]:
     # The nested layout payload carries the resolved layout engine, and
     # the spec payload the scheme, so the key splits per
@@ -178,6 +136,7 @@ def attack_payload(acell: AttackCellSpec) -> dict[str, Any]:
         "stage": "attack",
         "layout": layout_payload(cell),
         "scenario": acell.scenario.to_payload(),
+        "attack": asdict(cell.attack),
         "postprocess_seed": cell.postprocess_seed,
         "hd_patterns": cell.hd_patterns,
         "hd_seed": cell.hd_seed,
@@ -289,31 +248,6 @@ def unprotected_layout(
     return get_or_create(cache, "unprotected", unprotected_payload(cell), create)
 
 
-def cell_run(
-    cell: CellSpec,
-    cache: ArtifactCache | None = None,
-    design: LockedDesign | None = None,
-    layout: PhysicalLayout | None = None,
-) -> BenchRun:
-    """Run stage: attack the split layout and compute Table I/II metrics."""
-
-    def create() -> BenchRun:
-        local_design = design or locked_design(cell, cache)
-        local_layout = layout or cell_layout(cell, cache, design=local_design)
-        evaluation = evaluate_split_layout(
-            local_design.core,
-            local_layout,
-            split_layer=cell.split_layer,
-            attack_config=cell.attack,
-            hd_patterns=cell.hd_patterns,
-            hd_seed=cell.hd_seed,
-            postprocess_seed=cell.postprocess_seed,
-        )
-        return BenchRun.from_evaluation(cell.benchmark, evaluation)
-
-    return get_or_create(cache, "run", run_payload(cell), create)
-
-
 def cell_defense(
     cell: CellSpec,
     defense: DefenseSpec,
@@ -348,10 +282,9 @@ def cell_attack(
 ) -> AttackOutcome:
     """Attack stage: one adversary scenario on the cell's split layout.
 
-    Builds on the same cached lock/layout artifacts as the classic
-    ``run`` stage (plus the cached defense stage for defended cells), so
-    a scenario sweep over an existing grid only pays for the attacks
-    themselves.
+    Builds on the cached lock/layout artifacts (plus the cached defense
+    stage for defended cells), so a scenario sweep over an existing grid
+    only pays for the attacks themselves.
     """
     cell = acell.cell
 
@@ -391,6 +324,7 @@ def cell_attack(
             hd_patterns=cell.hd_patterns,
             hd_seed=cell.hd_seed,
             postprocess_seed=cell.postprocess_seed,
+            attack=cell.attack,
             cache=cache,
             total_regular_connections=total_regular,
             protected_nets=protected,

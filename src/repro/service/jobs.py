@@ -8,14 +8,14 @@ Two properties make the server safe for many concurrent tenants:
 
 * **exactly-once computation** — cells are identified by the same
   content keys that key the artifact cache (``spec_key`` over the full
-  ``run``/``attack`` stage payload), and an in-flight table maps each
-  key to the single pool future computing it.  Identical cells
-  submitted by any number of concurrent clients attach as *waiters* to
-  that one future and all receive its result; only the first
-  submission pays.
+  ``attack`` stage payload), and an in-flight table maps each key to
+  the single pool future computing it.  Identical cells submitted by
+  any number of concurrent clients — a ``campaign`` job and an
+  ``attacks`` job naming ``proximity`` on the same grid included —
+  attach as *waiters* to that one future and all receive its result;
+  only the first submission pays.
 * **per-tenant records** — a waiter's record is rendered from its own
-  cell spec (specs can differ in fields outside the content key, e.g.
-  the unused attack config of an attack cell), so every job streams
+  cell spec and in its own job's record shape, so every job streams
   exactly the cells it submitted, in its own indexing.
 
 Job states walk ``queued → running → done | failed | cancelled``;
@@ -31,11 +31,11 @@ import asyncio
 import itertools
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, AsyncIterator, Mapping
 
-from repro.runner.engine import CampaignExecutor
+from repro.runner.engine import CampaignExecutor, CellResult
 from repro.runner.grid import execute_bundle
 from repro.runner.serialize import result_record
 from repro.runner.spec import (
@@ -46,9 +46,10 @@ from repro.runner.spec import (
     expand,
     expand_attack,
     parse_spec_payload,
+    proximity_cell,
     spec_payload,
 )
-from repro.runner.stages import attack_payload, run_payload
+from repro.runner.stages import attack_payload
 from repro.service.metrics import ServiceMetrics
 from repro.utils.artifact_cache import spec_key
 
@@ -86,6 +87,12 @@ class InvalidTransition(RuntimeError):
     """A job was asked to move along an edge the state machine lacks."""
 
 
+def attack_cell(cell: CellSpec | AttackCellSpec) -> AttackCellSpec:
+    """The attack cell a job cell executes as (a classic cell runs as
+    its :func:`~repro.runner.spec.proximity_cell`)."""
+    return proximity_cell(cell) if isinstance(cell, CellSpec) else cell
+
+
 def cell_key(cell: CellSpec | AttackCellSpec) -> str:
     """The cell's content identity — exactly its artifact-cache key.
 
@@ -93,9 +100,7 @@ def cell_key(cell: CellSpec | AttackCellSpec) -> str:
     cache's own contract, which is what makes serving one computation
     to every waiter sound.
     """
-    if isinstance(cell, AttackCellSpec):
-        return spec_key(attack_payload(cell))
-    return spec_key(run_payload(cell))
+    return spec_key(attack_payload(attack_cell(cell)))
 
 
 @dataclass
@@ -250,7 +255,7 @@ class JobManager:
         self.metrics.cells_submitted += 1
         entry = self._inflight.get(key)
         if entry is None:
-            pool_future = self.executor.submit(execute_bundle, [[cell]])
+            pool_future = self.executor.submit(execute_bundle, [[attack_cell(cell)]])
             entry = _Inflight(key=key, future=asyncio.wrap_future(pool_future))
             self._inflight[key] = entry
             self.metrics.cells_computed += 1
@@ -293,12 +298,15 @@ class JobManager:
                 return  # e.g. already cancelled with the job
             job.cell_states[index] = status
             if status == CELL_DONE:
-                record = result_record(result)
-                # Render against *this* waiter's spec: content-equal
-                # cells may differ in fields outside the cache key.
+                # Render against *this* waiter's spec and record shape.
+                cell = job.cells[index]
+                record = result_record(
+                    CellResult(cell, result.outcome, result.seconds, result.cache)
+                    if isinstance(cell, CellSpec)
+                    else replace(result, cell=cell)
+                )
                 record["event"] = "result"
                 record["index"] = index
-                record["cell"] = job.cells[index].to_payload()
                 job.records.append(record)
             elif status == CELL_FAILED:
                 job.records.append(

@@ -98,11 +98,19 @@ class _ChunkedWriter:
         await self.writer.drain()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await asyncio.wait_for(reader.readline(), _REQUEST_TIMEOUT)
+    except ValueError as exc:  # the line overran the stream's buffer limit
+        raise HttpError(400, "request line or header too long") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, bytes]:
-    """Parse one request; returns (method, path, body)."""
-    line = await asyncio.wait_for(reader.readline(), _REQUEST_TIMEOUT)
+    """Parse one request; returns (method, path, body).  A client that
+    stalls on any read, body included, times out and is closed."""
+    line = await _read_line(reader)
     if not line:
         raise ConnectionResetError("empty request")
     try:
@@ -111,15 +119,18 @@ async def _read_request(
         raise HttpError(400, "malformed request line") from exc
     headers: dict[str, str] = {}
     while True:
-        header = await asyncio.wait_for(reader.readline(), _REQUEST_TIMEOUT)
+        header = await _read_line(reader)
         if header in (b"\r\n", b"\n", b""):
             break
         name, _, value = header.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise HttpError(400, f"bad Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body larger than {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
+    body = await asyncio.wait_for(reader.readexactly(length), _REQUEST_TIMEOUT)
     return method, target.split("?", 1)[0], body
 
 
@@ -264,9 +275,10 @@ class CampaignService:
             return
         if path.startswith("/jobs/"):
             parts = path.strip("/").split("/")
-            job = manager.jobs.get(parts[1])
+            job_id = parts[1] if len(parts) > 1 else ""
+            job = manager.jobs.get(job_id)
             if job is None:
-                raise HttpError(404, f"unknown job {parts[1]!r}")
+                raise HttpError(404, f"unknown job {job_id!r}")
             action = parts[2] if len(parts) > 2 else None
             if action is None:
                 self._require(method, "GET")

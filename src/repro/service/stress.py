@@ -8,7 +8,7 @@ exactly-once contract:
 
 * every client streamed bit-identical results (same canonical digest);
 * ``/metrics`` shows each unique cell **computed exactly once** per
-  cold round (``cells.computed == unique`` and run-stage
+  cold round (``cells.computed == unique`` and attack-stage
   ``misses == unique``) while every other submission joined the
   in-flight computation (``cells.deduped``);
 * a second round (``--rounds 2``) is served **entirely from the
@@ -182,11 +182,9 @@ def run_stress(
                 deduped = (
                     after["cells"]["deduped"] - before["cells"]["deduped"]
                 )
-                run_misses = after["cache"]["stages"]["run"]["misses"] - (
-                    before["cache"]["stages"]
-                    .get("run", {})
-                    .get("misses", 0)
-                )
+                attack_misses = after["cache"]["stages"]["attack"][
+                    "misses"
+                ] - before["cache"]["stages"].get("attack", {}).get("misses", 0)
                 _check(
                     computed + deduped == unique * clients,
                     f"round {round_index}: {unique * clients} cell "
@@ -197,30 +195,30 @@ def run_stress(
                     # The hard exactly-once guarantee: every submission
                     # overlaps at the barrier, so each unique cell is
                     # scheduled once (in-flight dedupe) and *computed*
-                    # once (one run-stage miss per unique cell).
+                    # once (one attack-stage miss per unique cell).
                     _check(
                         computed == unique,
                         f"cold round: expected {unique} scheduled "
                         f"computations, saw {computed}",
                     )
                     _check(
-                        run_misses == unique,
-                        f"cold round: expected {unique} run-stage misses "
-                        f"(one per unique cell), saw {run_misses}",
+                        attack_misses == unique,
+                        f"cold round: expected {unique} attack-stage misses "
+                        f"(one per unique cell), saw {attack_misses}",
                     )
                 else:
                     # Warm rounds finish in milliseconds, so in-flight
                     # overlap is timing-dependent; the contract is that
                     # nothing is ever recomputed.
                     _check(
-                        run_misses == 0,
+                        attack_misses == 0,
                         f"round {round_index}: expected a cache-served "
-                        f"round, saw {run_misses} new run-stage misses",
+                        f"round, saw {attack_misses} new attack-stage misses",
                     )
                 artifacts = _audit_cache_dir(cache_dir)
                 _log(
                     f"round {round_index}: computed={computed} "
-                    f"deduped={deduped} run_misses={run_misses} "
+                    f"deduped={deduped} attack_misses={attack_misses} "
                     f"artifacts={artifacts} digest={digests.pop()[:12]}"
                 )
     _log(

@@ -11,8 +11,9 @@ twice (cold, then cache-served).  Each run
 3. asserts both result lists are **bit-identical** after stripping
    only the volatile wall-clock accounting
    (:func:`repro.runner.serialize.canonical_json`);
-4. with ``--expect-cached``, additionally asserts from the server's
-   ``/metrics`` delta that the submission produced **zero** cache
+4. asserts from the server's ``/metrics`` delta that the submission
+   moved the ``attack`` stage counters (both kinds run as attack
+   cells), and with ``--expect-cached`` that it produced **zero** cache
    misses — the rerun was served entirely from the artifact store.
 
 Exit status is the verdict, so the CI step is just this invocation.
@@ -87,6 +88,33 @@ def streamed_records(
     return stripped, done
 
 
+def cache_problem(
+    before: dict[str, Any], after: dict[str, Any], expect_cached: bool
+) -> str | None:
+    """What one pass's ``/metrics`` delta (*before* → *after*) gets wrong.
+
+    Every pass must move the ``attack`` stage counters (campaign cells
+    run as ``proximity`` attack cells, so both kinds count there) — a
+    pass that shows none tested nothing, e.g. on a cacheless server.  A
+    cached rerun must also add zero misses, overall and on that stage.
+    """
+    stage_before = before["cache"]["stages"].get("attack", {})
+    stage_after = after["cache"]["stages"].get("attack", {})
+    hits, misses = (
+        stage_after.get(k, 0) - stage_before.get(k, 0)
+        for k in ("hits", "misses")
+    )
+    if hits + misses == 0:
+        return "the job moved no 'attack' stage counters"
+    total_misses = after["cache"]["misses"] - before["cache"]["misses"]
+    if expect_cached and (total_misses or misses):
+        return (
+            f"expected a cache-served rerun but saw {total_misses} "
+            f"misses ({misses} on 'attack')"
+        )
+    return None
+
+
 def run_verify(
     url: str,
     attacks: bool = False,
@@ -97,7 +125,6 @@ def run_verify(
     """The full verification pass; returns a process exit status."""
     spec = attack_smoke_campaign() if attacks else smoke_campaign()
     kind = "attacks" if attacks else "campaign"
-    stage = "attack" if attacks else "run"
     client = ServiceClient(url)
     client.wait_healthy()
 
@@ -134,21 +161,11 @@ def run_verify(
         return 1
     _log(f"PASS: HTTP stream bit-identical to the CLI path ({kind})")
 
+    problem = cache_problem(before, after, expect_cached)
+    if problem is not None:
+        _log(f"FAIL: {problem}")
+        return 1
     if expect_cached:
-        delta_misses = (
-            after["cache"]["misses"] - before["cache"]["misses"]
-        )
-        stage_after = after["cache"]["stages"].get(stage, {})
-        stage_before = before["cache"]["stages"].get(stage, {})
-        delta_stage = stage_after.get("misses", 0) - stage_before.get(
-            "misses", 0
-        )
-        if delta_misses != 0 or delta_stage != 0:
-            _log(
-                f"FAIL: expected a cache-served rerun but saw "
-                f"{delta_misses} misses ({delta_stage} on {stage!r})"
-            )
-            return 1
         _log("PASS: rerun served entirely from the artifact cache")
     return 0
 
@@ -165,7 +182,7 @@ def run_warm_verify(url: str, attacks: bool = True) -> int:
     served by the *worker-resident* runtime — the bit-identity of the
     two streamed result sets proves the reuse tier changes nothing,
     and the ``/metrics`` worker-cache counters prove it actually served
-    (a cache-backed server would serve the run/attack stage from disk,
+    (a cache-backed server would serve the attack stage from disk,
     so the pass could not tell what the tier saved).
     """
     spec = attack_smoke_campaign() if attacks else smoke_campaign()

@@ -52,7 +52,10 @@ from repro.utils.env import env_cache_dir
 #: v4: ISCAS-85 layouts clamp their regular nets to M2/M3 and a
 #: ``key_bits=0`` lock is the unmodified design — pre-bump ISCAS
 #: layouts and zero-bit locks would be served stale.
-CACHE_VERSION = 4
+#: v5: AttackOutcome gained ``broken_nets``/``visible_nets`` (Tables
+#: I/II now run as ``proximity`` attack cells) and the attack key gained
+#: the cell's attack config; the ``run`` stage is gone.
+CACHE_VERSION = 5
 
 #: Suffix of in-flight write temp files (see :meth:`ArtifactCache.put`).
 TMP_SUFFIX = ".tmp"
@@ -87,7 +90,7 @@ def spec_key(payload: Mapping[str, Any]) -> str:
 
 @dataclass
 class StageStats:
-    """Counters of one pipeline stage (lock/layout/run/attack/...)."""
+    """Counters of one pipeline stage (lock/layout/defense/attack/...)."""
 
     hits: int = 0
     misses: int = 0

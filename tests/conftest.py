@@ -12,8 +12,8 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.runner.engine import AttackCellResult, CellResult
 from repro.runner.serialize import canonical_json, result_record
-from repro.runner.spec import AttackCellSpec
-from repro.runner.stages import cell_attack, cell_run
+from repro.runner.spec import AttackCellSpec, proximity_cell
+from repro.runner.stages import cell_attack
 from repro.utils.artifact_cache import CacheStats
 
 
@@ -94,9 +94,10 @@ def tiny_mux_circuit() -> Circuit:
 def per_cell_records(cells) -> str:
     """Canonical JSON of *cells* each run alone through its stage function.
 
-    The differential reference for the grid compiler: ``cell_run`` /
-    ``cell_attack`` per cell with no cache, no in-memory artifacts shared
-    between cells and no group-scoped memos.
+    The differential reference for the grid compiler: ``cell_attack`` per
+    cell (a Tables I/II cell through its ``proximity_cell``) with no
+    cache, no in-memory artifacts shared between cells and no
+    group-scoped memos.
     """
     results = []
     for cell in cells:
@@ -105,5 +106,6 @@ def per_cell_records(cells) -> str:
                 AttackCellResult(cell, cell_attack(cell), 0.0, CacheStats())
             )
         else:
-            results.append(CellResult(cell, cell_run(cell), 0.0, CacheStats()))
+            outcome = cell_attack(proximity_cell(cell))
+            results.append(CellResult(cell, outcome, 0.0, CacheStats()))
     return canonical_json([result_record(r) for r in results])

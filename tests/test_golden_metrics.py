@@ -18,7 +18,8 @@ import pytest
 from repro.atpg.fault_sim import fault_coverage
 from repro.atpg.faults import internal_faults
 from repro.runner.profiles import smoke_campaign
-from repro.runner.stages import cell_run, locked_design
+from repro.runner.spec import proximity_cell
+from repro.runner.stages import cell_attack, locked_design
 from repro.sim.bitparallel import random_words
 
 #: Exact golden values of the smoke cell (b14, M4, 16 key bits).
@@ -39,7 +40,7 @@ GOLDEN_FAULT_UNDETECTED = 121
 def smoke_artifacts():
     cell = list(smoke_campaign().cells())[0]
     design = locked_design(cell, cache=None)
-    run = cell_run(cell, cache=None, design=design)
+    run = cell_attack(proximity_cell(cell), cache=None, design=design)
     return design, run
 
 
@@ -62,7 +63,7 @@ def test_golden_hd_oer_and_ccr(smoke_artifacts, engine, monkeypatch):
 
     monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
     cell = list(smoke_campaign().cells())[0]
-    rerun = cell_run(cell, cache=None, design=design)
+    rerun = cell_attack(proximity_cell(cell), cache=None, design=design)
     assert rerun.hd_oer.hd_percent == GOLDEN_HD_PERCENT
     assert rerun.hd_oer.oer_percent == GOLDEN_OER_PERCENT
     # compute_hd_oer directly as well, to pin the metric entry point.

@@ -22,7 +22,7 @@ from repro.runner.engine import (
 )
 from repro.runner.grid import plan_campaign, run_fused_cells
 from repro.runner.serialize import canonical_json, result_record
-from repro.runner.spec import AttackCampaignSpec, CellSpec
+from repro.runner.spec import AttackCampaignSpec, CellSpec, proximity_cell
 from repro.utils.artifact_cache import CacheStats
 from tests.conftest import per_cell_records
 
@@ -42,6 +42,8 @@ GRID = [
     replace(BASE, hd_seed=7),
     replace(BASE, split_layer=6),
 ]
+#: The attack cells the grid compiler executes for GRID.
+PROXIMITY = [proximity_cell(cell) for cell in GRID]
 
 ATTACKS = AttackCampaignSpec(
     benchmarks=("random:i10-o5-g90",),
@@ -62,7 +64,7 @@ def _canon(result) -> str:
 
 
 def test_plan_groups_siblings_by_layout():
-    plan = plan_campaign(GRID)
+    plan = plan_campaign(PROXIMITY)
     assert len(plan.groups) == 2
     assert plan.groups[0].indices == (0, 1, 2)  # hd_seed is not a layout axis
     assert plan.groups[1].indices == (3,)  # split layer re-keys the layout
@@ -79,7 +81,7 @@ def test_plan_groups_attack_scenarios_as_siblings():
 
 def test_plan_preserves_input_order_and_distinct_locks():
     other = replace(BASE, key_bits=8)
-    plan = plan_campaign([other, BASE])
+    plan = plan_campaign(map(proximity_cell, [other, BASE]))
     assert [g.indices for g in plan.groups] == [(0,), (1,)]
     assert plan.unique_locks == 2
 
@@ -105,13 +107,13 @@ def test_fused_pool_bit_identical(reference, tmp_path):
     assert _canon(fused) == reference
 
 
-def test_affinity_routing_bit_identical(reference, tmp_path):
+def test_affinity_routing_bit_identical(tmp_path):
     """Serial groups vs cacheless lock-affine pool bundles: same records."""
-    serial = run_fused_cells(GRID, workers=1, cache_dir=tmp_path)
-    bundled = run_fused_cells(GRID, workers=2, use_cache=False)
+    serial = run_fused_cells(PROXIMITY, workers=1, cache_dir=tmp_path)
+    bundled = run_fused_cells(PROXIMITY, workers=2, use_cache=False)
     records = canonical_json([result_record(r) for r in bundled])
     assert records == canonical_json([result_record(r) for r in serial])
-    assert records == reference
+    assert records == per_cell_records(PROXIMITY)
 
 
 def test_fused_attacks_bit_identical():
@@ -126,9 +128,9 @@ def test_fused_empty_grid():
 
 
 def test_fused_wraps_member_failure_with_cell_id():
-    bad = replace(BASE, benchmark="random:i6-o4-g40", key_bits=64)
+    bad = proximity_cell(replace(BASE, benchmark="random:i6-o4-g40", key_bits=64))
     with pytest.raises(CellExecutionError) as excinfo:
-        run_fused_cells([BASE, bad], workers=1, use_cache=False)
+        run_fused_cells([PROXIMITY[0], bad], workers=1, use_cache=False)
     assert excinfo.value.cell_id == bad.cell_id
     # The exception must survive a pool boundary intact.
     clone = pickle.loads(pickle.dumps(excinfo.value))
@@ -138,9 +140,10 @@ def test_fused_wraps_member_failure_with_cell_id():
 
 def test_pool_fails_fast_naming_the_failing_cell():
     """A worker raising mid-bundle surfaces as the failing cell's error."""
-    bad = replace(BASE, utilization=-1.0)  # locks fine, layout raises
+    # locks fine, layout raises
+    bad = proximity_cell(replace(BASE, utilization=-1.0))
     with pytest.raises(CellExecutionError) as excinfo:
-        run_fused_cells(GRID + [bad], workers=2, use_cache=False)
+        run_fused_cells(PROXIMITY + [bad], workers=2, use_cache=False)
     assert excinfo.value.cell_id == bad.cell_id
 
 
@@ -157,7 +160,10 @@ def _lock_stats(results):
 
 def test_pool_charges_every_lock_lookup_to_a_cell(tmp_path):
     """Each unique lock is looked up once, inside a cell, cold and warm."""
-    cells = [BASE, replace(BASE, hd_seed=6), replace(BASE, key_bits=8)]
+    cells = [
+        proximity_cell(c)
+        for c in (BASE, replace(BASE, hd_seed=6), replace(BASE, key_bits=8))
+    ]
     plan = plan_campaign(cells)
     assert plan.unique_locks == 2
     cold = _lock_stats(run_fused_cells(cells, workers=2, cache_dir=tmp_path))

@@ -15,21 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.evaluate import AttackOutcome
+from repro.attacks.proximity import ProximityAttackConfig
 from repro.runner import (
     AttackCampaignSpec,
-    BenchRun,
     CampaignSpec,
     CellSpec,
     attack_smoke_campaign,
-    cell_run,
+    cell_attack,
     parse_benchmark,
+    proximity_cell,
     run_campaign,
     run_cost_campaign,
     smoke_campaign,
 )
 from repro.runner.cli import main as cli_main
 from repro.runner.spec import parse_spec_payload, spec_payload
-from repro.runner.stages import lock_payload, run_payload
+from repro.runner.stages import attack_payload, lock_payload
 from repro.utils.artifact_cache import ArtifactCache, spec_key
 
 #: A tiny grid: every stage exercised, seconds of runtime.
@@ -174,7 +176,7 @@ def test_serial_campaign_metrics_sane(serial_result):
     assert len(serial_result.cells) == 4
     for result in serial_result.cells:
         run = result.run
-        assert isinstance(run, BenchRun)
+        assert isinstance(run, AttackOutcome)
         assert 0.0 <= run.ccr.key_logical_ccr <= 100.0
         assert run.hd_oer.patterns == 512
 
@@ -193,8 +195,8 @@ def test_cached_rerun_matches_and_hits(tmp_path, serial_result):
     assert stats.misses == 0
     assert stats.stores == 0
     # The fused path (the default) probes every stage cache, so total
-    # hits exceed the cell count; the run stage must hit once per cell.
-    assert stats.stages["run"].hits == len(TINY.cells())
+    # hits exceed the cell count; the attack stage must hit once per cell.
+    assert stats.stages["attack"].hits == len(TINY.cells())
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +205,15 @@ def test_cached_rerun_matches_and_hits(tmp_path, serial_result):
 
 def test_cache_shares_lock_stage_across_splits(tmp_path):
     cells = TINY.cells()
+    first, second = map(proximity_cell, cells[:2])
     assert lock_payload(cells[0]) == lock_payload(cells[1])
-    assert run_payload(cells[0]) != run_payload(cells[1])
+    assert attack_payload(first) != attack_payload(second)
     run_campaign([cells[0]], workers=1, cache_dir=tmp_path)
     cache = ArtifactCache(tmp_path)
     assert cache.contains("lock", lock_payload(cells[1]))
-    assert not cache.contains("run", run_payload(cells[1]))
+    assert cache.contains("attack", attack_payload(first))
+    assert not cache.contains("attack", attack_payload(second))
+    assert not (tmp_path / "run").exists()  # no classic run stage
 
 
 @pytest.mark.parametrize(
@@ -219,6 +224,7 @@ def test_cache_shares_lock_stage_across_splits(tmp_path):
         ("split_layer", 5),
         ("scale", 0.04),
         ("hd_patterns", 256),
+        ("attack", ProximityAttackConfig(candidates_per_sink=8)),
     ],
 )
 def test_cache_invalidates_on_spec_change(field, value):
@@ -226,7 +232,9 @@ def test_cache_invalidates_on_spec_change(field, value):
 
     base = TINY.cells()[0]
     changed = replace(base, **{field: value})
-    assert spec_key(run_payload(base)) != spec_key(run_payload(changed))
+    assert spec_key(attack_payload(proximity_cell(base))) != spec_key(
+        attack_payload(proximity_cell(changed))
+    )
 
 
 def test_changed_spec_recomputes_not_reuses(tmp_path):
@@ -237,7 +245,7 @@ def test_changed_spec_recomputes_not_reuses(tmp_path):
     changed = replace(base, hd_patterns=256)
     [result] = run_campaign([changed], workers=1, cache_dir=tmp_path).cells
     # lock + layout stages are spec-identical and must be served from
-    # cache; the run stage depends on hd_patterns and must recompute.
+    # cache; the attack stage depends on hd_patterns and must recompute.
     assert result.cache.hits == 2
     assert result.cache.stores == 1
     assert result.run.hd_oer.patterns == 256
@@ -250,7 +258,7 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
         path.write_bytes(b"not a pickle")
     [result] = run_campaign([base], workers=1, cache_dir=tmp_path).cells
     assert result.cache.hits == 0
-    assert result.run == cell_run(base)
+    assert result.run == cell_attack(proximity_cell(base))
 
 
 # ---------------------------------------------------------------------------

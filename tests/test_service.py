@@ -17,9 +17,13 @@ ephemeral localhost port — the same harness CI's service jobs use.
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.service.server as server_module
 from repro.runner import run_attack_campaign, run_campaign
 from repro.runner.serialize import attack_record, canonical_json, cell_record
 from repro.runner.spec import (
@@ -38,6 +42,7 @@ from repro.service import (
     ServiceThread,
 )
 from repro.service.jobs import CELL_PENDING, cell_key
+from repro.service.verify import cache_problem
 
 #: Tiny two-cell grid for the HTTP round trips (seconds of runtime).
 E2E = CampaignSpec(
@@ -305,9 +310,57 @@ def test_concurrent_identical_jobs_are_deduped(client):
     assert (
         after["cells"]["deduped"] - before["cells"]["deduped"] == unique
     )
-    # exactly-once at the artifact level too: one run-stage store each
-    run_stage = after["cache"]["stages"]["run"]
-    assert run_stage["misses"] == run_stage["stores"]
+    # exactly-once at the artifact level too: one attack-stage store each
+    attack_stage = after["cache"]["stages"]["attack"]
+    assert attack_stage["misses"] == attack_stage["stores"]
+
+
+def _stream_records(client, job_id) -> list[dict]:
+    """A job's streamed result records in index order, stream keys cut."""
+    streamed = [r for r in client.stream(job_id) if r["event"] == "result"]
+    streamed.sort(key=lambda r: r["index"])
+    return [
+        {k: v for k, v in r.items() if k not in ("event", "index")}
+        for r in streamed
+    ]
+
+
+def test_campaign_and_proximity_attack_jobs_share_cells(client):
+    """A campaign cell runs as its proximity attack cell, so an attacks
+    job naming ``proximity`` on the same grid joins its computations;
+    each job still streams its own record shape."""
+    grid = dict(
+        benchmarks=("random:i9-o5-g75",),
+        split_layers=(4, 6),
+        key_bits=(10,),
+        scale=1.0,
+        hd_patterns=256,
+        max_candidates=60,
+    )
+    campaign = CampaignSpec(**grid)
+    attacks = AttackCampaignSpec(scenarios=("proximity",), **grid)
+    before = client.metrics()
+    first = client.submit(campaign)
+    second = client.submit(attacks)  # while the first is in flight
+    campaign_records = _stream_records(client, first["id"])
+    attack_records = _stream_records(client, second["id"])
+    after = client.metrics()
+
+    unique = len(campaign.cells())
+    assert after["cells"]["computed"] - before["cells"]["computed"] == unique
+    assert after["cells"]["deduped"] - before["cells"]["deduped"] == unique
+    stage_before = before["cache"]["stages"].get("attack", {})
+    stage_after = after["cache"]["stages"]["attack"]
+    assert stage_after["stores"] - stage_before.get("stores", 0) == unique
+
+    reference = run_campaign(campaign, workers=1, use_cache=False)
+    assert canonical_json(campaign_records) == canonical_json(
+        [cell_record(r) for r in reference.cells]
+    )
+    attack_reference = run_attack_campaign(attacks, workers=1, use_cache=False)
+    assert canonical_json(attack_records) == canonical_json(
+        [attack_record(r) for r in attack_reference.cells]
+    )
 
 
 def test_cancel_pending_job(client):
@@ -442,3 +495,121 @@ def test_campaign_executor_never_uses_fork():
     with CampaignExecutor(workers=1) as executor:
         method = executor._pool._mp_context.get_start_method()
     assert method in ("spawn", "forkserver")
+
+
+# ---------------------------------------------------------------------------
+# Malformed HTTP requests: answered with a 4xx or a closed connection
+
+
+def _raw_exchange(server, request: bytes, timeout: float = 10.0) -> bytes:
+    """Send *request* on a fresh connection; everything the server sent
+    before closing it (``socket.timeout`` if it never closes)."""
+    with socket.create_connection(server.service.address, timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+@pytest.fixture
+def short_request_timeout(monkeypatch):
+    """Stalled requests give up after half a second instead of 30."""
+    monkeypatch.setattr(server_module, "_REQUEST_TIMEOUT", 0.5)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_400(server, length):
+    request = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+    response = _raw_exchange(server, request.encode())
+    assert _status(response) == 400
+    assert b"Content-Length" in response
+
+
+def test_short_body_times_out_and_closes(server, short_request_timeout):
+    request = b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+    assert _raw_exchange(server, request, timeout=5.0) == b""
+
+
+def test_jobs_path_without_id_is_404(server):
+    response = _raw_exchange(server, b"GET /jobs/ HTTP/1.1\r\n\r\n")
+    assert _status(response) == 404
+
+
+def test_overlong_request_line_is_400(server):
+    # just past the stream's 64 KiB line limit, so the server has read
+    # every byte before it answers (no reset on close)
+    request = b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"
+    assert _status(_raw_exchange(server, request)) == 400
+
+
+_TOKEN = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0xFF), min_size=1, max_size=12
+)
+_PATHS = st.builds(
+    str.__add__,
+    st.sampled_from(
+        ["/", "/jobs", "/jobs/", "/jobs//", "/healthz", "/metrics",
+         "/jobs/x/results", "/jobs/x/stream", "/jobs/x/cancel"]
+    ),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=12),
+)
+_HEADER_VALUES = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=16
+)
+_HEADERS = st.lists(
+    st.tuples(
+        st.one_of(st.just("Content-Length"), _TOKEN.filter(lambda t: ":" not in t)),
+        st.one_of(st.integers(-10, 1 << 23).map(str), _HEADER_VALUES),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.one_of(st.sampled_from(["GET", "POST", "PUT"]), _TOKEN),
+    path=_PATHS,
+    headers=_HEADERS,
+)
+def test_malformed_requests_never_get_500_or_hang(server, method, path, headers):
+    lines = [f"{method} {path} HTTP/1.1"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "_REQUEST_TIMEOUT", 0.5)
+        response = _raw_exchange(server, request, timeout=10.0)
+    # a declared body that never arrives closes without an answer
+    assert response == b"" or _status(response) != 500
+
+
+# ---------------------------------------------------------------------------
+# The verify layer's /metrics check
+
+
+def _metrics(misses: int, **stages: dict) -> dict:
+    return {"cache": {"hits": 0, "misses": misses, "stages": stages}}
+
+
+def test_verify_fails_when_the_attack_stage_has_no_counters():
+    before = _metrics(0)
+    moved_elsewhere = _metrics(2, lock={"hits": 0, "misses": 2})
+    for expect_cached in (False, True):
+        assert "moved no 'attack'" in cache_problem(
+            before, moved_elsewhere, expect_cached
+        )
+    idle = _metrics(0, attack={"hits": 0, "misses": 0})
+    assert "moved no" in cache_problem(idle, idle, expect_cached=False)
+
+
+def test_verify_checks_cold_and_cached_passes_on_the_attack_stage():
+    before = _metrics(0)
+    cold = _metrics(3, attack={"hits": 0, "misses": 1})
+    assert cache_problem(before, cold, expect_cached=False) is None
+    assert "cache-served" in cache_problem(before, cold, expect_cached=True)
+    rerun = _metrics(3, attack={"hits": 1, "misses": 1})
+    assert cache_problem(cold, rerun, expect_cached=True) is None

@@ -22,7 +22,7 @@ import repro.runner.worker as worker_module
 from repro.runner.engine import CampaignExecutor
 from repro.runner.grid import plan_bundles, plan_campaign, run_fused_cells
 from repro.runner.serialize import canonical_json, result_record
-from repro.runner.spec import CellSpec
+from repro.runner.spec import CellSpec, proximity_cell
 from repro.runner.worker import (
     WorkerRuntime,
     active_runtime,
@@ -43,9 +43,8 @@ BASE = CellSpec(
 
 #: Two sibling groups over one lock (split layer re-keys the layout).
 GRID = [
-    BASE,
-    replace(BASE, hd_seed=6),
-    replace(BASE, split_layer=6),
+    proximity_cell(cell)
+    for cell in (BASE, replace(BASE, hd_seed=6), replace(BASE, split_layer=6))
 ]
 
 
@@ -178,7 +177,8 @@ def test_env_worker_cache_mb(monkeypatch):
 
 
 def test_plan_bundles_sorts_by_lock_key_and_keeps_groups():
-    cells = GRID + [replace(BASE, key_bits=8)]  # a second lock
+    # a second lock
+    cells = GRID + [proximity_cell(replace(BASE, key_bits=8))]
     plan = plan_campaign(cells)
     bundles = plan_bundles(plan)
     assert [b.lock_key for b in bundles] == sorted(b.lock_key for b in bundles)
