@@ -8,8 +8,9 @@ picklable :class:`AttackOutcome` (the payload of the runner's cached
 
 All hypothesis evaluation is **batched through the compiled simulation
 core**: HD/OER runs on :func:`repro.metrics.hd_oer.compute_hd_oer`
-(array-domain sweeps), and oracle-armed key search packs every
-candidate key as one override column of
+(array-domain sweeps of the attacker's recovered machine, compiled from
+the FEOL view's index arrays with no netlist rebuilt), and oracle-armed
+key search packs every candidate key as one override column of
 :meth:`repro.sim.compiled.CompiledCircuit.simulate_batch_array` — there
 is no per-hypothesis big-int fallback at any circuit size, and the
 outcome records the engine used so campaigns can assert it.
@@ -337,9 +338,9 @@ def run_scenario(
             ),
         }
 
-    if scenario.wants_connections and result.recovered is not None:
+    if scenario.wants_connections and result.machine is not None:
         outcome.hd_oer = compute_hd_oer(
-            original, result.recovered, patterns=hd_patterns, seed=hd_seed
+            original, result.machine, patterns=hd_patterns, seed=hd_seed
         )
         # Measured, not assumed: the report records which engine ran,
         # so a forced/accidental big-int fallback genuinely fails the

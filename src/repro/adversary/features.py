@@ -65,10 +65,11 @@ class CandidateSet:
     ``(P, 2)`` rows of ``(sink_index, source_index)``; ``features`` is
     the aligned ``(P, len(FEATURE_NAMES))`` matrix.  ``labels`` (only
     materialised for training views) marks pairs whose candidate net is
-    the true driver.
+    the true driver.  It holds no reference to its view, which memoises
+    it (``_candidates``): no cycle keeps a dropped view alive until the
+    cyclic collector runs.
     """
 
-    view: FeolView
     sinks: list[SinkStub]
     sources: list[SourceStub]
     per_sink: list[list[int]]
@@ -230,7 +231,6 @@ def _build_candidates(
         features = np.empty((0, width), dtype=np.float64)
         labels = np.empty(0, dtype=np.float64) if with_labels else None
         return CandidateSet(
-            view=view,
             sinks=sinks,
             sources=sources,
             per_sink=per,
@@ -283,7 +283,6 @@ def _build_candidates(
             == arrays.sink_net[sink_index]
         ).astype(np.float64)
     return CandidateSet(
-        view=view,
         sinks=sinks,
         sources=sources,
         per_sink=per,

@@ -15,13 +15,18 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.netlist.circuit import Circuit
 from repro.sim.bitparallel import (
     compiled_engine_for,
     iter_pattern_chunks,
     output_words,
+    wants_compiled,
 )
+
+if TYPE_CHECKING:
+    from repro.attacks.result import RecoveredMachine
 
 #: Default Monte-Carlo budget shared by every HD/OER consumer (the flow's
 #: ``evaluate_split``, the defense evaluators, the campaign runner).  The
@@ -47,19 +52,24 @@ class HdOerReport:
 
 def compute_hd_oer(
     original: Circuit,
-    recovered: Circuit,
+    recovered: Circuit | RecoveredMachine,
     patterns: int = DEFAULT_HD_PATTERNS,
     seed: int = 5,
     chunk: int = 4096,
 ) -> HdOerReport:
     """Monte-Carlo HD/OER of *recovered* against *original*.
 
-    Sequential designs are compared on their combinational cores (primary
-    outputs plus next-state functions), the standard way sequential
-    miters are approximated for attack evaluation.
+    *recovered* is a :class:`Circuit` or an attacker's
+    :class:`~repro.attacks.result.RecoveredMachine`, which compiles
+    straight from its index arrays (it renders a :class:`Circuit` only
+    for the big-int path).  Sequential designs are compared on their
+    combinational cores (primary outputs plus next-state functions), the
+    standard way sequential miters are approximated for attack
+    evaluation; a machine is lowered that way already.
     """
-    if original.is_sequential or recovered.is_sequential:
+    if original.is_sequential:
         original = original.combinational_core()
+    if isinstance(recovered, Circuit) and recovered.is_sequential:
         recovered = recovered.combinational_core()
     if sorted(original.inputs) != sorted(recovered.inputs):
         raise ValueError("input interfaces differ; cannot compare")
@@ -70,11 +80,17 @@ def compute_hd_oer(
     # domain; the RNG stream and the counted bits are identical to the
     # big-int path, so the metrics are bit-for-bit engine-independent.
     engine_a = compiled_engine_for(original, chunk)
-    engine_b = compiled_engine_for(recovered, chunk)
+    if isinstance(recovered, Circuit):
+        engine_b = compiled_engine_for(recovered, chunk)
+    else:
+        compiled = wants_compiled(len(recovered.table.names), chunk)
+        engine_b = recovered.compile() if compiled else None
     if engine_a is not None and engine_b is not None and original.outputs:
         return _compute_hd_oer_compiled(
             engine_a, engine_b, original.inputs, patterns, seed, chunk
         )
+    if not isinstance(recovered, Circuit):
+        recovered = recovered.circuit().combinational_core()
 
     rng = random.Random(seed)
     total_bits = 0

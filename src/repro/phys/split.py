@@ -77,31 +77,40 @@ class FeolView:
     sink_stubs: list[SinkStub] = field(default_factory=list)
 
     def __setattr__(self, name: str, value) -> None:
-        """Track stub-list reassignment for the array-cache token.
+        """Track stub-list and netlist reassignment for the cache tokens.
 
         The defenses (routing perturbation, wire lifting) rebuild a
-        view's stub lists in place; bumping a version counter on every
-        ``source_stubs``/``sink_stubs`` assignment lets the cached
-        array backing (:mod:`repro.phys.geometry`) invalidate
+        view's stub lists in place, and ``beol-restore`` swaps in a new
+        gate table; bumping a version counter on every
+        ``source_stubs``/``sink_stubs`` (resp. ``gates``/``outputs``)
+        assignment lets the cached array backing
+        (:mod:`repro.phys.geometry`) and the recovered-netlist table
+        (:func:`repro.attacks.result.view_table`) invalidate
         deterministically instead of relying on object identity.
         """
         if name in ("source_stubs", "sink_stubs"):
             object.__setattr__(
                 self, "_stub_version", getattr(self, "_stub_version", 0) + 1
             )
+        elif name in ("gates", "outputs"):
+            object.__setattr__(
+                self, "_netlist_version", getattr(self, "_netlist_version", 0) + 1
+            )
         object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:
-        """Drop the transient stub-array and candidate caches from pickles.
+        """Drop the transient stub-array, candidate and table caches.
 
-        The arrays (see :mod:`repro.phys.geometry`) and the candidate
-        sets (see :func:`repro.adversary.features.build_candidates`) are
-        derived data, rebuilt on demand; persisting them would bloat
-        every cached artifact that embeds a view.
+        The arrays (see :mod:`repro.phys.geometry`), the candidate sets
+        (see :func:`repro.adversary.features.build_candidates`) and the
+        recovered-netlist table (see :func:`repro.attacks.result.
+        view_table`) are derived data, rebuilt on demand; persisting
+        them would bloat every cached artifact that embeds a view.
         """
         state = dict(self.__dict__)
         state.pop("_stub_arrays", None)
         state.pop("_candidates", None)
+        state.pop("_recovery_table", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

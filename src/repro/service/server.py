@@ -261,6 +261,8 @@ class CampaignService:
                 envelope = self._parse_body(body)
                 try:
                     job = manager.submit_payload(envelope)
+                except RecursionError as exc:
+                    raise HttpError(400, "spec nested too deeply") from exc
                 except (ValueError, KeyError) as exc:
                     message = exc.args[0] if exc.args else str(exc)
                     raise HttpError(400, str(message)) from exc
@@ -316,6 +318,8 @@ class CampaignService:
             return json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(400, f"bad JSON body: {exc}") from exc
+        except RecursionError as exc:  # not a ValueError
+            raise HttpError(400, "bad JSON body: nested too deeply") from exc
 
 
 async def _serve(config: ServiceConfig, ready=None) -> None:

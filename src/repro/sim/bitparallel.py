@@ -48,19 +48,23 @@ def compiled_engine_for(circuit: Circuit, num_patterns: int):
     Sequential circuits are never compiled (the callers' explicit
     ``is_sequential`` errors stay authoritative).
     """
-    if circuit.is_sequential:
-        return None
-    knob = _sim_engine_knob()
-    if knob == "bigint":
-        return None
-    if knob == "auto" and (
-        num_patterns < COMPILED_MIN_PATTERNS
-        or len(circuit.gates) < COMPILED_MIN_GATES
-    ):
+    if circuit.is_sequential or not wants_compiled(len(circuit.gates), num_patterns):
         return None
     from repro.sim.compiled import compile_circuit
 
     return compile_circuit(circuit)
+
+
+def wants_compiled(num_gates: int, num_patterns: int) -> bool:
+    """Whether a *num_gates* netlist sweeps *num_patterns* on the compiled
+    engine: not when the knob forces big-int, nor (``auto``) when the
+    sweep is too small to amortize compilation."""
+    knob = _sim_engine_knob()
+    if knob == "bigint":
+        return False
+    return knob == "compiled" or (
+        num_patterns >= COMPILED_MIN_PATTERNS and num_gates >= COMPILED_MIN_GATES
+    )
 
 
 def mask_for(num_patterns: int) -> int:

@@ -21,6 +21,12 @@ pattern batches:
 * a *batch* axis evaluates many override scenarios (e.g. all stuck-at
   faults of a chunk) against one stimulus load in a single sweep.
 
+One program builder serves every compile: it takes a :class:`NetTable`
+(index arrays, one row per net) and a level per row.  A circuit is
+flattened into one; :meth:`CompiledCircuit.from_table` compiles one with
+no :class:`Circuit` at all (the attacker's netlist, :mod:`repro.attacks.
+result`).
+
 Programs are cached per circuit (invalidated on any structural edit);
 :func:`compile_circuit` is the entry point.  Results are bit-identical
 to the big-int engine — the differential suite in
@@ -34,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.gate_types import GateType
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -155,12 +161,51 @@ class _Bucket:
     inv_mask: np.ndarray | None  # (n,) 0/all-ones mask when mixed
 
 
+#: Row kinds of a :class:`NetTable`: the three source kinds, then gates.
+KIND_INPUT, KIND_TIEHI, KIND_TIELO, KIND_GATE = 0, 1, 2, 3
+
+#: ``(kind, op, invert)`` per gate type; a DFF is a pseudo input.
+_CODES = {
+    GateType.INPUT: (KIND_INPUT, OP_COPY, False),
+    GateType.DFF: (KIND_INPUT, OP_COPY, False),
+    GateType.TIEHI: (KIND_TIEHI, OP_COPY, False),
+    GateType.TIELO: (KIND_TIELO, OP_COPY, False),
+    **{t: (KIND_GATE, op, inv) for t, (op, inv) in _OP_OF_TYPE.items()},
+}
+
+
+@dataclass
+class NetTable:
+    """Row *i* is net ``names[i]``: its ``kind``, base ``op`` and ``invert``
+    flag, and its drivers' rows, the first ``arity[i]`` of ``fanin[i]``."""
+
+    names: list[str]
+    kind: np.ndarray
+    op: np.ndarray
+    invert: np.ndarray
+    arity: np.ndarray
+    fanin: np.ndarray
+
+
+def net_table(gates: Sequence[Gate], row: Mapping[str, int]) -> NetTable:
+    """The :class:`NetTable` of *gates*, in order; *row* maps a net to its row."""
+    codes = np.array([_CODES[g.gate_type] for g in gates], np.intp).reshape(-1, 3)
+    arity = np.array([len(g.fanin) for g in gates], dtype=np.intp)
+    fanin = np.zeros((len(gates), max(1, arity.max(initial=0))), dtype=np.intp)
+    fanin[np.arange(fanin.shape[1]) < arity[:, None]] = [
+        row[net] for g in gates for net in g.fanin
+    ]
+    kind, op, invert = codes.T
+    return NetTable([g.name for g in gates], kind, op, invert, arity, fanin)
+
+
 class CompiledCircuit:
     """A circuit levelized into a flat vectorized op program.
 
     Net *slots* are engine-internal indices (level-major, bucket-sorted);
     :attr:`index` maps net name to slot and :attr:`nets` back.  Use
-    :func:`compile_circuit` to obtain cached instances.
+    :func:`compile_circuit` to obtain cached instances, or
+    :meth:`from_table` to compile a :class:`NetTable` with no circuit.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -171,97 +216,106 @@ class CompiledCircuit:
             )
         topo = circuit.topological_order()
         levels = circuit.levels()
+        row = circuit.topological_index()
         self._topo_ref = topo  # identity token: invalidation on edits
-        self.name = circuit.name
-        self.num_nets = len(topo)
-        self.num_levels = (max(levels.values()) + 1) if levels else 1
-        self.inputs: list[str] = list(circuit.inputs)
-        self.outputs: list[str] = list(circuit.outputs)
-        self.level_of: dict[str, int] = levels
+        self._build(
+            circuit.name,
+            net_table([circuit.gates[net] for net in topo], row),
+            np.array([levels[net] for net in topo], dtype=np.intp),
+            [row[net] for net in circuit.outputs],
+            circuit.inputs,
+            levels,
+        )
 
-        # Classify every net, then permute slots so each (level, op,
-        # arity) bucket owns a contiguous destination range.
-        plan: list[tuple[tuple[int, int, int], str, bool, list[str]]] = []
-        sources: list[tuple[str, int]] = []  # (net, kind) kind: 0=in,1=hi,2=lo
-        for position, net in enumerate(topo):
-            gate = circuit.gates[net]
-            if gate.gate_type is GateType.INPUT:
-                sources.append((net, 0))
-                continue
-            if gate.gate_type is GateType.TIEHI:
-                sources.append((net, 1))
-                continue
-            if gate.gate_type is GateType.TIELO:
-                sources.append((net, 2))
-                continue
-            op, inverted = _OP_OF_TYPE[gate.gate_type]
-            arity = len(gate.fanin)
-            if arity == 1 and op != OP_COPY:
-                # Degenerate single-input AND/OR/XOR families behave as
-                # BUF (or NOT when inverting) — same as the big-int path.
-                op = OP_COPY
-            plan.append(
-                ((levels[net], op, arity), net, inverted, list(gate.fanin))
-            )
-        plan.sort(key=lambda item: item[0])
+    @classmethod
+    def from_table(
+        cls, name: str, table: NetTable, level: np.ndarray, outputs: Sequence[int]
+    ) -> "CompiledCircuit":
+        """Compile *table* given each row's combinational *level* and the
+        *outputs* rows; the inputs are its ``KIND_INPUT`` rows, in order."""
+        self = cls.__new__(cls)
+        self._topo_ref = None
+        self._build(name, table, level, outputs)
+        return self
 
-        self.nets: list[str] = [net for net, _kind in sources]
-        self.nets.extend(net for _key, net, _inv, _fanin in plan)
+    def _build(
+        self,
+        name: str,
+        table: NetTable,
+        level: np.ndarray,
+        outputs: Sequence[int],
+        inputs: Sequence[str] | None = None,
+        level_of: dict[str, int] | None = None,
+    ) -> None:
+        """The one program builder: one stable sort puts the sources first,
+        in row order, then the gates by ``(level, op, arity)``, so each
+        bucket owns a contiguous slot range; every bucket's source slots
+        are cut from one remapped fanin matrix."""
+        kind, arity, nets = table.kind, table.arity, table.names
+        self.name = name
+        self.num_nets = len(nets)
+        self.num_levels = int(level.max()) + 1 if len(nets) else 1
+        if inputs is None:
+            inputs = [nets[i] for i in np.flatnonzero(kind == KIND_INPUT)]
+        self.inputs: list[str] = list(inputs)
+        self.level_of = level_of or dict(zip(nets, level.tolist()))
+
+        # Degenerate single-input AND/OR/XOR families behave as BUF (or
+        # NOT when inverting) — same as the big-int path.
+        op = np.where(arity == 1, OP_COPY, table.op)
+        stride = table.fanin.shape[1] + 1
+        is_gate = kind == KIND_GATE
+        key = np.where(is_gate, (level * 4 + op) * stride + arity, -1)
+        # Python's stable sort keeps pace with NumPy's at these sizes, and
+        # NumPy's would map ~128 KB more library pages into every worker.
+        order = sorted(range(len(nets)), key=key.tolist().__getitem__)
+        order = np.array(order, dtype=np.intp)
+        slot = np.empty(len(nets), dtype=np.intp)
+        slot[order] = np.arange(len(nets))
+        base = len(nets) - int(np.count_nonzero(is_gate))
+
+        self.nets: list[str] = [nets[i] for i in order.tolist()]
         self.index: dict[str, int] = {net: i for i, net in enumerate(self.nets)}
-        self.output_slots = np.array(
-            [self.index[net] for net in self.outputs], dtype=np.intp
-        )
+        self.output_slots = slot[np.asarray(outputs, dtype=np.intp)]
+        self.outputs: list[str] = [nets[i] for i in outputs]
+        source_kind = kind[order[:base]]
         self._input_slots = [
-            (net, self.index[net]) for net, kind in sources if kind == 0
+            (self.nets[i], i)
+            for i in np.flatnonzero(source_kind == KIND_INPUT).tolist()
         ]
-        self._tie_hi = np.array(
-            [self.index[net] for net, kind in sources if kind == 1],
-            dtype=np.intp,
-        )
-        self._tie_lo = np.array(
-            [self.index[net] for net, kind in sources if kind == 2],
-            dtype=np.intp,
-        )
+        self._tie_hi = np.flatnonzero(source_kind == KIND_TIEHI)
+        self._tie_lo = np.flatnonzero(source_kind == KIND_TIELO)
 
         self._buckets_by_level: list[list[_Bucket]] = [
             [] for _ in range(self.num_levels)
         ]
+        gates = order[base:]
         self.num_buckets = 0
-        cursor = len(sources)
-        position = 0
-        while position < len(plan):
-            key = plan[position][0]
-            group_end = position
-            while group_end < len(plan) and plan[group_end][0] == key:
-                group_end += 1
-            group = plan[position:group_end]
-            n = len(group)
-            level, op, _arity = key
-            src = np.array(
-                [[self.index[f] for f in fanin] for _k, _n, _i, fanin in group],
-                dtype=np.intp,
-            ).T.copy()
-            inverts = [inv for _k, _net, inv, _f in group]
-            if not any(inverts):
+        if not len(gates):
+            return
+        g_key = key[gates]
+        g_invert = table.invert[gates]
+        inverts = g_invert.tolist()
+        src = slot[table.fanin[gates]]
+        starts = np.flatnonzero(np.concatenate(([True], g_key[1:] != g_key[:-1])))
+        starts = starts.tolist()
+        ends = starts[1:] + [len(gates)]
+        for start, end, bucket_key in zip(starts, ends, g_key[starts].tolist()):
+            level_op, bucket_arity = divmod(bucket_key, stride)
+            lvl, bop = divmod(level_op, 4)
+            count = sum(inverts[start:end])
+            if count == 0:
                 inv_mode, inv_mask = _INV_NONE, None
-            elif all(inverts):
+            elif count == end - start:
                 inv_mode, inv_mask = _INV_ALL, None
             else:
                 inv_mode = _INV_MIXED
-                inv_mask = np.where(inverts, _FULL, _ZERO).astype(np.uint64)
-            bucket = _Bucket(
-                level=level,
-                op=op,
-                start=cursor,
-                end=cursor + n,
-                src=src,
-                inv_mode=inv_mode,
-                inv_mask=inv_mask,
+                inv_mask = np.where(g_invert[start:end], _FULL, _ZERO)
+            fan = src[start:end, :bucket_arity].T.copy()
+            self._buckets_by_level[lvl].append(
+                _Bucket(lvl, bop, base + start, base + end, fan, inv_mode, inv_mask)
             )
-            self._buckets_by_level[level].append(bucket)
-            self.num_buckets += 1
-            cursor += n
-            position = group_end
+        self.num_buckets = len(starts)
 
     # ------------------------------------------------------------------
     # Core sweep

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import sys
 
 import numpy as np
 import pytest
 
-import repro.attacks.result as result_module
 from repro.adversary.evaluate import run_scenario
 from repro.adversary.features import build_candidates
 from repro.adversary.scenario import SCENARIOS
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
 from repro.attacks.random_guess import random_guess_attack
-from repro.attacks.result import rebuild_netlist
+from repro.attacks.result import RecoveredMachine, rebuild_netlist, view_table
 from repro.locking import AtpgLockConfig, atpg_lock
 from repro.phys import build_locked_layout
 from repro.phys.geometry import stub_arrays
@@ -150,10 +148,13 @@ def test_build_candidates_rebuilds_after_stub_reassignment(layout):
 def test_pickled_view_carries_no_candidates(layout):
     view = layout.feol_view()
     build_candidates(view)
+    view_table(view)
     assert "_candidates" in vars(view)
+    assert "_recovery_table" in vars(view)
     restored = pickle.loads(pickle.dumps(view))
     assert "_candidates" not in vars(restored)
     assert "_stub_arrays" not in vars(restored)
+    assert "_recovery_table" not in vars(restored)
     assert restored.sink_stubs == view.sink_stubs
 
 
@@ -162,20 +163,31 @@ def test_pickled_view_carries_no_candidates(layout):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """Names of the netlists ``rebuild_netlist`` builds, at every site
-    that holds the function (so an eager call by any engine counts)."""
+    """Names of the :class:`Circuit` netlists rendered from recovered
+    machines (every ``recovered`` read and ``rebuild_netlist`` call)."""
     calls = []
-    real = result_module.rebuild_netlist
+    real = RecoveredMachine.circuit
 
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
+    def spy(self, name=None):
+        rendered = real(self, name)
+        calls.append(rendered.name)
+        return rendered
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro") and vars(module).get(
-            "rebuild_netlist"
-        ) is real:
-            monkeypatch.setattr(module, "rebuild_netlist", spy)
+    monkeypatch.setattr(RecoveredMachine, "circuit", spy)
+    return calls
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Names of the recovered machines compiled for simulation."""
+    calls = []
+    real = RecoveredMachine.compile
+
+    def spy(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(RecoveredMachine, "compile", spy)
     return calls
 
 
@@ -211,7 +223,7 @@ def test_derived_keeps_or_renames_the_netlist(layout):
 
 @pytest.mark.parametrize("name", ["proximity", "netflow", "random"])
 def test_post_processed_cell_rebuilds_one_netlist(
-    design, layout, rebuilds, name
+    design, layout, rebuilds, compiles, name
 ):
     circuit, locked = design
     scenario = SCENARIOS[name].resolve()
@@ -226,4 +238,6 @@ def test_post_processed_cell_rebuilds_one_netlist(
         hd_patterns=64,
     )
     assert outcome.hd_oer is not None
-    assert rebuilds == [f"{layout.circuit.name}_recovered_pp"]
+    assert outcome.sim_engine == "compiled-array"
+    assert rebuilds == []  # scored without building a Circuit
+    assert compiles == [f"{layout.circuit.name}_recovered_pp"]

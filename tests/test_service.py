@@ -547,6 +547,72 @@ def test_overlong_request_line_is_400(server):
     assert _status(_raw_exchange(server, request)) == 400
 
 
+def _post_jobs(server, body: bytes) -> bytes:
+    head = f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    return _raw_exchange(server, head.encode() + body)
+
+
+def test_deeply_nested_body_is_400_and_the_server_lives(server, client):
+    # json.loads raises RecursionError (not a ValueError) on this body
+    response = _post_jobs(server, b"[" * 200_000)
+    assert _status(response) == 400
+    assert b"nested too deeply" in response
+    assert client.health()["status"] == "ok"
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+_JSON_CONTAINERS = st.recursive(
+    st.lists(_JSON_LEAVES, max_size=2),
+    lambda inner: st.lists(inner | _JSON_LEAVES, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner | _JSON_LEAVES, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def nested_envelopes(draw) -> bytes:
+    """A job envelope whose spec fields, spec, kind or whole body are
+    replaced by (possibly very deeply) nested JSON."""
+    envelope = spec_payload(E2E)
+    spec = envelope["spec"]
+    fields = draw(st.lists(st.sampled_from(sorted(spec)), max_size=3, unique=True))
+    for name in fields:
+        spec[name] = draw(_JSON_CONTAINERS)
+    if not fields or draw(st.booleans()):
+        envelope[draw(st.sampled_from(["kind", "spec"]))] = draw(_JSON_CONTAINERS)
+    body = json.dumps(envelope)
+    depth = draw(st.sampled_from([1, 64, 900, 3_000, 100_000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"k": ', "}")]))
+    deep = opener * depth + "0" + closer * depth
+    where = draw(st.sampled_from(["body", "field", "none"]))
+    if where == "body":
+        body = opener * depth + body + closer * depth
+    elif where == "field":
+        name = draw(st.sampled_from(sorted(spec)))
+        body = json.dumps({**envelope, "spec": {**spec, name: "@@"}})
+        body = body.replace('"@@"', deep)
+    return body.encode()
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=nested_envelopes())
+def test_nested_envelopes_never_get_500_or_wedge_a_job(server, client, body):
+    response = _post_jobs(server, body)
+    status = _status(response)
+    assert status != 500
+    if status == 202:  # a spec that still validates: it must finish
+        job = json.loads(response.split(b"\r\n\r\n", 1)[1])
+        client.cancel(job["id"])
+        assert client.wait(job["id"], timeout=120.0)["state"] in (
+            "done",
+            "failed",
+            "cancelled",
+        )
+    else:
+        assert 400 <= status < 500
+    assert client.health()["status"] == "ok"
+
+
 _TOKEN = st.text(
     st.characters(min_codepoint=0x21, max_codepoint=0xFF), min_size=1, max_size=12
 )
