@@ -13,10 +13,12 @@ al.'s proximity-attack family and the survey's network-flow matchers).
 The solver is tuned to the shape of these networks — hundreds of units
 of flow, each one an augmenting path of a few arcs:
 
-* **Early exit.**  Each augmentation's Dijkstra stops as soon as the
-  sink ``t`` settles; only the nodes settled by then move their
-  potential, each by ``dist[u] - dist[t]``, which keeps every residual
-  reduced cost non-negative.
+* **Early exit.**  Each augmentation's Dijkstra stops at the frontier:
+  the first pop whose key reaches ``t``'s label ``D``, since every node
+  popped later sits at distance ``D`` and would not move.  Only the
+  nodes settled by then move their potential, each by
+  ``dist[u] - dist[t]``, which keeps every residual reduced cost
+  non-negative; after a ``D == 0`` augmentation nothing moves.
 * **Residual adjacency.**  Dijkstra relaxes only arcs with capacity
   left: each node keeps the list of its residual arcs, updated in place
   along every augmenting path, so a matched sink pin offers one usable
@@ -27,18 +29,24 @@ of flow, each one an augmenting path of a few arcs:
   unit candidate and sink arcs, no parallel arcs, no flow yet.  Any
   other graph runs the plain heap loop.  On that shape:
 
-  - *Zero-level batch.*  Nearly all relaxations come from ``S`` and
-    the nets at reduced distance 0.  Those nets pop consecutively in
-    id order and label only sinks, so their combined effect is one
-    per-sink minimum over the open candidate arcs (lowest net id wins
-    ties), computed over CSR arrays sorted by (sink, net) with
-    ``np.minimum.reduceat``.  The labelled sinks are heapified and the
-    heap loop finishes the Dijkstra.  The open-arc mask is updated
-    along each augmenting path.
+  - *Persistent zero level.*  Every net with supply left sits at
+    reduced distance 0 in every Dijkstra, and those nets pop first, in
+    id order, labelling only sinks.  Their combined effect is each
+    sink's cheapest open arc from such a net (lowest net id wins ties).
+    That pick is kept across augmentations: a path changes only its
+    own candidate arcs and perhaps its first net's supply, so only the
+    path's sinks and the sinks that picked a drained net re-pick.  The
+    kept labels and heap seed every Dijkstra; after ``D == 0`` they
+    stand, after ``D > 0`` they are re-keyed from the picks.
   - *Uncontended exit.*  If every sink's cheapest net fits the nets'
     capacities, that assignment is the solver's answer: every net
     stays at distance 0 and no path reroutes.  It is written into the
-    arc capacities directly, with no Dijkstra at all.
+    arc capacities directly, with no Dijkstra at all.  Otherwise the
+    same per-sink minimum (``np.minimum.reduceat`` over CSR arrays
+    sorted by (sink, net)) is the first zero level.
+* **Array build.**  :func:`_solve_match` builds the network with
+  :meth:`MinCostFlow.from_arcs`, one array op per field, numbered as
+  the ``add_edge`` loop it replaced would number it.
 * **Group memo.**  Inside :func:`shared_flow_matches` (entered once per
   sibling group by the grid compiler), equal matching instances — the
   netflow and oracle-key scenarios over one layout, or a cell repeated
@@ -92,6 +100,33 @@ class MinCostFlow:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
+    @classmethod
+    def from_arcs(
+        cls,
+        num_nodes: int,
+        tail: np.ndarray,
+        head: np.ndarray,
+        cap: np.ndarray,
+        cost: np.ndarray,
+    ) -> "MinCostFlow":
+        """The network of arcs ``tail[i] -> head[i]``, one array op per field.
+
+        Arcs are numbered exactly as :meth:`add_edge` called in array
+        order would number them (arc ``i`` is ``2 * i``, its reverse
+        ``2 * i + 1``), and each node's arc list is in index order.
+        """
+        if (cost < 0).any():
+            raise ValueError("negative arc cost")
+        flow = cls(num_nodes)
+        tails = np.stack((tail, head), axis=1).ravel()  # of arc a; to[a] is a's head
+        order = np.argsort(tails, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(tails, minlength=num_nodes)).tolist()
+        flow.graph = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+        flow.to = np.stack((head, tail), axis=1).ravel().tolist()
+        flow.cap = np.stack((cap, np.zeros_like(cap)), axis=1).ravel().tolist()
+        flow.cost = np.stack((cost, -cost), axis=1).ravel().tolist()
+        return flow
+
     def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
         """Add arc u->v; returns the arc index (reverse is index ^ 1).
 
@@ -116,19 +151,21 @@ class MinCostFlow:
         """Push up to *max_flow* units; returns (flow, total_cost).
 
         One Dijkstra over reduced costs per augmenting path, heap keyed
-        ``(reduced dist, node)``.  It stops when *t* settles: with
-        ``D = dist[t]``, each settled node's potential moves by
-        ``dist[u] - D`` and every other potential stays, which keeps
-        all residual reduced costs non-negative.  Relaxation walks a
+        ``(reduced dist, node)``.  It stops at the first pop whose key
+        reaches ``D = dist[t]`` (the frontier exit): every node popped
+        later, ``t`` included, sits at distance ``D``.  Each node settled
+        before that moves its potential by ``dist[u] - D``, and every
+        other potential stays, which keeps all residual reduced costs
+        non-negative; when ``D == 0`` nothing moves.  Relaxation walks a
         per-node list of the arcs with capacity left, maintained in
         place as the path's arcs saturate or gain reverse capacity.
         Saturated arcs (``cap == 0``) mark the chosen forward arcs.
 
         On a fresh bipartite matching network (:class:`_Bipartite`,
         checked once here) the uncontended exit may solve it outright;
-        otherwise each Dijkstra starts with the zero-level batch.  Both
-        are exact: flow, cost and every entry of ``cap`` equal the plain
-        heap loop's, arc for arc.
+        otherwise each Dijkstra resumes from the persistent zero level.
+        Both are exact: flow, cost and every entry of ``cap`` equal the
+        plain heap loop's, arc for arc.
 
         Flow and cost equal full-Dijkstra SSP's on every network; among
         several equal-cost optimal flows the one chosen may differ (see
@@ -140,9 +177,6 @@ class MinCostFlow:
             uncontended = layers.uncontended(cap, max_flow)
             if uncontended is not None:
                 return uncontended
-            open_slot = layers.slot
-        else:
-            open_slot = {}
         # residual[u] holds (arc, head, cost) for u's arcs with cap > 0;
         # slot[a] is a's index there, so removal swaps in the last one.
         entry = list(zip(range(len(to)), to, cost))
@@ -168,17 +202,15 @@ class MinCostFlow:
                 label[s] = potential[s]
                 heap: list[tuple[int, int]] = [(0, s)]
             else:
-                label, parent_edge, heap = layers.zero_level(
-                    s, residual[s], potential, settled
-                )
+                label, parent_edge, heap = layers.start()
             while heap:
                 d, u = heappop(heap)
+                if d >= label[t]:
+                    break  # t is labelled at the key just popped
                 base = d + potential[u]
-                if base > label[u]:
+                if base != label[u]:
                     continue  # stale entry
                 settled.append(u)
-                if u == t:
-                    break
                 for a, v, c in residual[u]:
                     x = base + c
                     if x < label[v]:
@@ -187,20 +219,24 @@ class MinCostFlow:
                         heappush(heap, (x - potential[v], v))
             if label[t] == unreached:
                 break  # no augmenting path: capacity exhausted
-            # potential[u] + dist[u] - dist[t] for every settled node.
-            reach = label[t] - potential[t]
-            for u in settled:
-                potential[u] = label[u] - reach
+            # potential[u] + dist[u] - dist[t] for every settled node;
+            # potential[t] stays 0, so label[t] is dist[t].
+            reach = label[t]
+            if reach:
+                if layers is not None:
+                    settled += layers.level
+                for u in settled:
+                    potential[u] = label[u] - reach
             # Bottleneck along the path (arc capacities here are >= 1).
+            path = []
             push = max_flow - flow
             v = t
             while v != s:
                 a = parent_edge[v]
+                path.append(a)
                 push = min(push, cap[a])
                 v = to[a ^ 1]
-            v = t
-            while v != s:
-                a = parent_edge[v]
+            for a in path:
                 back = a ^ 1
                 cap[a] -= push
                 if cap[a] == 0:
@@ -215,10 +251,8 @@ class MinCostFlow:
                     arcs.append(entry[back])
                 cap[back] += push
                 total_cost += push * cost[a]
-                forward = a & -2
-                if forward in open_slot:
-                    layers.open[open_slot[forward]] = cap[forward] > 0
-                v = to[back]
+            if layers is not None:
+                layers.augmented(path, cap, potential, reach)
             flow += push
         return flow, total_cost
 
@@ -232,18 +266,23 @@ class _Bipartite:
     drains to ``t`` through one zero-cost unit arc, every right id is
     above every left id, no two arcs join the same pair and no arc
     carries flow yet.  The candidate arcs are held as CSR arrays sorted
-    by (sink, net), with an ``open`` mask of those with capacity left.
+    by (sink, net).
+
+    Across augmentations it keeps the Dijkstra state the zero level
+    leaves (:meth:`start`), and :meth:`augmented` carries it over each
+    augmenting path.
     """
 
     #: Label of a node Dijkstra has not reached.  :meth:`of` bounds the
     #: arc costs, so every real label stays far below it.
     UNREACHED = 2**63 - 1
 
-    def __init__(self, to, cap, cost, arcs, s_arc, t_arc) -> None:
+    def __init__(self, s, to, cap, cost, arcs, s_arc, t_arc) -> None:
         """Index the candidate *arcs*; every array is int64, per arc or node."""
         nets, sinks = to[arcs + 1], to[arcs]
         order = np.lexsort((nets, sinks))
-        self.head = to
+        self.s = s
+        self.head = to.tolist()
         self.arc = arcs[order]
         self.net = nets[order]
         self.sink = sinks[order]
@@ -251,9 +290,6 @@ class _Bipartite:
         starts = np.r_[True, self.sink[1:] != self.sink[:-1]]
         self.segment = np.cumsum(starts) - 1
         self.starts = np.flatnonzero(starts)
-        self.open = np.ones(len(self.arc), dtype=bool)
-        #: CSR position of each candidate arc, for updating ``open``.
-        self.slot = dict(zip(self.arc.tolist(), range(len(self.arc))))
         self.s_arc = s_arc  # per node: its arc from s, or -1
         self.t_arc = t_arc  # per node: its arc to t, or -1
         left = s_arc >= 0
@@ -300,15 +336,15 @@ class _Bipartite:
         t_arc = np.full(n, -1, dtype=np.int64)
         s_arc[left] = 2 * np.flatnonzero(from_s)
         t_arc[right] = 2 * np.flatnonzero(into_t)
-        return cls(to, cap, cost, 2 * np.flatnonzero(middle), s_arc, t_arc)
+        return cls(s, to, cap, cost, 2 * np.flatnonzero(middle), s_arc, t_arc)
 
     def cheapest(self, nets: np.ndarray) -> np.ndarray:
-        """CSR position of each sink's cheapest open arc from *nets*.
+        """CSR position of each sink's cheapest arc from *nets*.
 
         *nets* is a per-node mask.  Among equal costs the lowest net id
         wins; sinks without such an arc are left out.
         """
-        live = self.open & nets[self.net]
+        live = nets[self.net]
         value = np.where(live, self.cost, np.iinfo(np.int64).max)
         best = np.minimum.reduceat(value, self.starts)
         hit = np.flatnonzero(live & (value == best[self.segment]))
@@ -325,10 +361,13 @@ class _Bipartite:
         rerouted through a matched sink costs at least the direct one,
         which strict relaxation never prefers.  The paths are written
         into *cap* unit by unit, as the solver would leave them.
+
+        A contended instance keeps that choice as the first zero level.
         """
         first = self.cheapest(self.supply > 0)
         used = np.bincount(self.net[first], minlength=len(self.supply))
         if len(first) > max_flow or (used > self.supply).any():
+            self._first_level(first)
             return None
         sinks = self.sink[first].tolist()
         for arc in self.arc[first].tolist() + self.t_arc[sinks].tolist():
@@ -340,47 +379,120 @@ class _Bipartite:
             cap[arc + 1] += int(used[net])
         return len(first), int(self.cost[first].sum())
 
-    def zero_level(
-        self,
-        s: int,
-        s_arcs: list[tuple[int, int, int]],
-        potential: list[int],
-        settled: list[int],
-    ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-        """Settle ``s`` and its zero-distance nets in one step.
+    def _first_level(self, first: np.ndarray) -> None:
+        """The kept state before the first augmentation.
 
-        After ``s`` pops, every net it labels at reduced distance 0 sits
-        in the heap at key ``(0, id)``.  Those nets label only sinks,
-        whose ids are all higher, so the heap pops them next, one after
-        another in id order.  Their combined relaxation is one per-sink
-        minimum over the open arcs, the lowest net id winning ties,
-        which is what :meth:`cheapest` computes.
-
-        Returns the Dijkstra state the heap loop resumes from: labels
-        (:attr:`UNREACHED` where unset), parent arcs and a heap of the
-        other nets ``s`` labelled plus the sinks just labelled.
+        Every potential is 0 and *first* is each sink's cheapest arc.
         """
-        base = potential[s]
-        pot = np.array(potential, dtype=np.int64)
-        label = np.full(len(pot), self.UNREACHED, dtype=np.int64)
-        parent = np.full(len(pot), -1, dtype=np.int64)
-        arcs = np.array([a for a, _, _ in s_arcs], dtype=np.int64)
-        nets = self.head[arcs]
-        label[s] = label[nets] = base  # s's arcs cost 0
-        parent[nets] = arcs
-        zero = pot[nets] == base
-        level = np.zeros(len(pot), dtype=bool)
-        level[nets[zero]] = True
-        first = self.cheapest(level)
-        sinks = self.sink[first]
-        label[sinks] = base + self.cost[first]
-        parent[sinks] = self.arc[first]
-        queued = np.concatenate((nets[~zero], sinks))
-        heap = list(zip((label[queued] - pot[queued]).tolist(), queued.tolist()))
+        n = len(self.supply)
+        nets = np.flatnonzero(self.supply > 0)
+        best = np.full(n, -1, dtype=np.int64)
+        best[self.sink[first]] = first
+        self.best = best.tolist()  # per sink: CSR position of its pick, or -1
+        self.supplied = (self.supply > 0).tolist()  # per node
+        #: The nodes the zero level settles: ``s`` and its nets.
+        self.level = [self.s] + nets.tolist()
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[nets] = self.s_arc[nets]
+        self.label, self.parent = [self.UNREACHED] * n, parent.tolist()
+        self.base = 0  # potential[s]: the label of s and of its nets
+        # Per sink its CSR span, per net its CSR positions, as lists.
+        self.arcs, self.nets = self.arc.tolist(), self.net.tolist()
+        self.costs, self.sinks = self.cost.tolist(), self.sink.tolist()
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.zeros(n, dtype=np.int64)
+        lo[self.sink[self.starts]] = self.starts
+        hi[self.sink[self.starts]] = np.r_[self.starts[1:], len(self.arc)]
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        self.sink_nodes = self.sink[self.starts].tolist()
+        by_net = np.argsort(self.net, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(self.net, minlength=n)).tolist()
+        self.by_net = [by_net[a:b] for a, b in zip([0] + bounds, bounds)]
+        self._rekey([0] * n)
+
+    def start(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        """Dijkstra state with ``s`` and its nets settled.
+
+        Every net with supply left sits at reduced distance 0: ``s``
+        labels it through a zero-cost arc, so it settles in every
+        Dijkstra and its potential moves with ``s``'s.  After ``s`` pops,
+        those nets sit in the heap at key ``(0, id)`` and label only
+        sinks, whose ids are all higher, so the heap pops them next, in
+        id order.  Their combined relaxation gives each sink its
+        cheapest open arc from a net with supply, the lowest net id
+        winning ties.
+
+        Returns copies of the kept state the heap loop resumes from:
+        labels (:attr:`UNREACHED` where unset), parent arcs and a heap
+        of the sinks just labelled.  The settled nodes are
+        :attr:`level`.  A heap entry whose key no longer matches its
+        node's label is stale; the loop skips it.
+        """
+        return self.label[:], self.parent[:], self.heap[:]
+
+    def augmented(
+        self, path: list[int], cap: list[int], potential: list[int], reach: int
+    ) -> None:
+        """Carry the kept state over one augmentation along *path*.
+
+        *path* lists the arcs from ``t`` back to ``s``; *reach* is its
+        reduced distance ``D``, and *potential* is already updated.
+        Only the path's candidate arcs opened or closed, and only its
+        first net can have run out of supply, so only the path's sinks
+        and the sinks that picked that net re-pick their cheapest arc.
+        After ``D == 0`` nothing else moved.  After ``D > 0``, ``s`` and
+        its nets drop by ``D`` and so do the sinks' labels, while the
+        settled sinks' potentials moved: labels and heap are rebuilt.
+        """
+        head, best, label, parent = self.head, self.best, self.label, self.parent
+        touched = [head[a & -2] for a in path[1:-1]]  # the path's sinks
+        net = head[path[-1]]
+        if cap[path[-1]] == 0:  # the first net's supply ran out
+            label[net], parent[net] = self.UNREACHED, -1
+            self.supplied[net] = False
+            self.level.remove(net)
+            sinks = self.sinks
+            touched += [sinks[p] for p in self.by_net[net] if best[sinks[p]] == p]
+        arcs, costs = self.arcs, self.costs
+        for sink in touched:
+            position = best[sink] = self._repick(sink, cap)
+            if position < 0:
+                label[sink], parent[sink] = self.UNREACHED, -1
+                continue
+            parent[sink] = arcs[position]
+            x = self.base + costs[position]
+            if x != label[sink]:
+                label[sink] = x
+                heapq.heappush(self.heap, (x - potential[sink], sink))
+        if reach:
+            self.base -= reach
+            self._rekey(potential)
+
+    def _rekey(self, potential: list[int]) -> None:
+        """Labels and heap from the picks, at the current ``base``."""
+        label, parent, best = self.label, self.parent, self.best
+        for node in self.level:
+            label[node] = self.base
+        heap = []
+        for sink in self.sink_nodes:
+            position = best[sink]
+            if position >= 0:
+                x = label[sink] = self.base + self.costs[position]
+                parent[sink] = self.arcs[position]
+                heap.append((x - potential[sink], sink))
         heapq.heapify(heap)
-        settled.append(s)
-        settled.extend(nets[zero].tolist())
-        return label.tolist(), parent.tolist(), heap
+        self.heap = heap
+
+    def _repick(self, sink: int, cap: list[int]) -> int:
+        """CSR position of *sink*'s cheapest open arc from a net with
+        supply, or -1."""
+        best, low = -1, 0
+        supplied, nets, arcs, costs = self.supplied, self.nets, self.arcs, self.costs
+        for position in range(self.lo[sink], self.hi[sink]):
+            if supplied[nets[position]] and cap[arcs[position]] > 0:
+                if best < 0 or costs[position] < low:
+                    best, low = position, costs[position]
+        return best
 
 
 @dataclass
@@ -473,43 +585,49 @@ def _solve_match(
 
     num_sinks = len(sinks)
     num_nets = len(nets)
-    # Nodes: S, driver nets, sinks, T.
+    # Nodes: S, driver nets, sinks, T.  Arcs, in add_edge order: S ->
+    # each net, one per (sink, net) pair at its first occurrence (the
+    # best branch stub of each net was already selected during
+    # candidate generation), each sink -> T.  np.rint rounds the
+    # fixed-point costs half to even, like the scalar int(round(...)).
     s_node = 0
     t_node = 1 + num_nets + num_sinks
-    flow = MinCostFlow(t_node + 1)
-    for index, net in enumerate(nets):
-        unbounded = net_is_tie[net] or load_limit is None
-        capacity = num_sinks if unbounded else load_limit
-        flow.add_edge(s_node, 1 + index, capacity, 0)
-
-    # One arc per candidate pair: the best branch stub of each net was
-    # already selected during candidate generation.  The fixed-point
-    # cost conversion runs as one array op (np.rint rounds half to
-    # even, exactly like the scalar ``int(round(...))`` it replaces);
-    # the arc loop then walks plain lists, not per-row ndarray lookups.
-    int_costs = (
-        np.rint(np.asarray(costs, dtype=np.float64) * COST_SCALE)
-        .astype(np.int64)
-        .tolist()
+    capacity = np.array(
+        [
+            num_sinks if net_is_tie[net] or load_limit is None else load_limit
+            for net in nets
+        ],
+        dtype=np.int64,
     )
-    sink_col = candidates.pairs[:, 0].tolist()
-    source_col = candidates.pairs[:, 1].tolist()
-    net_of_source = [net_index[net] for net in candidates._net_of_source]
-    arc_of_pair: dict[tuple[int, int], int] = {}
-    for sink_i, src_i, cost in zip(sink_col, source_col, int_costs):
-        key = (sink_i, net_of_source[src_i])
-        if key in arc_of_pair:
-            continue
-        arc_of_pair[key] = flow.add_edge(
-            1 + key[1], 1 + num_nets + sink_i, 1, max(0, cost)
-        )
-    for sink_i in range(num_sinks):
-        flow.add_edge(1 + num_nets + sink_i, t_node, 1, 0)
-
+    net_of_source = np.array(
+        [net_index[net] for net in candidates._net_of_source], dtype=np.int64
+    )
+    sink_col = candidates.pairs[:, 0].astype(np.int64)
+    net_col = net_of_source[candidates.pairs[:, 1]]
+    first = np.unique(sink_col * num_nets + net_col, return_index=True)[1]
+    first.sort()
+    pair_sink, pair_net = sink_col[first], net_col[first]
+    int_costs = np.rint(np.asarray(costs, dtype=np.float64)[first] * COST_SCALE)
+    net_ids = np.arange(1, 1 + num_nets)
+    sink_ids = np.arange(1 + num_nets, t_node)
+    flow = MinCostFlow.from_arcs(
+        t_node + 1,
+        tail=np.concatenate((np.zeros(num_nets, np.int64), 1 + pair_net, sink_ids)),
+        head=np.concatenate((net_ids, 1 + num_nets + pair_sink, np.full(num_sinks, t_node))),
+        cap=np.concatenate((capacity, np.ones(len(first) + num_sinks, np.int64))),
+        cost=np.concatenate(
+            (
+                np.zeros(num_nets, np.int64),
+                np.maximum(int_costs.astype(np.int64), 0),
+                np.zeros(num_sinks, np.int64),
+            )
+        ),
+    )
     pushed, total_cost = flow.solve(s_node, t_node, num_sinks)
     matched: list[str | None] = [None] * num_sinks
-    for (sink_i, net_i), arc in arc_of_pair.items():
-        if flow.cap[arc] == 0:  # saturated candidate arc carries the unit
+    candidate_cap = flow.cap[2 * num_nets : 2 * (num_nets + len(first)) : 2]
+    for sink_i, net_i, left in zip(pair_sink.tolist(), pair_net.tolist(), candidate_cap):
+        if left == 0:  # saturated candidate arc carries the unit
             matched[sink_i] = nets[net_i]
     return FlowMatch(
         matched_net=matched,

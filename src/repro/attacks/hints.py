@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.netlist.circuit import Circuit
 
 # The alignment tolerance and penalty constants live in the shared
@@ -143,13 +145,28 @@ def load_allows(
 # ----------------------------------------------------------------------
 # Hint 4: combinational-loop avoidance — vacuous for TIE cells
 # ----------------------------------------------------------------------
-def creates_loop(
-    reaches: dict[str, set[str]], source: SourceStub, sink: SinkStub
-) -> bool:
+@dataclass
+class Reachability:
+    """Gate -> gates known reachable from it, as a packed bit matrix.
+
+    ``index`` numbers the FEOL skeleton's gates.  Bit ``j`` of row ``i``
+    of ``bits`` (``uint64`` words, bit ``j % 64`` of word ``j // 64``)
+    is set when gate ``j`` is reachable from gate ``i``.  The attack
+    keeps it up to date as it commits edges
+    (:func:`repro.attacks.proximity.commit_edge`).
+    """
+
+    index: dict[str, int]
+    bits: np.ndarray
+
+    def has(self, row: int, column: int) -> bool:
+        return self.bits.item(row, column >> 6) >> (column & 63) & 1 == 1
+
+
+def creates_loop(reaches: Reachability, source: SourceStub, sink: SinkStub) -> bool:
     """Would connecting source -> sink close a combinational cycle?
 
-    *reaches* maps gate -> set of gates currently known reachable from it
-    (maintained incrementally by the attack).  TIE sources never
+    Gates outside the skeleton never close one.  TIE sources never
     participate in loops ("a TIE cell is not driven by another gate").
     """
     if source.is_tie:
@@ -159,7 +176,9 @@ def creates_loop(
     driver_gate = source.owner
     if driver_gate.startswith("PAD:"):
         return False
-    return driver_gate in reaches.get(sink.owner, set())
+    row = reaches.index.get(sink.owner)
+    column = reaches.index.get(driver_gate)
+    return row is not None and column is not None and reaches.has(row, column)
 
 
 # ----------------------------------------------------------------------

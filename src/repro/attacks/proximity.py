@@ -20,7 +20,10 @@ import heapq
 import random
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from repro.attacks.hints import (
+    Reachability,
     build_context,
     creates_loop,
     load_allows,
@@ -182,41 +185,50 @@ def proximity_attack(
     return result
 
 
-def initial_reachability(view: FeolView) -> dict[str, set[str]]:
+def initial_reachability(view: FeolView) -> Reachability:
     """gate -> gates reachable from it through FEOL-visible edges.
 
     Used by the loop hint; updated incrementally as edges are committed.
+    A DFF's row starts empty and no row starts with a DFF in it: the
+    walk stops at flip-flops, which only committed edges cross.
     """
     from repro.attacks.hints import _feol_skeleton
 
     skeleton = _feol_skeleton(view)
-    reaches: dict[str, set[str]] = {name: set() for name in skeleton.gates}
+    index = {name: i for i, name in enumerate(skeleton.gates)}
+    rows = [0] * len(index)
     fanout = skeleton.fanout_map()
     for net in reversed(skeleton.topological_order()):
-        gate = skeleton.gates[net]
-        if gate.is_dff:
+        if skeleton.gates[net].is_dff:
             continue
-        acc = reaches[net]
-        acc.add(net)
+        acc = 1 << index[net]
         for reader in fanout[net]:
-            if skeleton.gates[reader].is_dff:
-                continue
-            acc.update(reaches[reader])
-    return reaches
+            if not skeleton.gates[reader].is_dff:
+                acc |= rows[index[reader]]
+        rows[index[net]] = acc
+    width = 8 * ((len(rows) + 63) // 64)
+    packed = bytearray(b"".join(row.to_bytes(width, "little") for row in rows))
+    bits = np.frombuffer(packed, dtype="<u8").reshape(len(rows), width // 8)
+    return Reachability(index, bits)
 
 
-def commit_edge(
-    reaches: dict[str, set[str]], view: FeolView, source, sink
-) -> None:
-    """Record source -> sink in the incremental reachability relation."""
+def commit_edge(reaches: Reachability, view: FeolView, source, sink) -> None:
+    """Record source -> sink in the incremental reachability relation.
+
+    Every row that reaches the driver, and the driver's own, gains the
+    sink's row plus the sink itself: one masked OR over those rows.
+    """
     if sink.owner.startswith("PO:") or source.owner.startswith("PAD:"):
         return
     if source.is_tie:
         return
-    driver = source.owner
-    if driver not in reaches or sink.owner not in reaches:
+    driver = reaches.index.get(source.owner)
+    row = reaches.index.get(sink.owner)
+    if driver is None or row is None:
         return
-    downstream = reaches[sink.owner] | {sink.owner}
-    for gate, reach in reaches.items():
-        if driver in reach or gate == driver:
-            reach.update(downstream)
+    bits = reaches.bits
+    downstream = bits[row].copy()
+    downstream[row >> 6] |= np.uint64(1 << (row & 63))
+    upstream = (bits[:, driver >> 6] & np.uint64(1 << (driver & 63))) != 0
+    upstream[driver] = True
+    bits[np.flatnonzero(upstream)] |= downstream

@@ -75,10 +75,25 @@ class PhysicalLayout:
             )
         return view
 
+    def regular_connections(self) -> int:
+        """Routed connections of the regular (non-key) nets.
+
+        Counted once and kept beside the views, out of pickles too.
+        """
+        count = self.__dict__.get("_regular_connections")
+        if count is None:
+            count = self._regular_connections = sum(
+                len(routed.routes)
+                for routed in self.routing.nets.values()
+                if not routed.is_key_net
+            )
+        return count
+
     def __getstate__(self) -> dict:
-        """Drop the derived FEOL views from pickles (see :meth:`feol_view`)."""
+        """Drop the derived views and count from pickles (see :meth:`feol_view`)."""
         state = dict(self.__dict__)
         state.pop("_views", None)
+        state.pop("_regular_connections", None)
         return state
 
 

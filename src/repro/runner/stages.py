@@ -294,11 +294,7 @@ def cell_attack(
         # The regular routed-connection count of the *undefended*
         # layout: the constant denominator that makes defended and
         # undefended recovery comparable (defenses never add key nets).
-        total_regular = sum(
-            len(routed.routes)
-            for routed in local_layout.routing.nets.values()
-            if not routed.is_key_net
-        )
+        total_regular = local_layout.regular_connections()
         protected = None
         defense_info = None
         if acell.defense is not None:
@@ -331,7 +327,9 @@ def cell_attack(
             defense_info=defense_info,
         )
 
-    return get_or_create(cache, "attack", attack_payload(acell), create)
+    if cache is None:
+        return create()
+    return cache.get_or_create("attack", attack_payload(acell), create)
 
 
 def layout_cost_runs(

@@ -73,8 +73,7 @@ def _head(status: int, extra: str = "") -> bytes:
 
 async def _send_json(writer: asyncio.StreamWriter, status: int, body: Any):
     payload = (json.dumps(body) + "\n").encode()
-    writer.write(_head(status, f"Content-Length: {len(payload)}\r\n"))
-    writer.write(payload)
+    writer.write(_head(status, f"Content-Length: {len(payload)}\r\n") + payload)
     await writer.drain()
 
 
@@ -88,13 +87,11 @@ class _ChunkedWriter:
         self.writer.write(_head(200, "Transfer-Encoding: chunked\r\n"))
         await self.writer.drain()
 
-    async def send(self, record: Any) -> None:
+    async def send(self, record: Any, last: bool = False) -> None:
+        """One record's chunk; the *last* one carries the closing chunk too."""
         line = (json.dumps(record) + "\n").encode()
-        self.writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-        await self.writer.drain()
-
-    async def finish(self) -> None:
-        self.writer.write(b"0\r\n\r\n")
+        chunk = f"{len(line):x}\r\n".encode() + line + b"\r\n"
+        self.writer.write(chunk + b"0\r\n\r\n" if last else chunk)
         await self.writer.drain()
 
 
@@ -301,9 +298,8 @@ class CampaignService:
                 self._require(method, "GET")
                 chunked = _ChunkedWriter(writer)
                 await chunked.start()
-                async for record in manager.stream(job):
-                    await chunked.send(record)
-                await chunked.finish()
+                async for record in manager.stream(job):  # ends with "done"
+                    await chunked.send(record, last=record.get("event") == "done")
                 return
         raise HttpError(404, f"no route for {path}")
 

@@ -104,6 +104,22 @@ def test_layout_pickle_is_unchanged_by_views(layout):
     _assert_views_equal(restored.feol_view(4), layout.feol_view(4))
 
 
+def test_regular_connection_count_is_memoised_out_of_pickles(layout):
+    before = pickle.dumps(layout)
+    count = layout.regular_connections()
+    assert count == sum(
+        len(routed.routes)
+        for routed in layout.routing.nets.values()
+        if not routed.is_key_net
+    ) > 0
+    assert "_regular_connections" in vars(layout)
+    assert layout.regular_connections() == count
+    assert pickle.dumps(layout) == before
+    restored = pickle.loads(before)
+    assert "_regular_connections" not in vars(restored)
+    assert restored.regular_connections() == count
+
+
 def test_worker_tier_sizes_a_viewed_layout_like_a_fresh_one(design, layout):
     fresh = build_locked_layout(design[1], split_layer=4, seed=1)
     build_candidates(layout.feol_view(4))

@@ -1,8 +1,10 @@
 """Unit tests for the attack hint classes and the shared utilities."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.hints import (
+    Reachability,
     creates_loop,
     load_allows,
     proximity_score,
@@ -74,21 +76,31 @@ def test_load_unbounded_for_ties():
 # ----------------------------------------------------------------------
 # Hint 4: loops — vacuous for TIE cells
 # ----------------------------------------------------------------------
+def _reach(relation: dict[str, set[str]]) -> Reachability:
+    """The packed form of a gate -> reachable-gates relation."""
+    index = {gate: i for i, gate in enumerate(relation)}
+    bits = np.zeros((len(index), 1), dtype=np.uint64)
+    for gate, reached in relation.items():
+        for other in reached:
+            bits[index[gate], 0] |= np.uint64(1 << index[other])
+    return Reachability(index, bits)
+
+
 def test_creates_loop_detects_backedge():
-    reaches = {"g2": {"g2", "g1"}, "g1": {"g1"}}
+    reaches = _reach({"g2": {"g2", "g1"}, "g1": {"g1"}})
     src = _source(owner="g1")
     sink = _sink(owner="g2")
     assert creates_loop(reaches, src, sink)
 
 
 def test_tie_sources_never_loop():
-    reaches = {"g2": {"g2", "g1"}}
+    reaches = _reach({"g2": {"g2", "g1"}, "g1": set()})
     tie = _source(owner="k0", is_tie=True, tie_value=0)
     assert not creates_loop(reaches, tie, _sink(owner="g2"))
 
 
 def test_pads_and_pos_never_loop():
-    reaches = {"g2": {"g2"}}
+    reaches = _reach({"g2": {"g2"}})
     assert not creates_loop(reaches, _source(owner="PAD:a"), _sink(owner="g2"))
     assert not creates_loop(reaches, _source(owner="g1"), _sink(owner="PO:z"))
 

@@ -12,7 +12,10 @@ The contract under test:
   smoke and defense-matrix instance (early exit moves potentials, so
   among *equal-cost* optimal matchings it may pick another one);
 * the solver is identical to :func:`early_exit_solve` arc for arc:
-  equal flow, cost and full ``cap`` array on every network;
+  equal flow, cost and full ``cap`` array on every network, including
+  tie-heavy ones with long runs of D = 0 augmentations (the solver
+  carries its zero level across those) and every network the smoke
+  and defense-matrix grids solve;
 * the group memo (:func:`shared_flow_matches`) is invisible in results.
 """
 
@@ -295,6 +298,53 @@ def test_tie_heavy_networks_are_identical_to_early_exit_solver(instance, data):
     assert got == want
 
 
+@st.composite
+def zero_streak_instances(draw):
+    """Contended instances where most augmentations reach ``t`` at D = 0.
+
+    Many sinks, few nets with small loads and costs mostly 0: the zero
+    level drains nets one after another while sinks keep re-picking.
+    """
+    num_nets = draw(st.integers(2, 6))
+    num_sinks = draw(st.integers(4, 14))
+    tie_nets = draw(st.lists(st.booleans(), min_size=num_nets, max_size=num_nets))
+    load_limit = draw(st.sampled_from([1, 2]))
+    pairs = []
+    for sink in range(num_sinks):
+        nets = draw(st.lists(st.integers(0, num_nets - 1), unique=True, max_size=num_nets))
+        pairs.extend((net, sink) for net in nets)
+    costs = draw(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=len(pairs), max_size=len(pairs))
+    )
+    return num_nets, num_sinks, tie_nets, load_limit, list(zip(pairs, costs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_streak_instances(), st.data())
+def test_zero_streaks_are_identical_to_early_exit_solver(instance, data):
+    max_flow = data.draw(st.integers(0, instance[1]))
+    got, want = _solve_fast_and_early_exit(instance, max_flow)
+    assert got == want
+
+
+def test_sink_repicks_when_its_best_net_drains():
+    # Sinks 0 and 1 both prefer net 0 (cost 0), whose load is 1.  The
+    # first path, s -> net 0 -> sink 0 -> t, has D = 0 and drains net 0,
+    # so sink 1 (not on the path) must drop net 0 from its zero level
+    # and fall back to net 1; a stale pick would route a second unit
+    # through the drained arc from s.
+    arcs = [((0, 0), 0), ((0, 1), 0), ((1, 1), 5)]
+    instance = (2, 2, [False, False], 1, arcs)
+    flow, candidate_arcs, t_node = _network(instance)
+    assert flow.solve(0, t_node, 2) == (2, 5)
+    chosen = {
+        pair for (pair, _), arc in zip(arcs, candidate_arcs) if flow.cap[arc] == 0
+    }
+    assert chosen == {(0, 0), (1, 1)}
+    got, want = _solve_fast_and_early_exit(instance, 2)
+    assert got == want
+
+
 def test_batch_skips_saturated_candidate_arcs():
     # After net 1 takes sink 1, its saturated arc to sink 1 is its
     # cheapest; a batch that still counted it would label sink 1 too
@@ -365,6 +415,20 @@ def test_bipartite_view_only_on_the_matchers_shape():
         swapped.add_edge(sink, 5, 1, 0)
     assert _Bipartite.of(swapped, 0, 5) is None
     assert swapped.solve(0, 5, 2) == (2, 2)
+
+
+def test_from_arcs_numbers_arcs_like_add_edge():
+    arcs = [(0, 1, 2, 0), (0, 2, 1, 0), (1, 3, 1, 4), (2, 3, 1, 1), (1, 2, 1, 0)]
+    added = MinCostFlow(4)
+    for u, v, cap, cost in arcs:
+        added.add_edge(u, v, cap, cost)
+    tail, head, cap, cost = (np.array(column, dtype=np.int64) for column in zip(*arcs))
+    built = MinCostFlow.from_arcs(4, tail, head, cap, cost)
+    assert (built.graph, built.to, built.cap, built.cost) == (
+        added.graph, added.to, added.cap, added.cost
+    )
+    with pytest.raises(ValueError, match="negative"):
+        MinCostFlow.from_arcs(4, tail, head, cap, cost - 2)
 
 
 def test_add_edge_rejects_negative_cost():
@@ -462,6 +526,35 @@ def test_smoke_networks_are_identical_to_early_exit_solver(smoke_view, monkeypat
                 patch.setattr(MinCostFlow, "solve", recording)
                 _match_nets(candidates, costs, load_limit)
         assert solved[0] == solved[1], scenario_name
+
+
+def _copy(network: MinCostFlow) -> MinCostFlow:
+    twin = MinCostFlow(network.num_nodes)
+    twin.graph = [list(arcs) for arcs in network.graph]
+    twin.to, twin.cap, twin.cost = list(network.to), list(network.cap), list(network.cost)
+    return twin
+
+
+@pytest.mark.slow
+def test_attack_grid_networks_are_identical_to_early_exit_solver(monkeypatch):
+    # Every network the smoke and defense-matrix grids solve (the
+    # attack-grid-cold campaign): equal flow, cost and cap arrays.
+    solved = []
+    solve = MinCostFlow.solve
+
+    def compared(self, s, t, max_flow):
+        twin = _copy(self)
+        result = solve(self, s, t, max_flow)
+        want = early_exit_solve(twin, s, t, max_flow)
+        solved.append((len(self.to) // 2, result == want and self.cap == twin.cap))
+        return result
+
+    monkeypatch.setattr(MinCostFlow, "solve", compared)
+    cells = attack_smoke_campaign().cells() + defense_smoke_campaign().cells()
+    run_attack_campaign(cells, workers=1, use_cache=False)
+    assert len(solved) == 10
+    assert sum(arcs for arcs, _ in solved) == 69_090
+    assert all(same for _, same in solved)
 
 
 def test_match_nets_clamps_negative_costs(smoke_view):

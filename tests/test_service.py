@@ -16,6 +16,7 @@ ephemeral localhost port — the same harness CI's service jobs use.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 
@@ -545,6 +546,63 @@ def test_overlong_request_line_is_400(server):
     # every byte before it answers (no reset on close)
     request = b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"
     assert _status(_raw_exchange(server, request)) == 400
+
+
+def _json_head(extra: bytes) -> bytes:
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Connection: close\r\n" + extra + b"\r\n"
+    )
+
+
+def _chunks(body: bytes) -> list[bytes]:
+    """The payloads of a chunked body, up to its closing chunk."""
+    payloads = []
+    while True:
+        size, rest = body.split(b"\r\n", 1)
+        if int(size, 16) == 0:
+            assert rest == b"\r\n"
+            return payloads
+        payloads.append(rest[: int(size, 16)])
+        assert rest[int(size, 16) : int(size, 16) + 2] == b"\r\n"
+        body = rest[int(size, 16) + 2 :]
+
+
+def test_health_and_stream_bytes_in_one_write_each(server, client, monkeypatch):
+    # A /healthz answer is one write; a finished job's stream is the
+    # head, then one write per record, the last carrying the closing
+    # chunk too.  The bytes on the wire are the same as when the head,
+    # body and closing chunk were written separately.
+    writes = []
+    write = asyncio.StreamWriter.write
+
+    def recording(self, data):
+        writes.append(bytes(data))
+        return write(self, data)
+
+    summary = client.submit(E2E)
+    client.wait(summary["id"])
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording)
+
+    health = _raw_exchange(server, b"GET /healthz HTTP/1.1\r\n\r\n")
+    body = (json.dumps(json.loads(health.split(b"\r\n\r\n", 1)[1])) + "\n").encode()
+    assert health == _json_head(b"Content-Length: %d\r\n" % len(body)) + body
+    assert writes == [health]
+
+    writes.clear()
+    request = f"GET /jobs/{summary['id']}/stream HTTP/1.1\r\n\r\n"
+    stream = _raw_exchange(server, request.encode())
+    head = _json_head(b"Transfer-Encoding: chunked\r\n")
+    assert stream.startswith(head)
+    lines = _chunks(stream[len(head) :])
+    records = [json.loads(line) for line in lines]
+    assert [r["event"] for r in records] == ["result", "result", "done"]
+    chunks = [
+        b"%x\r\n" % len(line) + line + b"\r\n"
+        for line in ((json.dumps(r) + "\n").encode() for r in records)
+    ]
+    assert stream == head + b"".join(chunks) + b"0\r\n\r\n"
+    assert writes == [head, *chunks[:-1], chunks[-1] + b"0\r\n\r\n"]
 
 
 def _post_jobs(server, body: bytes) -> bytes:
