@@ -44,9 +44,6 @@ of flow, each one an augmenting path of a few arcs:
     arc capacities directly, with no Dijkstra at all.  Otherwise the
     same per-sink minimum (``np.minimum.reduceat`` over CSR arrays
     sorted by (sink, net)) is the first zero level.
-* **Array build.**  :func:`_solve_match` builds the network with
-  :meth:`MinCostFlow.from_arcs`, one array op per field, numbered as
-  the ``add_edge`` loop it replaced would number it.
 * **Group memo.**  Inside :func:`shared_flow_matches` (entered once per
   sibling group by the grid compiler), equal matching instances — the
   netflow and oracle-key scenarios over one layout, or a cell repeated
@@ -590,38 +587,27 @@ def _solve_match(
     # best branch stub of each net was already selected during
     # candidate generation), each sink -> T.  np.rint rounds the
     # fixed-point costs half to even, like the scalar int(round(...)).
-    s_node = 0
-    t_node = 1 + num_nets + num_sinks
-    capacity = np.array(
-        [
-            num_sinks if net_is_tie[net] or load_limit is None else load_limit
-            for net in nets
-        ],
-        dtype=np.int64,
-    )
+    s_node, t_node = 0, 1 + num_nets + num_sinks
+    capacity = [
+        num_sinks if net_is_tie[net] or load_limit is None else load_limit
+        for net in nets
+    ]
     net_of_source = np.array(
         [net_index[net] for net in candidates._net_of_source], dtype=np.int64
     )
     sink_col = candidates.pairs[:, 0].astype(np.int64)
     net_col = net_of_source[candidates.pairs[:, 1]]
-    first = np.unique(sink_col * num_nets + net_col, return_index=True)[1]
-    first.sort()
+    first = np.sort(np.unique(sink_col * num_nets + net_col, return_index=True)[1])
     pair_sink, pair_net = sink_col[first], net_col[first]
-    int_costs = np.rint(np.asarray(costs, dtype=np.float64)[first] * COST_SCALE)
-    net_ids = np.arange(1, 1 + num_nets)
+    pair_cost = np.rint(np.asarray(costs, dtype=np.float64)[first] * COST_SCALE)
     sink_ids = np.arange(1 + num_nets, t_node)
+    s_zeros, t_zeros = np.zeros(num_nets, np.int64), np.zeros(num_sinks, np.int64)
     flow = MinCostFlow.from_arcs(
         t_node + 1,
-        tail=np.concatenate((np.zeros(num_nets, np.int64), 1 + pair_net, sink_ids)),
-        head=np.concatenate((net_ids, 1 + num_nets + pair_sink, np.full(num_sinks, t_node))),
-        cap=np.concatenate((capacity, np.ones(len(first) + num_sinks, np.int64))),
-        cost=np.concatenate(
-            (
-                np.zeros(num_nets, np.int64),
-                np.maximum(int_costs.astype(np.int64), 0),
-                np.zeros(num_sinks, np.int64),
-            )
-        ),
+        tail=np.r_[s_zeros + s_node, 1 + pair_net, sink_ids],
+        head=np.r_[1 + np.arange(num_nets), sink_ids[pair_sink], t_zeros + t_node],
+        cap=np.r_[np.array(capacity, np.int64), np.ones(len(first) + num_sinks, np.int64)],
+        cost=np.r_[s_zeros, np.maximum(pair_cost, 0).astype(np.int64), t_zeros],
     )
     pushed, total_cost = flow.solve(s_node, t_node, num_sinks)
     matched: list[str | None] = [None] * num_sinks

@@ -76,10 +76,7 @@ class PhysicalLayout:
         return view
 
     def regular_connections(self) -> int:
-        """Routed connections of the regular (non-key) nets.
-
-        Counted once and kept beside the views, out of pickles too.
-        """
+        """Routed connections of the regular nets, counted once (not pickled)."""
         count = self.__dict__.get("_regular_connections")
         if count is None:
             count = self._regular_connections = sum(
