@@ -8,16 +8,10 @@ cross-checked **bit-identically** (placements, routes, stubs, layout
 cost), and the place+route+split wall time per engine lands in
 ``BENCH_layout.json`` so the speedup trajectory is tracked PR over PR.
 
-``--engine-diff`` runs the CI differential smoke cell instead: one
-campaign cell's layout stage under both engine settings, asserting the
-runner's cache keys differ (the knob is part of the key) while the
-layout artifacts and derived metrics are identical.
-
 Usage::
 
     python benchmarks/bench_layout.py --quick       # CI subset
     python benchmarks/bench_layout.py               # full profile grid
-    python benchmarks/bench_layout.py --engine-diff # cache-key smoke
 """
 
 from __future__ import annotations
@@ -139,67 +133,10 @@ def bench_profile(name: str, key_bits: int, repeats: int) -> dict:
     return row
 
 
-def engine_diff_smoke() -> int:
-    """CI smoke: same cell under both engines — distinct cache keys,
-    identical layout artifacts and attack metrics."""
-    import tempfile
-
-    from repro.runner.profiles import smoke_campaign
-    from repro.runner.spec import proximity_cell
-    from repro.runner.stages import (
-        cell_attack,
-        cell_layout,
-        layout_payload,
-        locked_design,
-    )
-    from repro.utils.artifact_cache import ArtifactCache, spec_key
-
-    cell = list(smoke_campaign().cells())[0]
-    keys = {}
-    runs = {}
-    layouts = {}
-    with tempfile.TemporaryDirectory(prefix="layout-diff-") as tmp:
-        cache = ArtifactCache(root=Path(tmp))
-        for engine in ENGINES:
-            os.environ["REPRO_LAYOUT_ENGINE"] = engine
-            try:
-                keys[engine] = spec_key(layout_payload(cell))
-                design = locked_design(cell, cache)
-                layouts[engine] = cell_layout(cell, cache, design=design)
-                runs[engine] = cell_attack(
-                    proximity_cell(cell), cache, design=design
-                )
-            finally:
-                del os.environ["REPRO_LAYOUT_ENGINE"]
-    if keys["reference"] == keys["compiled"]:
-        raise AssertionError(
-            "layout cache keys must differ per engine (knob not keyed?)"
-        )
-    ref, cmp_ = layouts["reference"], layouts["compiled"]
-    if ref.placement.locations != cmp_.placement.locations or any(
-        ref.routing.nets[n] != cmp_.routing.nets[n] for n in ref.routing.nets
-    ):
-        raise AssertionError("engine-diff smoke: layouts differ")
-    if asdict(runs["reference"].ccr) != asdict(runs["compiled"].ccr) or asdict(
-        runs["reference"].hd_oer
-    ) != asdict(runs["compiled"].hd_oer):
-        raise AssertionError("engine-diff smoke: metrics differ")
-    print(
-        "engine-diff smoke: cache keys differ "
-        f"({keys['reference'][:12]} vs {keys['compiled'][:12]}), "
-        "layouts and metrics bit-identical"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true", help="CI subset of the grid"
-    )
-    parser.add_argument(
-        "--engine-diff", action="store_true",
-        help="run the cache-key differential smoke cell instead",
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
@@ -207,8 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         default=Path(__file__).resolve().parent.parent / "BENCH_layout.json",
     )
     args = parser.parse_args(argv)
-    if args.engine_diff:
-        return engine_diff_smoke()
 
     grid = QUICK_GRID if args.quick else FULL_GRID
     rows = [

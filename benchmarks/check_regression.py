@@ -69,12 +69,6 @@ def _layout_min_speedup(payload: dict[str, Any]) -> float:
     return min(p["speedup"] for p in payload["profiles"])
 
 
-def _sat_max_cps(payload: dict[str, Any]) -> float:
-    return max(
-        p["compiled_conflicts_per_second"] for p in payload["profiles"]
-    )
-
-
 #: The gate per payload stem.  Ratio metrics carry the tight tolerance,
 #: absolute ones the loose tolerance (see the module docstring).
 GATES: dict[str, tuple[Metric, ...]] = {
@@ -155,21 +149,6 @@ GATES: dict[str, tuple[Metric, ...]] = {
             lambda p: max(
                 x["layouts_per_second_compiled"] for x in p["profiles"]
             ),
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
-    ),
-    "BENCH_sat": (
-        Metric(
-            "largest_profile_speedup",
-            lambda p: p["largest_profile_speedup"],
-        ),
-        Metric(
-            "min_profile_speedup",
-            lambda p: min(x["speedup"] for x in p["profiles"]),
-        ),
-        Metric(
-            "max_compiled_conflicts_per_second",
-            _sat_max_cps,
             tolerance=ABSOLUTE_TOLERANCE,
         ),
     ),

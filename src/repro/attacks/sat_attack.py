@@ -109,8 +109,9 @@ def demonstrate_sat_futility(
     from repro.netlist.gate_types import GateType
 
     freed = Circuit(f"{base.name}_freekey")
+    tie_cells = set(locked.tie_cells)
     for gate in base.gates.values():
-        if gate.name in set(locked.tie_cells):
+        if gate.name in tie_cells:
             freed.add(gate.name, GateType.INPUT)
         else:
             freed.add_gate(gate)

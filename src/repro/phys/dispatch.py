@@ -10,10 +10,10 @@ per cell — enforced by the differential suite in
 ``tests/test_layout_compiled.py``, so ``auto`` can default to the fast
 path without changing any result.
 
-The resolved engine participates in the campaign runner's cache keys
-(:func:`repro.runner.stages.layout_payload`), so forcing an engine
-re-keys the layout stage and everything downstream instead of aliasing
-into entries computed by the other engine.
+Because the engines are bit-identical, the choice stays out of the
+campaign runner's cache keys (:func:`repro.runner.stages.layout_payload`):
+an artifact laid out by either engine serves both.  The knob exists for
+the differential tests and ``benchmarks/bench_layout.py``.
 """
 
 from __future__ import annotations

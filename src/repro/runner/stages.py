@@ -87,40 +87,26 @@ def lock_payload(cell: CellSpec) -> dict[str, Any]:
 
 
 def layout_payload(cell: CellSpec, prelift: bool = False) -> dict[str, Any]:
-    # The layout-engine knob resolves into the key *before* hashing
-    # (like the attack-seed knobs of the attack stage): forcing an
-    # engine re-keys the layout and everything downstream instead of
-    # aliasing into the other engine's entries.  Both engines are
-    # bit-identical, so the duplicate entries carry equal artifacts —
-    # the split key is what lets CI diff them.
-    from repro.phys.dispatch import resolve_layout_engine
-
+    # The layout engines are bit-identical, so ``REPRO_LAYOUT_ENGINE``
+    # stays out of the key: either engine's artifact serves both.
     return {
         "stage": "layout",
         "lock": lock_payload(cell),
         "split_layer": None if prelift else cell.split_layer,
         "prelift": prelift,
         "utilization": cell.utilization,
-        "engine": resolve_layout_engine(),
     }
 
 
 def unprotected_payload(cell: CellSpec) -> dict[str, Any]:
-    from repro.phys.dispatch import resolve_layout_engine
-
     return {
         "stage": "unprotected-layout",
         "bench": bench_payload(cell),
         "utilization": cell.utilization,
-        "engine": resolve_layout_engine(),
     }
 
 
 def defense_payload(cell: CellSpec, spec: "DefenseSpec") -> dict[str, Any]:
-    # The nested layout payload carries the resolved layout engine, and
-    # the spec payload the scheme, so the key splits per
-    # (defense engine, spec, layout engine) — mirroring how the attack
-    # stage splits per resolved SAT/layout engine.
     return {
         "stage": "defense",
         "layout": layout_payload(cell),
@@ -129,8 +115,6 @@ def defense_payload(cell: CellSpec, spec: "DefenseSpec") -> dict[str, Any]:
 
 
 def attack_payload(acell: AttackCellSpec) -> dict[str, Any]:
-    from repro.sat.dispatch import resolve_sat_engine
-
     cell = acell.cell
     payload = {
         "stage": "attack",
@@ -140,7 +124,6 @@ def attack_payload(acell: AttackCellSpec) -> dict[str, Any]:
         "postprocess_seed": cell.postprocess_seed,
         "hd_patterns": cell.hd_patterns,
         "hd_seed": cell.hd_seed,
-        "sat_engine": resolve_sat_engine(),
     }
     # Undefended cells keep their historical key shape; a defended cell
     # bakes the full resolved defense spec into its attack key.

@@ -1,7 +1,6 @@
-"""SAT substrate: CNF, Tseitin encoding, CDCL engines, equivalence checking."""
+"""SAT substrate: CNF, Tseitin encoding, CDCL solver, equivalence checking."""
 
 from repro.sat.cnf import Cnf
-from repro.sat.dispatch import SAT_ENGINES, make_solver, resolve_sat_engine
 from repro.sat.lec import LecResult, build_miter, check_equivalence
 from repro.sat.solver import CdclSolver, SatResult, SolverStats, solve_cnf
 from repro.sat.tseitin import CircuitEncoding, encode_circuit, encode_gate
@@ -11,14 +10,11 @@ __all__ = [
     "CircuitEncoding",
     "Cnf",
     "LecResult",
-    "SAT_ENGINES",
     "SatResult",
     "SolverStats",
     "build_miter",
     "check_equivalence",
     "encode_circuit",
     "encode_gate",
-    "make_solver",
-    "resolve_sat_engine",
     "solve_cnf",
 ]

@@ -5,7 +5,10 @@ propagation, first-UIP conflict analysis, EVSIDS branching, phase saving,
 Luby restarts and activity-based learned-clause reduction.  It replaces an
 external SAT backend for logic-equivalence checking and for the SAT-attack
 futility demonstration; performance is adequate for the miter sizes this
-project produces (thousands of variables).
+project produces (thousands of variables).  :func:`solve_cnf` is the
+single entry point; ``tests/test_sat.py`` pins its search statistics
+(decisions, propagations, conflicts, restarts, learned and deleted
+clauses) on fixed instances, so a change to the search shows up there.
 
 Literals follow the DIMACS convention (+v / -v); internally literal
 ``l`` is indexed as ``2*v + (1 if l < 0 else 0)``.
@@ -22,11 +25,7 @@ def _lit_index(literal: int) -> int:
 
 
 class VarOrderHeap:
-    """Lazy-delete EVSIDS branching heap of the reference solver.
-
-    (The compiled engine reaches the same branching order without a
-    heap: an ``argmax`` over a persistent masked activity array — see
-    :mod:`repro.sat.compiled`.)
+    """Lazy-delete EVSIDS branching heap of the solver.
 
     A min-heap over ``(-activity, var)`` entries: the top valid entry is
     the unassigned variable of maximal activity, ties broken toward the
@@ -464,20 +463,9 @@ def solve_cnf(
     cnf,
     assumptions: list[int] | None = None,
     conflict_limit: int | None = None,
-    engine: str | None = None,
 ) -> SatResult:
-    """Build a solver for *cnf* under the resolved engine and solve.
-
-    The engine comes from the ``REPRO_SAT_ENGINE`` dispatcher
-    (:mod:`repro.sat.dispatch`) unless *engine* forces one; both
-    engines are search-identical, so the choice never changes the
-    result — only how fast it arrives.
-    """
-    from repro.sat.dispatch import make_solver
-
-    solver = make_solver(
-        cnf.num_vars, conflict_limit=conflict_limit, engine=engine
-    )
+    """Build a :class:`CdclSolver` for *cnf* and solve it."""
+    solver = CdclSolver(cnf.num_vars, conflict_limit=conflict_limit)
     for clause in cnf.clauses:
         solver.add_clause(clause)
     return solver.solve(assumptions=assumptions)

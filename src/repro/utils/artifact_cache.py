@@ -55,7 +55,9 @@ from repro.utils.env import env_cache_dir
 #: v5: AttackOutcome gained ``broken_nets``/``visible_nets`` (Tables
 #: I/II now run as ``proximity`` attack cells) and the attack key gained
 #: the cell's attack config; the ``run`` stage is gone.
-CACHE_VERSION = 5
+#: v6: the layout, unprotected-layout and attack keys dropped their
+#: layout- and SAT-engine fields.
+CACHE_VERSION = 6
 
 #: Suffix of in-flight write temp files (see :meth:`ArtifactCache.put`).
 TMP_SUFFIX = ".tmp"

@@ -17,14 +17,8 @@ Knobs:
 * ``REPRO_SIM_ENGINE``  — simulation engine (``auto``/``compiled``/``bigint``).
 * ``REPRO_LAYOUT_ENGINE`` — physical-design engine selection
   (``auto``/``compiled``/``reference``; parsed by
-  :mod:`repro.phys.dispatch`).  Both engines are bit-identical; the
-  resolved choice participates in the runner's layout-stage cache keys.
-* ``REPRO_SAT_ENGINE``  — CDCL SAT engine selection
-  (``auto``/``compiled``/``reference``; parsed by
-  :mod:`repro.sat.dispatch`).  The engines are search-identical — same
-  decisions, learned clauses, models and stats — so ``auto`` takes the
-  compiled array-native path; the resolved choice participates in the
-  runner's attack-stage cache key.
+  :mod:`repro.phys.dispatch`).  Both engines are bit-identical, so the
+  choice stays out of the runner's cache keys.
 * ``REPRO_ATTACK_SEED``   — default adversary-scenario seed (``0`` is a
   valid seed, unlike the scale knob).
 * ``REPRO_ATTACK_BUDGET`` — hypothesis budget for scenario key search

@@ -297,10 +297,11 @@ def test_defense_stage_cache_key_splits(monkeypatch):
     assert key(lifting) != key(resolve_defense("beol-restore"))
     assert key(lifting) != key(resolve_defense("wire-lifting-lite"))
     assert key(lifting) != key(dataclasses.replace(lifting, seed=999))
+    # the layout engines are bit-identical, so the knob is not keyed
     monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "reference")
     referenced = key(lifting)
     monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "compiled")
-    assert key(lifting) != referenced
+    assert key(lifting) == referenced
 
 
 def test_attack_cache_key_tracks_defense_axis():

@@ -386,22 +386,37 @@ def test_place_dispatches_on_knob(monkeypatch):
     assert via_reference.locations == via_compiled.locations
 
 
-def test_layout_cache_key_tracks_engine(monkeypatch):
-    from repro.runner.spec import CellSpec
-    from repro.runner.stages import layout_payload, unprotected_payload
+def test_cache_keys_ignore_layout_engine(monkeypatch):
+    """The engines are bit-identical, so the knob stays out of every
+    cache key; the attack key names no engine of any kind."""
+    from repro.runner.spec import CellSpec, proximity_cell
+    from repro.runner.stages import (
+        attack_payload,
+        layout_payload,
+        unprotected_payload,
+    )
     from repro.utils.artifact_cache import spec_key
 
     cell = CellSpec(benchmark="b14", scale=0.03, key_bits=16)
     keys = {}
     for engine in ("reference", "compiled"):
         monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
+        attack = attack_payload(proximity_cell(cell))
+        assert set(attack) == {
+            "stage",
+            "layout",
+            "scenario",
+            "attack",
+            "postprocess_seed",
+            "hd_patterns",
+            "hd_seed",
+        }
         keys[engine] = (
             spec_key(layout_payload(cell)),
             spec_key(unprotected_payload(cell)),
+            spec_key(attack),
         )
-        assert layout_payload(cell)["engine"] == engine
-    assert keys["reference"][0] != keys["compiled"][0]
-    assert keys["reference"][1] != keys["compiled"][1]
+    assert keys["reference"] == keys["compiled"]
 
 
 # ----------------------------------------------------------------------

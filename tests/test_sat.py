@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchgen import GeneratorConfig, generate_random_circuit
+from repro.locking.atpg_lock import AtpgLockConfig, atpg_lock
 from repro.netlist.gate_types import GateType
 from repro.sat.cnf import Cnf
 from repro.sat.lec import build_miter, check_equivalence
-from repro.sat.solver import CdclSolver, solve_cnf
+from repro.sat.solver import CdclSolver, VarOrderHeap, solve_cnf
 from repro.sat.tseitin import encode_circuit
 from repro.sim.bitparallel import simulate_words
 from tests.conftest import build_random_circuit, tiny_mux_circuit
@@ -55,10 +57,11 @@ def test_solver_unit_and_pure():
 
 
 def test_solver_trivial_unsat():
-    cnf = Cnf(num_vars=1)
+    cnf = Cnf(num_vars=4)
     cnf.add_clause((1,))
+    assert solve_cnf(cnf).sat  # a root unit leaves the rest free
     cnf.add_clause((-1,))
-    assert solve_cnf(cnf).unsat
+    assert solve_cnf(cnf).unsat  # conflict at the root
 
 
 def test_solver_tautology_and_duplicates():
@@ -81,13 +84,168 @@ def test_solver_assumptions():
 
 
 def test_solver_conflict_limit_returns_unknown():
-    rng = random.Random(99)
-    cnf = Cnf(num_vars=30)
-    for _ in range(140):
-        variables = rng.sample(range(1, 31), 3)
-        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
-    result = solve_cnf(cnf, conflict_limit=1)
-    assert result.status in ("sat", "unsat", "unknown")
+    result = solve_cnf(
+        random_3cnf(2, num_vars=150, num_clauses=645), conflict_limit=1600
+    )
+    assert result.status == "unknown"
+    assert result.model is None
+    assert result.stats.conflicts == 1600
+    assert result.stats.deleted > 0  # the limit struck after a reduce round
+
+
+# --------------------------------------------------------------------------
+# Pinned search statistics: (status, decisions, propagations, conflicts,
+# restarts, learned, deleted).  Any change to branching, propagation,
+# learning, restarts or clause deletion moves these counts within a few
+# steps, so a search change must re-pin them deliberately.
+
+
+def random_3cnf(seed: int, num_vars: int = 40, num_clauses: int = 170) -> Cnf:
+    """Near-phase-transition random 3-CNF (deterministic per seed)."""
+    rng = random.Random(seed)
+    cnf = Cnf(num_vars=num_vars)
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        cnf.add_clause([rng.choice([1, -1]) * v for v in variables])
+    return cnf
+
+
+def lock_miter(wrong_bit: int | None = None) -> Cnf:
+    """Miter of a locked benchmark (keyed) against its original.
+
+    With the correct key the miter is UNSAT (the restore logic cancels
+    the injected faults); flipping *wrong_bit* makes it SAT.
+    """
+    circuit = generate_random_circuit(
+        GeneratorConfig(num_inputs=10, num_outputs=6, num_gates=120),
+        seed=5,
+        name="pin",
+    ).combinational_core()
+    locked, _report = atpg_lock(
+        circuit, AtpgLockConfig(key_bits=8, seed=5, run_lec=False)
+    )
+    guess = list(locked.key)
+    if wrong_bit is not None:
+        guess[wrong_bit] ^= 1
+    cnf, _, _ = build_miter(locked.with_key(guess), circuit)
+    return cnf
+
+
+def search(cnf: Cnf, assumptions=None, conflict_limit=None) -> tuple:
+    """Solve *cnf*; the pinned tuple, after checking any model."""
+    result = solve_cnf(
+        cnf, assumptions=assumptions, conflict_limit=conflict_limit
+    )
+    if result.sat:
+        assert cnf.evaluate(result.model)
+        assert all(result.model[abs(a)] == (a > 0) for a in assumptions or ())
+    stats = result.stats
+    return (
+        result.status,
+        stats.decisions,
+        stats.propagations,
+        stats.conflicts,
+        stats.restarts,
+        stats.learned,
+        stats.deleted,
+    )
+
+
+PINNED_RANDOM = {
+    1: ("unsat", 41, 510, 37, 1, 34, 0),
+    2: ("sat", 49, 636, 40, 1, 36, 0),
+    3: ("unsat", 27, 461, 26, 0, 21, 0),
+    4: ("sat", 32, 346, 22, 0, 22, 0),
+    5: ("unsat", 50, 758, 45, 1, 39, 0),
+    6: ("sat", 10, 34, 1, 0, 1, 0),
+    7: ("unsat", 51, 625, 45, 1, 39, 0),
+    8: ("sat", 21, 152, 10, 0, 10, 0),
+    9: ("unsat", 41, 476, 35, 1, 31, 0),
+    10: ("unsat", 45, 542, 37, 1, 32, 0),
+    11: ("sat", 19, 71, 4, 0, 4, 0),
+    12: ("sat", 15, 130, 6, 0, 6, 0),
+    13: ("unsat", 41, 532, 35, 1, 31, 0),
+    14: ("unsat", 43, 533, 38, 1, 33, 0),
+    15: ("unsat", 53, 617, 45, 1, 40, 0),
+}
+
+#: Per seed: the pins under assumptions ``[1, -2]`` and ``[-1, 3, 5]``.
+PINNED_ASSUMPTIONS = {
+    1: (("unsat", 25, 343, 24, 0, 23, 0), ("unsat", 19, 226, 17, 0, 16, 0)),
+    2: (("unsat", 25, 266, 18, 0, 17, 0), ("unsat", 19, 290, 17, 0, 16, 0)),
+    4: (("unsat", 25, 288, 21, 0, 20, 0), ("unsat", 3, 84, 4, 0, 3, 0)),
+}
+
+PINNED_MITER = ("unsat", 236, 15517, 173, 4, 165, 0)
+
+#: Hard enough to overflow the initial learnt-clause budget (1000) and
+#: force a ``_reduce_db`` round, exercising pool compaction + remap.
+PINNED_DELETION = ("unsat", 1325, 40050, 1041, 14, 1032, 496)
+
+#: Wide enough (500 vars) that conflict analysis learns long clauses,
+#: exercising the watch search over wide learned clauses.
+PINNED_WIDE = ("unknown", 1003, 42133, 502, 9, 502, 0)
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_RANDOM))
+def test_random_3cnf_pinned(seed):
+    assert search(random_3cnf(seed)) == PINNED_RANDOM[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ASSUMPTIONS))
+def test_assumptions_pinned(seed):
+    cnf = random_3cnf(seed)
+    got = tuple(search(cnf, assumptions=a) for a in ([1, -2], [-1, 3, 5]))
+    assert got == PINNED_ASSUMPTIONS[seed]
+
+
+def test_lock_miter_correct_key_unsat_pinned():
+    assert search(lock_miter()) == PINNED_MITER
+
+
+def test_lock_miter_wrong_key_sat():
+    # search() checks that the distinguishing input satisfies the miter
+    assert search(lock_miter(wrong_bit=0))[0] == "sat"
+
+
+def test_clause_deletion_pinned():
+    cnf = random_3cnf(0, num_vars=150, num_clauses=645)
+    assert search(cnf, conflict_limit=1600) == PINNED_DELETION
+
+
+def test_wide_learned_clauses_pinned():
+    cnf = random_3cnf(1, num_vars=500, num_clauses=2140)
+    assert search(cnf, conflict_limit=500) == PINNED_WIDE
+
+
+def test_var_order_heap_pops_max_activity_lowest_index_first():
+    activity = [0.0, 2.0, 5.0, 5.0, 1.0]
+    heap = VarOrderHeap(activity)
+    heap.rebuild()
+    assign = [-1] * 5
+    # max activity wins; ties break toward the lowest variable index
+    assert heap.pop_best(assign) == 2
+    assert heap.pop_best(assign) == 3
+    assert heap.pop_best(assign) == 1
+    assert heap.pop_best(assign) == 4
+    assert heap.pop_best(assign) == 0  # exhausted
+
+
+def test_var_order_heap_discards_stale_entries():
+    activity = [0.0, 1.0, 4.0]
+    heap = VarOrderHeap(activity)
+    heap.rebuild()
+    # bump var 1 past var 2: the old entry for var 1 goes stale
+    activity[1] = 9.0
+    heap.push(1)
+    assign = [-1, -1, -1]
+    assert heap.pop_best(assign) == 1
+    # assigned variables surface but are skipped
+    assign[2] = 1
+    assert heap.pop_best(assign) == 0
+    assign[2] = -1
+    heap.push(2)
+    assert heap.pop_best(assign) == 2
 
 
 def test_cnf_dimacs_roundtrip():
@@ -221,8 +379,6 @@ def test_lec_sat_counterexample_is_confirmed(c17_circuit):
 def test_sat_futility_witness_matches_cdcl():
     """The batched witness probe is a drop-in for per-key CDCL solves."""
     from repro.attacks.sat_attack import demonstrate_sat_futility
-    from repro.benchgen import GeneratorConfig, generate_random_circuit
-    from repro.locking.atpg_lock import AtpgLockConfig, atpg_lock
 
     circuit = generate_random_circuit(
         GeneratorConfig(num_inputs=8, num_outputs=4, num_gates=60),
