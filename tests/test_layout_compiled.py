@@ -387,21 +387,35 @@ def test_place_dispatches_on_knob(monkeypatch):
 
 
 def test_cache_keys_ignore_layout_engine(monkeypatch):
-    """The engines are bit-identical, so the knob stays out of every
-    cache key; the attack key names no engine of any kind."""
-    from repro.runner.spec import CellSpec, proximity_cell
-    from repro.runner.stages import (
-        attack_payload,
-        layout_payload,
-        unprotected_payload,
-    )
+    """The engines are bit-identical, so the knob stays out of the
+    layout and unprotected-layout cache keys."""
+    from repro.runner.spec import CellSpec
+    from repro.runner.stages import layout_payload, unprotected_payload
     from repro.utils.artifact_cache import spec_key
 
     cell = CellSpec(benchmark="b14", scale=0.03, key_bits=16)
     keys = {}
     for engine in ("reference", "compiled"):
         monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
-        attack = attack_payload(proximity_cell(cell))
+        assert "engine" not in layout_payload(cell)
+        keys[engine] = (
+            spec_key(layout_payload(cell)),
+            spec_key(unprotected_payload(cell)),
+        )
+    assert keys["reference"] == keys["compiled"]
+
+
+def test_attack_key_names_no_engine(monkeypatch):
+    """The attack key carries neither a layout nor a SAT engine."""
+    from repro.runner.spec import CellSpec, proximity_cell
+    from repro.runner.stages import attack_payload
+    from repro.utils.artifact_cache import spec_key
+
+    cell = proximity_cell(CellSpec(benchmark="b14", scale=0.03, key_bits=16))
+    keys = {}
+    for engine in ("reference", "compiled"):
+        monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
+        attack = attack_payload(cell)
         assert set(attack) == {
             "stage",
             "layout",
@@ -411,11 +425,7 @@ def test_cache_keys_ignore_layout_engine(monkeypatch):
             "hd_patterns",
             "hd_seed",
         }
-        keys[engine] = (
-            spec_key(layout_payload(cell)),
-            spec_key(unprotected_payload(cell)),
-            spec_key(attack),
-        )
+        keys[engine] = spec_key(attack)
     assert keys["reference"] == keys["compiled"]
 
 

@@ -57,11 +57,10 @@ def test_solver_unit_and_pure():
 
 
 def test_solver_trivial_unsat():
-    cnf = Cnf(num_vars=4)
+    cnf = Cnf(num_vars=1)
     cnf.add_clause((1,))
-    assert solve_cnf(cnf).sat  # a root unit leaves the rest free
     cnf.add_clause((-1,))
-    assert solve_cnf(cnf).unsat  # conflict at the root
+    assert solve_cnf(cnf).unsat
 
 
 def test_solver_tautology_and_duplicates():
@@ -84,13 +83,13 @@ def test_solver_assumptions():
 
 
 def test_solver_conflict_limit_returns_unknown():
-    result = solve_cnf(
-        random_3cnf(2, num_vars=150, num_clauses=645), conflict_limit=1600
-    )
-    assert result.status == "unknown"
-    assert result.model is None
-    assert result.stats.conflicts == 1600
-    assert result.stats.deleted > 0  # the limit struck after a reduce round
+    rng = random.Random(99)
+    cnf = Cnf(num_vars=30)
+    for _ in range(140):
+        variables = rng.sample(range(1, 31), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    result = solve_cnf(cnf, conflict_limit=1)
+    assert result.status in ("sat", "unsat", "unknown")
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +215,42 @@ def test_clause_deletion_pinned():
 def test_wide_learned_clauses_pinned():
     cnf = random_3cnf(1, num_vars=500, num_clauses=2140)
     assert search(cnf, conflict_limit=500) == PINNED_WIDE
+
+
+def test_conflict_limit_unknown_exit():
+    result = solve_cnf(
+        random_3cnf(2, num_vars=150, num_clauses=645), conflict_limit=1600
+    )
+    assert result.status == "unknown"
+    assert result.model is None
+    assert result.stats.conflicts == 1600
+    assert result.stats.deleted > 0  # the limit struck after a reduce round
+
+
+def test_trivial_and_root_conflicts():
+    cnf = Cnf(num_vars=4)
+    cnf.add_clause((1,))
+    # a root unit is implied before the search; the rest are decisions
+    assert search(cnf) == ("sat", 3, 0, 0, 0, 0, 0)
+    cnf.add_clause((-1,))
+    # the contradiction is found at the root, before any decision
+    assert search(cnf) == ("unsat", 0, 0, 0, 0, 0, 0)
+
+
+def test_unsat_under_assumptions_pinned():
+    cnf = Cnf(num_vars=3)
+    cnf.add_clause((1, 2))
+    cnf.add_clause((-1, 3))
+    # each assumption opens a level of its own but is not a decision
+    assert search(cnf, assumptions=[-1, -2]) == ("unsat", 0, 1, 0, 0, 0, 0)
+    assert search(cnf, assumptions=[-2]) == ("sat", 0, 2, 0, 0, 0, 0)
+
+
+def test_tautology_and_duplicates_pinned():
+    cnf = Cnf(num_vars=2)
+    cnf.add_clause((1, -1))  # tautology: dropped by the solver
+    cnf.add_clause((2, 2))  # collapses to the root unit 2
+    assert search(cnf) == ("sat", 1, 0, 0, 0, 0, 0)
 
 
 def test_var_order_heap_pops_max_activity_lowest_index_first():
