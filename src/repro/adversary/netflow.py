@@ -62,7 +62,9 @@ nothing: it is identical to the early-exit heap solver, arc for arc
 Combinational-loop avoidance (hint 4) is not expressible as flow
 capacity, so it runs as a deterministic repair pass over the decoded
 matching: loop-closing edges are re-routed to the sink's next-cheapest
-loop-free candidate.
+loop-free candidate.  A sink's candidates are ranked only when its
+matched net closes a loop or it has no match; most sinks keep their
+match and never need the ranking.
 
 The module is engine-agnostic on purpose: :func:`flow_assignment` takes
 any per-pair cost vector, so the learned scorer reuses the same
@@ -72,6 +74,7 @@ globally-optimal matcher with model-derived costs.
 from __future__ import annotations
 
 import heapq
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -637,25 +640,25 @@ def flow_assignment(
     loop-free candidate.
     """
     match = _match_nets(candidates, costs, load_limit)
-    num_sinks = len(candidates.sinks)
-    source_of_net_for_sink: list[dict[str, int]] = [
-        {} for _ in range(num_sinks)
-    ]
-    order_for_sink: list[list[tuple[float, str, int]]] = [
-        [] for _ in range(num_sinks)
-    ]
-    cost_col = np.asarray(costs, dtype=np.float64).tolist()
     net_names = candidates._net_of_source
-    for sink_i, src_i, cost in zip(
-        candidates.pairs[:, 0].tolist(),
-        candidates.pairs[:, 1].tolist(),
-        cost_col,
-    ):
-        net = net_names[src_i]
-        source_of_net_for_sink[sink_i].setdefault(net, src_i)
-        order_for_sink[sink_i].append((cost, net, src_i))
-    for ranked in order_for_sink:
-        ranked.sort()
+    cost_col = np.asarray(costs, dtype=np.float64)
+    # ``pairs`` (and so *costs*) lists each sink's candidates
+    # contiguously, in ``per_sink`` order.
+    offsets = list(itertools.accumulate(map(len, candidates.per_sink), initial=0))
+
+    def trial_order(sink_i: int, net: str | None):
+        """The sink's (net, source) candidates in commit-trial order:
+        the matched *net*'s first source, then every other candidate,
+        cheapest first (ties by net, then source).  The ranking is only
+        built once the caller reads past the matched net."""
+        chosen = candidates.per_sink[sink_i]
+        if net is not None:
+            yield net, next(src_i for src_i in chosen if net_names[src_i] == net)
+        sink_costs = cost_col[offsets[sink_i] : offsets[sink_i + 1]].tolist()
+        nets = [net_names[src_i] for src_i in chosen]
+        for _cost, other_net, src_i in sorted(zip(sink_costs, nets, chosen)):
+            if other_net != net:
+                yield other_net, src_i
 
     reaches = initial_reachability(view)
     assignment: dict[int, str] = {}
@@ -669,16 +672,10 @@ def flow_assignment(
     for sink_i in commit_order:
         sink = candidates.sinks[sink_i]
         committed = False
-        trial: list[tuple[str, int]] = []
         net = match.matched_net[sink_i]
-        if net is not None:
-            trial.append((net, source_of_net_for_sink[sink_i][net]))
-        else:
+        if net is None:
             unmatched_fallbacks += 1
-        for _cost, other_net, src_i in order_for_sink[sink_i]:
-            if net is not None and other_net == net:
-                continue
-            trial.append((other_net, src_i))
+        trial = trial_order(sink_i, net)
         for position, (candidate_net, src_i) in enumerate(trial):
             source = candidates.sources[src_i]
             if creates_loop(reaches, source, sink):
@@ -689,7 +686,7 @@ def flow_assignment(
             commit_edge(reaches, view, source, sink)
             committed = True
             break
-        if not committed and trial:
+        if not committed and candidates.per_sink[sink_i]:
             # Every candidate loops: geometric fallback inside
             # rebuild_netlist takes over (assignment left empty).
             loop_repairs += 1

@@ -2,14 +2,20 @@
 
 Used by the tests, the CI verification layer and the ``python -m
 repro.service`` CLI; anything that can POST JSON works just as well
-(the README shows the same calls as ``curl`` lines).  One connection
-per request mirrors the server's ``Connection: close`` policy.
+(the README shows the same calls as ``curl`` lines).  Every request
+asks for ``Connection: keep-alive``, and each thread keeps the
+connection for its next request once a response was read to its end,
+so one client shared by several threads holds one connection per
+thread.  A kept connection the server has since closed (idle timeout,
+shutdown) fails before any status line arrives — the server never read
+the request — and the request is sent once more on a fresh connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Iterator
 from urllib.parse import urlsplit
@@ -29,8 +35,21 @@ class ServiceError(RuntimeError):
         self.status = status
 
 
+class _Kept(list):
+    """Idle kept-alive connections; dropping the list closes them."""
+
+    def close(self) -> None:
+        while self:
+            self.pop().close()
+
+    __del__ = close
+
+
 class ServiceClient:
-    """Synchronous client bound to one service base URL."""
+    """Synchronous client bound to one service base URL.
+
+    Threads may share one client: each keeps its own connection.
+    """
 
     def __init__(self, url: str, timeout: float = 300.0) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
@@ -39,31 +58,70 @@ class ServiceClient:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout = timeout
+        self._local = threading.local()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
+    def _idle(self) -> "_Kept":
+        """This thread's kept connections (one, unless streams nest)."""
+        idle = getattr(self._local, "idle", None)
+        if idle is None:
+            idle = self._local.idle = _Kept()
+        return idle
+
+    def _open(
+        self, method: str, path: str, body: Any = None
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; its connection and response (head read)."""
+        payload = None if body is None else json.dumps(body)
+        headers = {"Connection": "keep-alive"}
+        if payload:
+            headers["Content-Type"] = "application/json"
+        request = (method, path, payload, headers)
+        idle = self._idle()
+        if idle:
+            connection = idle.pop()
+            try:
+                return connection, _exchange(connection, *request)
+            except ConnectionError:
+                # The server closes a kept connection only while it
+                # waits for a request (idle timeout, shutdown), so it
+                # never read this one: sending it again cannot submit
+                # twice.
+                pass
+        connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
+        return connection, _exchange(connection, *request)
+
+    def _release(
+        self,
+        connection: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> None:
+        """Keep *connection* for this thread's next request if
+        *response* was read to its end and did not ask to close."""
+        if response.isclosed() and not response.will_close:
+            self._idle().append(connection)
+        else:
+            connection.close()
+
+    def close(self) -> None:
+        """Close the calling thread's kept connections (another thread's
+        close when that thread ends or the client is dropped)."""
+        self._idle().close()
 
     def _request(
         self, method: str, path: str, body: Any = None
     ) -> dict[str, Any]:
-        connection = self._connection()
+        connection, response = self._open(method, path, body)
         try:
-            payload = None if body is None else json.dumps(body)
-            headers = {"Content-Type": "application/json"} if payload else {}
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
             data = response.read()
-            parsed = json.loads(data.decode() or "null")
-            if response.status >= 400:
-                message = (
-                    parsed.get("error", "") if isinstance(parsed, dict) else ""
-                )
-                raise ServiceError(response.status, message or data.decode())
-            return parsed
         finally:
-            connection.close()
+            self._release(connection, response)
+        parsed = json.loads(data.decode() or "null")
+        if response.status >= 400:
+            message = parsed.get("error", "") if isinstance(parsed, dict) else ""
+            raise ServiceError(response.status, message or data.decode())
+        return parsed
 
     # -- endpoints --------------------------------------------------------
 
@@ -98,10 +156,9 @@ class ServiceClient:
         Ends after the final ``done`` event (which is yielded too, so
         callers see the closing job summary).
         """
-        connection = self._connection()
+        connection, response = self._open("GET", f"/jobs/{job_id}/stream")
+        done = None
         try:
-            connection.request("GET", f"/jobs/{job_id}/stream")
-            response = connection.getresponse()
             if response.status >= 400:
                 data = response.read().decode()
                 try:
@@ -114,11 +171,15 @@ class ServiceClient:
                 if not line:
                     continue
                 record = json.loads(line.decode())
-                yield record
                 if record.get("event") == "done":
-                    return
+                    response.read()  # the closing chunk: frees the connection
+                    done = record
+                    break
+                yield record
         finally:
-            connection.close()
+            self._release(connection, response)
+        if done is not None:
+            yield done
 
     # -- conveniences -----------------------------------------------------
 
@@ -150,3 +211,20 @@ class ServiceClient:
                         f"after {timeout}s: {exc}"
                     ) from exc
                 time.sleep(poll)
+
+
+def _exchange(
+    connection: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    payload: str | None,
+    headers: dict[str, str],
+) -> http.client.HTTPResponse:
+    """Send one request on *connection*; its response, head read.  Any
+    failure closes the connection."""
+    try:
+        connection.request(method, path, body=payload, headers=headers)
+        return connection.getresponse()
+    except BaseException:
+        connection.close()
+        raise

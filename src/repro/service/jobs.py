@@ -243,11 +243,13 @@ class JobManager:
         return job
 
     def _evict_old_jobs(self) -> None:
-        if len(self.jobs) <= self.max_jobs:
+        """Drop the oldest terminal jobs until at most ``max_jobs`` are
+        held (or none is left to drop); the scan stops at the excess."""
+        excess = len(self.jobs) - self.max_jobs
+        if excess <= 0:
             return
-        for job_id in [
-            j.id for j in self.jobs.values() if j.is_terminal
-        ][: len(self.jobs) - self.max_jobs]:
+        terminal = (j.id for j in self.jobs.values() if j.is_terminal)
+        for job_id in list(itertools.islice(terminal, excess)):
             del self.jobs[job_id]
 
     def _schedule(self, job: Job, index: int, cell) -> None:

@@ -5,8 +5,9 @@ report their cache stats back through the cell results), so plain
 counters suffice — no locks.  The snapshot is JSON-ready and exposes
 per-stage cache behaviour (hits/misses/stores and compute wall-clock,
 from :class:`~repro.utils.artifact_cache.StageStats`), cell dedupe
-accounting and job-state counts; the CI ``cache-stress`` job asserts
-exactly-once computation from these numbers.
+accounting, job-state counts and HTTP connection reuse; the CI
+``cache-stress`` job asserts exactly-once computation from these
+numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class ServiceMetrics:
     cells_cancelled: int = 0
     #: Orphaned cache temp files swept at startup.
     orphans_swept: int = 0
+    #: HTTP connections accepted and requests read in full on them;
+    #: fewer connections than requests means clients kept them alive.
+    http_connections: int = 0
+    http_requests: int = 0
     #: Cache behaviour merged from every worker (per-stage inside).
     cache: CacheStats = field(default_factory=CacheStats)
 
@@ -57,4 +62,8 @@ class ServiceMetrics:
             },
             "cache": asdict(self.cache),
             "orphans_swept": self.orphans_swept,
+            "http": {
+                "connections": self.http_connections,
+                "requests": self.http_requests,
+            },
         }

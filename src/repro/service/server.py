@@ -18,9 +18,14 @@ install.  Endpoints:
   it completes, then a final ``done`` event;
 * ``POST /jobs/{id}/cancel`` — cancel pending cells.
 
-Each connection serves one request (``Connection: close``): clients
-are campaign submitters, not browsers, and one-shot connections keep
-the parser trivially robust.
+A connection serves one request and closes (``Connection: close``)
+unless the request opts in with ``Connection: keep-alive``: then the
+answer says so and the connection waits for the next request, for as
+long as each request opts in.  Error answers (4xx/5xx) always close.
+Every request — the wait for its first byte, its headers and its body —
+is read under one ``_REQUEST_TIMEOUT`` deadline, so an idle kept-alive
+connection closes after that long.  :class:`CampaignService.stop`
+closes connections that are waiting for a request.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import asyncio
 import json
 import sys
 import threading
+from collections.abc import AsyncIterator
 from typing import Any
 
 from repro.runner.engine import CampaignExecutor
@@ -61,52 +67,52 @@ _STATUS_TEXT = {
 }
 
 
-def _head(status: int, extra: str = "") -> bytes:
+def _head(status: int, extra: str = "", keep_alive: bool = False) -> bytes:
     text = _STATUS_TEXT.get(status, "Error")
     return (
         f"HTTP/1.1 {status} {text}\r\n"
         "Content-Type: application/json\r\n"
-        "Connection: close\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"{extra}\r\n"
     ).encode()
 
 
-async def _send_json(writer: asyncio.StreamWriter, status: int, body: Any):
+async def _send_json(
+    writer: asyncio.StreamWriter, status: int, body: Any, keep_alive: bool = False
+) -> None:
     payload = (json.dumps(body) + "\n").encode()
-    writer.write(_head(status, f"Content-Length: {len(payload)}\r\n") + payload)
+    head = _head(status, f"Content-Length: {len(payload)}\r\n", keep_alive)
+    writer.write(head + payload)
     await writer.drain()
 
 
-class _ChunkedWriter:
-    """NDJSON records as HTTP/1.1 chunks, one chunk per record."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-
-    async def start(self) -> None:
-        self.writer.write(_head(200, "Transfer-Encoding: chunked\r\n"))
-        await self.writer.drain()
-
-    async def send(self, record: Any, last: bool = False) -> None:
-        """One record's chunk; the *last* one carries the closing chunk too."""
+async def _send_stream(
+    writer: asyncio.StreamWriter,
+    records: AsyncIterator[dict[str, Any]],
+    keep_alive: bool,
+) -> None:
+    """NDJSON records as HTTP/1.1 chunks, one chunk per record; the
+    ``done`` record's chunk carries the closing chunk too."""
+    writer.write(_head(200, "Transfer-Encoding: chunked\r\n", keep_alive))
+    await writer.drain()
+    async for record in records:
         line = (json.dumps(record) + "\n").encode()
         chunk = f"{len(line):x}\r\n".encode() + line + b"\r\n"
-        self.writer.write(chunk + b"0\r\n\r\n" if last else chunk)
-        await self.writer.drain()
+        last = record.get("event") == "done"
+        writer.write(chunk + b"0\r\n\r\n" if last else chunk)
+        await writer.drain()
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
-        return await asyncio.wait_for(reader.readline(), _REQUEST_TIMEOUT)
+        return await reader.readline()
     except ValueError as exc:  # the line overran the stream's buffer limit
         raise HttpError(400, "request line or header too long") from exc
 
 
-async def _read_request(
+async def _parse_request(
     reader: asyncio.StreamReader,
-) -> tuple[str, str, bytes]:
-    """Parse one request; returns (method, path, body).  A client that
-    stalls on any read, body included, times out and is closed."""
+) -> tuple[str, str, bytes, bool]:
     line = await _read_line(reader)
     if not line:
         raise ConnectionResetError("empty request")
@@ -127,8 +133,22 @@ async def _read_request(
     length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body larger than {MAX_BODY_BYTES} bytes")
-    body = await asyncio.wait_for(reader.readexactly(length), _REQUEST_TIMEOUT)
-    return method, target.split("?", 1)[0], body
+    body = await reader.readexactly(length)
+    tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+    keep_alive = "keep-alive" in tokens and "close" not in tokens
+    return method, target.split("?", 1)[0], body, keep_alive
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes, bool]:
+    """Parse one request; returns (method, path, body, keep_alive).
+
+    One deadline covers the whole request, from the wait for its first
+    byte to the end of its body: a client that stalls anywhere in it,
+    or a kept-alive connection left idle, times out and is closed.
+    """
+    return await asyncio.wait_for(_parse_request(reader), _REQUEST_TIMEOUT)
 
 
 class CampaignService:
@@ -140,6 +160,10 @@ class CampaignService:
         self.executor: CampaignExecutor | None = None
         self.manager: JobManager | None = None
         self._server: asyncio.Server | None = None
+        #: Handlers waiting for a request, by connection; :meth:`stop`
+        #: closes those connections and awaits the handlers.
+        self._waiting: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._stopping = False
 
     async def start(self) -> None:
         """Sweep cache orphans, spin the pool up, bind the socket."""
@@ -170,8 +194,15 @@ class CampaignService:
         return f"http://{host}:{port}"
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            waiting = list(self._waiting.items())
+            for writer, _handler in waiting:
+                writer.close()  # the handler reads EOF and ends
+            await asyncio.gather(
+                *(handler for _writer, handler in waiting), return_exceptions=True
+            )
             await self._server.wait_closed()
         if self.manager is not None:
             for job in self.manager.jobs.values():
@@ -186,10 +217,11 @@ class CampaignService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.metrics.http_connections += 1
         try:
             try:
-                method, path, body = await _read_request(reader)
-                await self._route(method, path, body, writer)
+                while await self._answer(reader, writer) and not self._stopping:
+                    pass
             except HttpError as exc:
                 await _send_json(
                     writer, exc.status, {"error": str(exc)}
@@ -200,7 +232,7 @@ class CampaignService:
                 asyncio.IncompleteReadError,
                 asyncio.TimeoutError,
             ):
-                pass  # client went away; nothing to answer
+                pass  # client went away or idled out; nothing to answer
             except Exception as exc:  # defensive: never kill the server
                 try:
                     await _send_json(
@@ -217,42 +249,46 @@ class CampaignService:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _answer(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read and answer one request; whether the connection stays
+        open for the next one (the request asked for keep-alive)."""
+        self._waiting[writer] = asyncio.current_task()
+        try:
+            method, path, body, keep_alive = await _read_request(reader)
+        finally:
+            del self._waiting[writer]
+        self.metrics.http_requests += 1
+        status, payload = await self._route(method, path, body)
+        if isinstance(payload, AsyncIterator):
+            await _send_stream(writer, payload, keep_alive)
+        else:
+            await _send_json(writer, status, payload, keep_alive)
+        return keep_alive
+
+    async def _route(self, method: str, path: str, body: bytes) -> tuple[int, Any]:
+        """The (status, JSON body) answer to one request; a stream's
+        body is its async iterator of records."""
         manager = self.manager
         assert manager is not None
         if path == "/healthz":
             self._require(method, "GET")
-            await _send_json(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "workers": self.executor.workers,
-                    "cache_dir": (
-                        str(self.config.resolved_cache_dir())
-                        if self.config.use_cache
-                        else None
-                    ),
-                    "jobs": len(manager.jobs),
-                },
-            )
-            return
+            return 200, {
+                "status": "ok",
+                "workers": self.executor.workers,
+                "cache_dir": (
+                    str(self.config.resolved_cache_dir())
+                    if self.config.use_cache
+                    else None
+                ),
+                "jobs": len(manager.jobs),
+            }
         if path == "/metrics":
             self._require(method, "GET")
-            await _send_json(
-                writer,
-                200,
-                self.metrics.snapshot(
-                    manager.cells_in_flight(), manager.jobs_by_state()
-                ),
+            return 200, self.metrics.snapshot(
+                manager.cells_in_flight(), manager.jobs_by_state()
             )
-            return
         if path == "/jobs":
             if method == "POST":
                 envelope = self._parse_body(body)
@@ -263,15 +299,9 @@ class CampaignService:
                 except (ValueError, KeyError) as exc:
                     message = exc.args[0] if exc.args else str(exc)
                     raise HttpError(400, str(message)) from exc
-                await _send_json(writer, 202, job.summary())
-                return
+                return 202, job.summary()
             self._require(method, "GET")
-            await _send_json(
-                writer,
-                200,
-                {"jobs": [j.summary() for j in manager.jobs.values()]},
-            )
-            return
+            return 200, {"jobs": [j.summary() for j in manager.jobs.values()]}
         if path.startswith("/jobs/"):
             parts = path.strip("/").split("/")
             job_id = parts[1] if len(parts) > 1 else ""
@@ -281,26 +311,17 @@ class CampaignService:
             action = parts[2] if len(parts) > 2 else None
             if action is None:
                 self._require(method, "GET")
-                await _send_json(writer, 200, job.summary())
-                return
+                return 200, job.summary()
             if action == "results":
                 self._require(method, "GET")
-                await _send_json(writer, 200, manager.results_payload(job))
-                return
+                return 200, manager.results_payload(job)
             if action == "cancel":
                 self._require(method, "POST")
                 changed = await manager.cancel(job)
-                await _send_json(
-                    writer, 200, {"cancelled": changed, **job.summary()}
-                )
-                return
+                return 200, {"cancelled": changed, **job.summary()}
             if action == "stream":
                 self._require(method, "GET")
-                chunked = _ChunkedWriter(writer)
-                await chunked.start()
-                async for record in manager.stream(job):  # ends with "done"
-                    await chunked.send(record, last=record.get("event") == "done")
-                return
+                return 200, manager.stream(job)  # ends with "done"
         raise HttpError(404, f"no route for {path}")
 
     @staticmethod

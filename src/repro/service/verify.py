@@ -14,7 +14,9 @@ twice (cold, then cache-served).  Each run
 4. asserts from the server's ``/metrics`` delta that the submission
    moved the ``attack`` stage counters (both kinds run as attack
    cells), and with ``--expect-cached`` that it produced **zero** cache
-   misses — the rerun was served entirely from the artifact store.
+   misses — the rerun was served entirely from the artifact store;
+5. asserts that the pass opened fewer HTTP connections than it sent
+   requests: the client kept its connection alive.
 
 Exit status is the verdict, so the CI step is just this invocation.
 """
@@ -115,6 +117,21 @@ def cache_problem(
     return None
 
 
+def reuse_problem(before: dict[str, Any], after: dict[str, Any]) -> str | None:
+    """What one pass's ``/metrics`` delta gets wrong about connection
+    reuse: a keep-alive client opens fewer connections than it sends
+    requests."""
+    connections, requests = (
+        after["http"][k] - before["http"][k] for k in ("connections", "requests")
+    )
+    if connections >= requests:
+        return (
+            f"{connections} connection(s) for {requests} request(s): "
+            "the client reused none"
+        )
+    return None
+
+
 def run_verify(
     url: str,
     attacks: bool = False,
@@ -167,6 +184,11 @@ def run_verify(
         return 1
     if expect_cached:
         _log("PASS: rerun served entirely from the artifact cache")
+    problem = reuse_problem(before, after)
+    if problem is not None:
+        _log(f"FAIL: {problem}")
+        return 1
+    _log("PASS: the client kept its connection alive")
     return 0
 
 

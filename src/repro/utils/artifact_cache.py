@@ -36,7 +36,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -68,15 +68,22 @@ ORPHAN_MAX_AGE_SECONDS = 3600.0
 
 
 def _canonical(value: Any) -> Any:
-    """Reduce *value* to JSON-serialisable canonical form."""
+    """Reduce *value* to JSON-serialisable canonical form.
+
+    A dataclass becomes the dict of its fields, converted field by field
+    (the same result as canonicalising ``asdict(value)``, without its
+    deep copy).
+    """
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
     if is_dataclass(value) and not isinstance(value, type):
-        return _canonical(asdict(value))
+        return {
+            f.name: _canonical(getattr(value, f.name)) for f in fields(value)
+        }
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     raise TypeError(f"cannot canonicalise {type(value).__name__} for cache key")
 
 

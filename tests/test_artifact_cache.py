@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Any, Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.artifact_cache import (
     TMP_SUFFIX,
     ArtifactCache,
     CacheStats,
     StageStats,
+    _canonical,
     spec_key,
 )
 from repro.utils.env import (
@@ -53,6 +59,141 @@ def test_spec_key_canonicalises_dataclasses():
 def test_spec_key_rejects_unkeyable_values():
     with pytest.raises(TypeError):
         spec_key({"bad": object()})
+
+
+def _canonical_via_asdict(value: Any) -> Any:
+    """``_canonical`` as it was before the field-by-field walk: every
+    dataclass goes through ``asdict`` (kept verbatim as the oracle)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return _canonical_via_asdict(asdict(value))
+    if isinstance(value, Mapping):
+        return {str(k): _canonical_via_asdict(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_canonical_via_asdict(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise TypeError(f"cannot canonicalise {type(value).__name__} for cache key")
+
+
+def _rendered(canonicalise, value: Any) -> str:
+    """What ``spec_key`` hashes, or the TypeError's message."""
+    try:
+        return json.dumps(canonicalise(value), sort_keys=True, separators=(",", ":"))
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def _assert_same_rendering(value: Any) -> None:
+    assert _rendered(_canonical, value) == _rendered(_canonical_via_asdict, value)
+
+
+def _service_cells() -> list:
+    """Twenty service-style jobs' cells: one random-guess cell on a
+    scaled b14 lock, alternating lock seeds, a new HD seed each."""
+    from repro.runner.spec import DEFAULT_HD_SEED, AttackCampaignSpec
+
+    return [
+        AttackCampaignSpec(
+            benchmarks=("b14",),
+            scenarios=("random",),
+            split_layers=(4,),
+            key_bits=(16,),
+            seed=(2019, 2020)[index % 2],
+            scale=0.03,
+            hd_patterns=2_048,
+            hd_seed=DEFAULT_HD_SEED + index,
+            max_candidates=80,
+        ).cells()[0]
+        for index in range(20)
+    ]
+
+
+def test_canonical_renders_stage_payloads_like_asdict():
+    from repro.runner.profiles import (
+        attack_smoke_campaign,
+        current_profile,
+        defense_smoke_campaign,
+    )
+    from repro.runner.spec import proximity_cell
+    from repro.runner.stages import (
+        attack_payload,
+        defense_payload,
+        layout_payload,
+        lock_payload,
+        unprotected_payload,
+    )
+
+    grid = attack_smoke_campaign().cells() + defense_smoke_campaign().cells()
+    tables = [proximity_cell(cell) for cell in current_profile().table_campaign().cells()]
+    service = _service_cells()
+    assert (len(grid), len(tables), len(service)) == (22, 12, 20)
+    defended = 0
+    for acell in [*grid, *tables, *service]:
+        cell = acell.cell
+        payloads = [
+            lock_payload(cell),
+            layout_payload(cell),
+            layout_payload(cell, prelift=True),
+            unprotected_payload(cell),
+            attack_payload(acell),
+            cell,
+            acell,
+        ]
+        if acell.defense is not None:
+            payloads.append(defense_payload(cell, acell.defense))
+            defended += 1
+        for payload in payloads:
+            _assert_same_rendering(payload)
+            _assert_same_rendering({"payload": payload, "cache_version": 6})
+    assert defended > 0
+
+
+@dataclass
+class _Node:
+    left: Any
+    right: Any = None
+    hidden: Any = field(default=None, init=False)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: Any
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+)
+_KEYS = st.text(max_size=4) | st.integers(-3, 3)
+
+
+def _nested(inner):
+    return (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+        | st.dictionaries(_KEYS, inner, max_size=3)
+        | st.builds(_Node, inner, inner)
+        | st.builds(_Leaf, inner)
+        | st.frozensets(st.integers(0, 3), max_size=2)
+        | st.sets(st.integers(0, 3), max_size=2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _nested, max_leaves=16))
+def test_canonical_matches_asdict_on_nested_values(value):
+    _assert_same_rendering(value)
+
+
+def test_canonical_rejects_sets_like_asdict():
+    for value in ({1, 2}, _Node({"a": {3}}), [_Leaf(frozenset())]):
+        for canonicalise in (_canonical, _canonical_via_asdict):
+            with pytest.raises(TypeError, match="cannot canonicalise"):
+                canonicalise(value)
 
 
 # ---------------------------------------------------------------------------

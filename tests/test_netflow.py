@@ -16,7 +16,11 @@ The contract under test:
   tie-heavy ones with long runs of D = 0 augmentations (the solver
   carries its zero level across those) and every network the smoke
   and defense-matrix grids solve;
-* the group memo (:func:`shared_flow_matches`) is invisible in results.
+* the group memo (:func:`shared_flow_matches`) is invisible in results;
+* :func:`~repro.adversary.netflow.flow_assignment`, which ranks a
+  sink's other candidates only when its matched net loops or it has no
+  match, returns what :func:`eager_flow_assignment` (the loop repair
+  that ranked every sink up front, kept verbatim) returns.
 """
 
 from __future__ import annotations
@@ -29,13 +33,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import SCENARIOS, MinCostFlow, build_candidates, get_engine
+from repro.adversary import engine as engine_module
 from repro.adversary import netflow as netflow_module
 from repro.adversary.engine import (
     DEFAULT_CANDIDATES_PER_SINK,
     DEFAULT_LOAD_LIMIT,
     AttackContext,
 )
-from repro.adversary.netflow import _Bipartite, _match_nets, shared_flow_matches
+from repro.adversary.netflow import (
+    _Bipartite,
+    _match_nets,
+    flow_assignment,
+    shared_flow_matches,
+)
+from repro.attacks.hints import creates_loop
+from repro.attacks.proximity import commit_edge, initial_reachability
 from repro.runner.engine import run_attack_campaign
 from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
 from repro.runner.serialize import canonical_json, result_record
@@ -643,3 +655,113 @@ def test_fused_grid_shares_flow_solves(solve_calls):
     reference = per_cell_records(spec.cells())
     assert (fused_solves, len(solve_calls) - fused_solves) == (1, 4)
     assert canonical_json([result_record(r) for r in fused.cells]) == reference
+
+
+# ---------------------------------------------------------------------------
+# Loop repair: lazy per-sink rankings against the eager builder
+
+
+def eager_flow_assignment(view, candidates, costs, load_limit=None):
+    """The loop repair before lazy rankings: every sink's candidate list
+    is built and sorted up front (kept verbatim as the oracle)."""
+    match = _match_nets(candidates, costs, load_limit)
+    num_sinks = len(candidates.sinks)
+    source_of_net_for_sink: list[dict[str, int]] = [
+        {} for _ in range(num_sinks)
+    ]
+    order_for_sink: list[list[tuple[float, str, int]]] = [
+        [] for _ in range(num_sinks)
+    ]
+    cost_col = np.asarray(costs, dtype=np.float64).tolist()
+    net_names = candidates._net_of_source
+    for sink_i, src_i, cost in zip(
+        candidates.pairs[:, 0].tolist(),
+        candidates.pairs[:, 1].tolist(),
+        cost_col,
+    ):
+        net = net_names[src_i]
+        source_of_net_for_sink[sink_i].setdefault(net, src_i)
+        order_for_sink[sink_i].append((cost, net, src_i))
+    for ranked in order_for_sink:
+        ranked.sort()
+
+    reaches = initial_reachability(view)
+    assignment: dict[int, str] = {}
+    loop_repairs = 0
+    unmatched_fallbacks = 0
+    commit_order = sorted(
+        range(len(candidates.sinks)),
+        key=lambda i: candidates.sinks[i].stub_id,
+    )
+    for sink_i in commit_order:
+        sink = candidates.sinks[sink_i]
+        committed = False
+        trial: list[tuple[str, int]] = []
+        net = match.matched_net[sink_i]
+        if net is not None:
+            trial.append((net, source_of_net_for_sink[sink_i][net]))
+        else:
+            unmatched_fallbacks += 1
+        for _cost, other_net, src_i in order_for_sink[sink_i]:
+            if net is not None and other_net == net:
+                continue
+            trial.append((other_net, src_i))
+        for position, (candidate_net, src_i) in enumerate(trial):
+            source = candidates.sources[src_i]
+            if creates_loop(reaches, source, sink):
+                continue
+            if position > 0 and net is not None:
+                loop_repairs += 1
+            assignment[sink.stub_id] = candidate_net
+            commit_edge(reaches, view, source, sink)
+            committed = True
+            break
+        if not committed and trial:
+            loop_repairs += 1
+    diagnostics: dict[str, object] = {
+        "flow": match.flow,
+        "flow_cost": match.cost,
+        "flow_nodes": match.nodes,
+        "flow_arcs": match.arcs,
+        "loop_repairs": loop_repairs,
+        "unmatched": unmatched_fallbacks,
+    }
+    return assignment, diagnostics
+
+
+def test_smoke_loop_repair_matches_eager_rankings(smoke_view):
+    repaired = 0
+    for scenario_name in ("netflow", "learned"):
+        instance = _instance(smoke_view, scenario_name)
+        got = flow_assignment(smoke_view, *instance)
+        assert got == eager_flow_assignment(smoke_view, *instance), scenario_name
+        repaired += got[1]["loop_repairs"]
+    assert repaired > 0  # the lazy ranking path ran
+
+
+def test_unmatched_sinks_fall_back_to_eager_rankings(smoke_view):
+    # A load limit of 1 leaves most sinks without a match, so nearly
+    # every sink walks its full ranking.
+    candidates, costs, _ = _instance(smoke_view, "netflow")
+    got = flow_assignment(smoke_view, candidates, costs, load_limit=1)
+    assert got[1]["unmatched"] > 0
+    assert got == eager_flow_assignment(smoke_view, candidates, costs, 1)
+
+
+@pytest.mark.slow
+def test_attack_grid_loop_repairs_match_eager_rankings(monkeypatch):
+    # Every flow_assignment call of the smoke and defense-matrix grids
+    # (the attack-grid-cold campaign) against the eager builder.
+    compared = []
+
+    def both(view, candidates, costs, load_limit=None):
+        got = flow_assignment(view, candidates, costs, load_limit)
+        want = eager_flow_assignment(view, candidates, costs, load_limit)
+        compared.append(got == want)
+        return got
+
+    monkeypatch.setattr(engine_module, "flow_assignment", both)
+    cells = attack_smoke_campaign().cells() + defense_smoke_campaign().cells()
+    run_attack_campaign(cells, workers=1, use_cache=False)
+    assert len(compared) == 14  # over the grid's 10 flow networks
+    assert all(compared)

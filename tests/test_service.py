@@ -8,7 +8,10 @@ The load-bearing guarantees under test:
 * results streamed over real HTTP are **bit-identical** to the same
   spec executed in process (the CLI path), modulo wall-clock keys;
 * identical cells submitted by concurrent jobs are computed exactly
-  once (the in-flight dedupe table) yet delivered to every submitter.
+  once (the in-flight dedupe table) yet delivered to every submitter;
+* a connection stays open only while each request asks for
+  ``Connection: keep-alive``; any other request gets the one-shot
+  ``Connection: close`` answer, byte for byte.
 
 The end-to-end tests talk real HTTP to a :class:`ServiceThread` on an
 ephemeral localhost port — the same harness CI's service jobs use.
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import socket
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +48,8 @@ from repro.service import (
     ServiceError,
     ServiceThread,
 )
-from repro.service.jobs import CELL_PENDING, cell_key
-from repro.service.verify import cache_problem
+from repro.service.jobs import CELL_PENDING, TERMINAL_STATES, JobManager, cell_key
+from repro.service.verify import cache_problem, reuse_problem
 
 #: Tiny two-cell grid for the HTTP round trips (seconds of runtime).
 E2E = CampaignSpec(
@@ -131,6 +137,47 @@ def test_job_summary_counts_cells():
         "failed": 0,
         "cancelled": 0,
     }
+
+
+def test_eviction_drops_the_oldest_terminal_jobs_first():
+    manager = JobManager(executor=None, max_jobs=3)
+
+    def add(job_id: str, state: JobState) -> list[str]:
+        manager.jobs[job_id] = Job(
+            id=job_id, kind="campaign", spec=E2E, cells=E2E.cells(), state=state
+        )
+        manager._evict_old_jobs()
+        return list(manager.jobs)
+
+    assert add("j0", JobState.DONE) == ["j0"]
+    assert add("j1", JobState.RUNNING) == ["j0", "j1"]
+    assert add("j2", JobState.FAILED) == ["j0", "j1", "j2"]
+    assert add("j3", JobState.RUNNING) == ["j1", "j2", "j3"]
+    assert add("j4", JobState.QUEUED) == ["j1", "j3", "j4"]
+    # nothing terminal left: the manager holds one job too many
+    assert add("j5", JobState.QUEUED) == ["j1", "j3", "j4", "j5"]
+    manager.jobs["j3"].state = JobState.CANCELLED
+    manager.jobs["j1"].state = JobState.DONE
+    assert add("j6", JobState.QUEUED) == ["j4", "j5", "j6"]
+
+
+def test_eviction_stops_scanning_at_the_excess(monkeypatch):
+    manager = JobManager(executor=None, max_jobs=99)
+    for index in range(100):
+        job_id = f"j{index}"
+        manager.jobs[job_id] = Job(
+            id=job_id, kind="campaign", spec=E2E, cells=E2E.cells(),
+            state=JobState.DONE,
+        )
+    checks = []
+    monkeypatch.setattr(
+        Job,
+        "is_terminal",
+        property(lambda job: checks.append(job.id) or job.state in TERMINAL_STATES),
+    )
+    manager._evict_old_jobs()
+    assert checks == ["j0"]
+    assert len(manager.jobs) == 99 and "j0" not in manager.jobs
 
 
 def test_cell_key_is_the_cache_content_key():
@@ -709,6 +756,178 @@ def test_malformed_requests_never_get_500_or_hang(server, method, path, headers)
         response = _raw_exchange(server, request, timeout=10.0)
     # a declared body that never arrives closes without an answer
     assert response == b"" or _status(response) != 500
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive: opt-in persistent connections
+
+_KEEP_ALIVE = b"Connection: keep-alive\r\n"
+
+
+def _read_response(stream) -> tuple[bytes, bytes]:
+    """One response off an open connection: its head and its body (a
+    chunked body still framed, through its closing chunk)."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = stream.readline()
+        assert line, "connection closed mid-response"
+        head += line
+    length = re.search(rb"Content-Length: (\d+)", head)
+    if length is not None:
+        return head, stream.read(int(length[1]))
+    body = b""
+    while True:
+        size = stream.readline()
+        body += size + stream.read(int(size, 16) + 2)
+        if int(size, 16) == 0:
+            return head, body
+
+
+def test_keep_alive_serves_two_requests_then_a_stream_on_one_socket(server):
+    with socket.create_connection(server.service.address, timeout=60) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n" + _KEEP_ALIVE + b"\r\n")
+        head, body = _read_response(stream)
+        # the one-shot head, but for the Connection header
+        assert head == _json_head(b"Content-Length: %d\r\n" % len(body)).replace(
+            b"Connection: close", b"Connection: keep-alive"
+        )
+        assert json.loads(body)["status"] == "ok"
+
+        envelope = json.dumps(spec_payload(E2E)).encode()
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\n" + _KEEP_ALIVE
+            + b"Content-Length: %d\r\n\r\n" % len(envelope) + envelope
+        )
+        head, body = _read_response(stream)
+        assert _status(head) == 202 and _KEEP_ALIVE in head
+        job = json.loads(body)
+
+        sock.sendall(
+            f"GET /jobs/{job['id']}/stream HTTP/1.1\r\n".encode()
+            + _KEEP_ALIVE + b"\r\n"
+        )
+        head, body = _read_response(stream)
+        assert head == _json_head(b"Transfer-Encoding: chunked\r\n").replace(
+            b"Connection: close", b"Connection: keep-alive"
+        )
+        records = [json.loads(line) for line in _chunks(body)]
+        assert [r["event"] for r in records] == ["result", "result", "done"]
+
+        # a request that does not opt in gets the one-shot answer and
+        # the connection closes after it
+        sock.sendall(b"GET /jobs/%s HTTP/1.1\r\n\r\n" % job["id"].encode())
+        rest = stream.read()
+    body = rest.split(b"\r\n\r\n", 1)[1]
+    assert rest == _json_head(b"Content-Length: %d\r\n" % len(body)) + body
+    assert json.loads(body)["state"] == "done"
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        b"GET /jobs/nope HTTP/1.1\r\n",
+        b"POST /healthz HTTP/1.1\r\n",
+        b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n",
+    ],
+)
+def test_error_answer_closes_a_kept_alive_connection(server, request_head):
+    # _raw_exchange reads until the server closes (socket.timeout if it
+    # never does); the answer is the one-shot answer, byte for byte
+    kept = _raw_exchange(server, request_head + _KEEP_ALIVE + b"\r\n")
+    assert 400 <= _status(kept) < 500
+    assert kept == _raw_exchange(server, request_head + b"\r\n")
+
+
+def test_idle_kept_alive_connection_closes_after_the_request_timeout(
+    server, short_request_timeout
+):
+    with socket.create_connection(server.service.address, timeout=10) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n" + _KEEP_ALIVE + b"\r\n")
+        head, _body = _read_response(stream)
+        assert _KEEP_ALIVE in head
+        idle_since = time.monotonic()
+        assert stream.read() == b""
+    assert 0.2 < time.monotonic() - idle_since < 5.0
+
+
+def test_stop_closes_idle_kept_alive_connections_promptly():
+    thread = ServiceThread(ServiceConfig(port=0, workers=1, use_cache=False)).start()
+    client = ServiceClient(thread.url)
+    try:
+        assert client.health()["status"] == "ok"  # its connection stays open
+        sock = socket.create_connection(thread.service.address, timeout=10)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n" + _KEEP_ALIVE + b"\r\n")
+        stream = sock.makefile("rb")
+        _read_response(stream)
+        start = time.monotonic()
+    finally:
+        thread.stop()
+    assert time.monotonic() - start < 2.0
+    assert not thread._thread.is_alive()
+    assert stream.read() == b""  # the server closed the idle connection
+    sock.close()
+    client.close()
+
+
+def test_threads_sharing_a_client_open_one_connection_each(server):
+    observer = ServiceClient(server.url)
+    observer.health()  # opens the observer's own connection
+    before = observer.metrics()
+    shared = ServiceClient(server.url)
+    states, errors = [], []
+
+    def lane() -> None:
+        try:
+            for _ in range(10):
+                job = shared.submit(E2E)
+                states.append(list(shared.stream(job["id"]))[-1]["job"]["state"])
+        except Exception as exc:  # surfaced by the asserts below
+            errors.append(exc)
+
+    lanes = [threading.Thread(target=lane) for _ in range(2)]
+    for thread in lanes:
+        thread.start()
+    for thread in lanes:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in lanes)
+    after = observer.metrics()
+    assert errors == [] and states == ["done"] * 20
+    delta = {k: after["http"][k] - before["http"][k] for k in after["http"]}
+    # 20 submissions and 20 streams on the lanes' two connections, plus
+    # the observer's second /metrics on its own
+    assert delta == {"connections": 2, "requests": 41}
+    assert after["jobs"]["submitted"] - before["jobs"]["submitted"] == 20
+    assert reuse_problem(before, after) is None
+
+
+def test_stale_connection_is_retried_once_without_a_double_submit(
+    server, monkeypatch
+):
+    observer = ServiceClient(server.url)
+    before = observer.metrics()  # its idle wait keeps the 30 s deadline
+    client = ServiceClient(server.url)
+    monkeypatch.setattr(server_module, "_REQUEST_TIMEOUT", 0.5)
+    client.health()  # the server gives this idle connection 0.5 s
+    time.sleep(1.5)
+    job = client.submit(E2E)  # the kept connection fails: one retry
+    after = observer.metrics()
+    assert after["jobs"]["submitted"] - before["jobs"]["submitted"] == 1
+    delta = {k: after["http"][k] - before["http"][k] for k in after["http"]}
+    # health, the retried submission and /metrics; the stale attempt
+    # was never read
+    assert delta == {"connections": 2, "requests": 3}
+    assert client.wait(job["id"])["state"] == "done"
+
+
+def test_verify_fails_when_the_client_reused_no_connection():
+    def metrics(connections: int, requests: int) -> dict:
+        return {"http": {"connections": connections, "requests": requests}}
+
+    assert reuse_problem(metrics(1, 1), metrics(1, 4)) is None
+    assert reuse_problem(metrics(1, 1), metrics(3, 4)) is None
+    assert "reused none" in reuse_problem(metrics(1, 1), metrics(4, 4))
 
 
 # ---------------------------------------------------------------------------
