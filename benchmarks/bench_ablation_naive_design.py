@@ -21,17 +21,18 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import SEED, get_artifacts  # noqa: E402
+from _pipeline import SEED, cell_spec, disk_cache, table_campaign  # noqa: E402
 
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
 from repro.attacks.proximity import proximity_attack
 from repro.phys.layout import build_locked_layout
+from repro.runner import locked_design
 
 
 @pytest.fixture(scope="module")
 def naive_vs_secure():
-    artifacts = get_artifacts("b14")
-    locked = artifacts.locked
+    cell = cell_spec("b14")
+    locked = locked_design(cell, disk_cache()).locked
     prelift = build_locked_layout(locked, seed=SEED, prelift=True)
 
     # In the prelift layout key-nets are ordinary nets; count how many of
@@ -50,7 +51,7 @@ def naive_vs_secure():
     result = reconnect_key_gates_to_ties(proximity_attack(view))
     del result  # stubs of key-nets are regular here; CCR below uses secure
 
-    secure_run = artifacts.runs[4]
+    secure_run = table_campaign().runs()[cell.result_key]
     return visible_keys, locked.key_length, secure_run
 
 
@@ -79,7 +80,7 @@ def test_secure_design_does_not(naive_vs_secure):
 
 
 def test_benchmark_prelift_kernel(benchmark):
-    locked = get_artifacts("b14").locked
+    locked = locked_design(cell_spec("b14"), disk_cache()).locked
     benchmark(
         lambda: build_locked_layout(locked, seed=SEED, prelift=True)
     )

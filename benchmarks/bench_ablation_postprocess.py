@@ -19,26 +19,26 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import get_artifacts, table_benchmarks  # noqa: E402
+from _pipeline import cell_spec, disk_cache, table_campaign  # noqa: E402
+
+from repro.runner import cell_layout
+from repro.runner.paper_data import table12_rows
 
 PAPER_RAW_LOGICAL_CCR = {4: 17.6, 6: 29.3}
 
 
 @pytest.fixture(scope="module")
 def ablation_rows():
-    rows = []
-    for name in table_benchmarks():
-        artifacts = get_artifacts(name)
-        rows.append(
-            (
-                name,
-                artifacts.runs[4].ccr_raw.key_logical_ccr,
-                artifacts.runs[4].ccr.key_logical_ccr,
-                artifacts.runs[6].ccr_raw.key_logical_ccr,
-                artifacts.runs[6].ccr.key_logical_ccr,
-            )
+    return [
+        (
+            name,
+            m4.ccr_raw.key_logical_ccr,
+            m4.ccr.key_logical_ccr,
+            m6.ccr_raw.key_logical_ccr,
+            m6.ccr.key_logical_ccr,
         )
-    return rows
+        for name, m4, m6 in table12_rows(table_campaign())
+    ]
 
 
 def test_print_ablation(ablation_rows):
@@ -88,6 +88,6 @@ def test_benchmark_postprocess_kernel(benchmark):
     from repro.attacks.postprocess import reconnect_key_gates_to_ties
     from repro.attacks.proximity import proximity_attack
 
-    artifacts = get_artifacts("b14")
-    raw = proximity_attack(artifacts.layouts[4].feol_view())
+    layout = cell_layout(cell_spec("b14"), disk_cache())
+    raw = proximity_attack(layout.feol_view())
     benchmark(lambda: reconnect_key_gates_to_ties(raw))

@@ -20,19 +20,20 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import SEED, get_artifacts  # noqa: E402
+from _pipeline import SEED, cell_spec, disk_cache  # noqa: E402
 
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
 from repro.attacks.proximity import proximity_attack
 from repro.metrics.ccr import compute_ccr
 from repro.phys.layout import build_locked_layout
+from repro.runner import cell_layout, locked_design
 
 SWEEP_LAYERS = (3, 4, 5, 6, 7, 8)
 
 
 @pytest.fixture(scope="module")
 def sweep_rows():
-    locked = get_artifacts("b14").locked
+    locked = locked_design(cell_spec("b14"), disk_cache()).locked
     rows = []
     for split in SWEEP_LAYERS:
         layout = build_locked_layout(locked, split_layer=split, seed=SEED)
@@ -87,5 +88,5 @@ def test_broken_regular_nets_shrink_with_split(sweep_rows):
 
 
 def test_benchmark_view_kernel(benchmark):
-    layout = get_artifacts("b14").layouts[4]
+    layout = cell_layout(cell_spec("b14"), disk_cache())
     benchmark(lambda: layout.feol_view())

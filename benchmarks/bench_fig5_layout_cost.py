@@ -8,11 +8,11 @@ The paper reports, against unprotected layouts of the ITC'99 suite:
 
 Key scaling: the paper uses 128 key bits on designs of 10k-32k gates
 (a ~1.3% key:gate ratio).  Our profile-matched benchmarks are scaled
-down for the pure-Python flow, so this harness prorates the key budget
-to preserve that ratio — the quantity Fig. 5 actually reports (relative
-cost) is meaningless if the key is 10x oversized relative to the design;
-see DESIGN.md and the key-size ablation bench for the absolute-128-bit
-picture.
+down for the pure-Python flow, so the runner's Fig. 5 cells prorate the
+key budget to preserve that ratio (``prorated_key_bits``) — the quantity
+Fig. 5 actually reports (relative cost) is meaningless if the key is 10x
+oversized relative to the design; the key-size ablation bench shows the
+absolute-128-bit picture.
 """
 
 from __future__ import annotations
@@ -24,27 +24,23 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import SCALE, cell_spec, disk_cache, table_benchmarks  # noqa: E402
+from _pipeline import PROFILE, SCALE, SEED, disk_cache  # noqa: E402
 
-from repro.runner import layout_cost_runs, prorated_key_bits
-from repro.runner.paper_data import PAPER_FIG5
+from repro.runner import run_cost_campaign
+from repro.runner.paper_data import render_fig5
 
 
 @pytest.fixture(scope="module")
 def fig5_data():
-    """Per-benchmark cost deltas from the runner's cached cost stages.
+    """Per-benchmark cost deltas from the runner's Fig. 5 campaign.
 
     The key budget is prorated to the paper's key:gate ratio (see the
     module docstring); the heavy layouts come from — and land in — the
     shared on-disk artifact cache.
     """
-    return {
-        name: layout_cost_runs(
-            cell_spec(name, key_bits=prorated_key_bits(name, SCALE)),
-            disk_cache(),
-        )
-        for name in table_benchmarks()
-    }
+    return run_cost_campaign(
+        PROFILE.fig5_cells(), use_cache=disk_cache() is not None
+    )
 
 
 def _column(fig5_data, stage, metric):
@@ -52,53 +48,8 @@ def _column(fig5_data, stage, metric):
 
 
 def test_print_fig5(fig5_data):
-    from repro.utils.tables import render_table
-
-    header = ["stage", "metric", "paper avg", "ours median", "ours min..max"]
-    body = []
-    for stage in ("prelift", "M4", "M6"):
-        for metric in ("area", "power", "timing"):
-            column = _column(fig5_data, stage, metric)
-            body.append(
-                [
-                    stage,
-                    metric,
-                    f"{PAPER_FIG5[stage][metric]:+.1f}",
-                    f"{statistics.median(column):+.1f}",
-                    f"{min(column):+.1f} .. {max(column):+.1f}",
-                ]
-            )
     print()
-    print(
-        render_table(
-            "Fig. 5: layout cost (%) vs unprotected baseline "
-            "(key prorated to the paper's key:gate ratio)",
-            header,
-            body,
-        )
-    )
-    # The isolated cost of LIFTING (final split vs prelift) — the paper's
-    # causal claim ("lifting of key-nets enforces some re-routing ...").
-    # This difference cancels the die-shrink wire shortening that our
-    # scaled model couples into every absolute power number (see
-    # EXPERIMENTS.md).
-    lift_rows = []
-    for stage, paper_delta in (("M4", 20.34 - 7.66), ("M6", 15.46 - 7.66)):
-        ours = statistics.median(
-            [
-                fig5_data[n][stage]["power"] - fig5_data[n]["prelift"]["power"]
-                for n in fig5_data
-            ]
-        )
-        lift_rows.append([stage, f"{paper_delta:+.1f}", f"{ours:+.1f}"])
-    print(
-        render_table(
-            "Lifting power cost over Prelift (pp)",
-            ["split", "paper", "ours median"],
-            lift_rows,
-            note="M4 must cost more than M6 (shallow lift disturbs busy metal)",
-        )
-    )
+    print(render_fig5(fig5_data))
 
 
 def test_lifting_power_cost_ordering(fig5_data):
@@ -148,8 +99,6 @@ def test_timing_cost_bounded(fig5_data):
 def test_benchmark_layout_kernel(benchmark):
     from repro.benchgen import load_itc99
     from repro.phys.layout import build_unprotected_layout
-
-    from _pipeline import SEED
 
     circuit = load_itc99("b14", seed=SEED, scale=SCALE).combinational_core()
     benchmark(lambda: build_unprotected_layout(circuit, seed=SEED))

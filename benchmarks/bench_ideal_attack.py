@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import IDEAL_RUNS, SEED, get_artifacts  # noqa: E402
+from _pipeline import IDEAL_RUNS, SEED, cell_spec, disk_cache  # noqa: E402
 
+from repro.runner import locked_design
 from repro.sim.bitparallel import output_words, random_words
 
 SCREEN_PATTERNS = 512
@@ -37,8 +38,8 @@ def ideal_campaign():
     vector differs from the true key anywhere that matters; we screen
     each guessed netlist against the original on a shared pattern batch.
     """
-    artifacts = get_artifacts("b14")
-    core, locked = artifacts.core, artifacts.locked
+    design = locked_design(cell_spec("b14"), disk_cache())
+    core, locked = design.core, design.locked
     rng = random.Random(SEED)
     words = random_words(core.inputs, SCREEN_PATTERNS, rng)
     reference = output_words(core, words, SCREEN_PATTERNS)
@@ -87,8 +88,8 @@ def test_oer_remains_total(ideal_campaign):
 
 def test_true_key_is_error_free():
     """Sanity inverse: the correct key must reproduce the function."""
-    artifacts = get_artifacts("b14")
-    core, locked = artifacts.core, artifacts.locked
+    design = locked_design(cell_spec("b14"), disk_cache())
+    core, locked = design.core, design.locked
     rng = random.Random(3)
     words = random_words(core.inputs, SCREEN_PATTERNS, rng)
     reference = output_words(core, words, SCREEN_PATTERNS)
@@ -101,8 +102,7 @@ def test_true_key_is_error_free():
 
 
 def test_benchmark_guess_kernel(benchmark):
-    artifacts = get_artifacts("b14")
-    locked = artifacts.locked
+    locked = locked_design(cell_spec("b14"), disk_cache()).locked
     rng = random.Random(0)
 
     def one_guess():

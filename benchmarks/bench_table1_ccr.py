@@ -16,72 +16,20 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import get_artifacts, table_benchmarks  # noqa: E402
+from _pipeline import cell_spec, disk_cache, table_campaign  # noqa: E402
 
-from repro.runner.paper_data import PAPER_TABLE1
-
-
-def _collect():
-    rows = []
-    for name in table_benchmarks():
-        artifacts = get_artifacts(name)
-        m4, m6 = artifacts.runs[4], artifacts.runs[6]
-        rows.append((name, m4, m6))
-    return rows
+from repro.runner import cell_layout
+from repro.runner.paper_data import render_table1, table12_rows
 
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    return _collect()
+    return table12_rows(table_campaign())
 
 
 def test_print_table1(table1_rows):
-    from repro.utils.tables import render_table
-
-    header = [
-        "bench",
-        "M4 key log (paper/ours)",
-        "M4 key phy",
-        "M4 regular",
-        "M6 key log",
-        "M6 key phy",
-        "M6 regular",
-    ]
-    body = []
-    for name, m4, m6 in table1_rows:
-        p4, p6 = PAPER_TABLE1[name]
-        body.append(
-            [
-                name,
-                f"{p4[0]} / {m4.ccr.key_logical_ccr:.0f}",
-                f"{p4[1]} / {m4.ccr.key_physical_ccr:.0f}",
-                f"{p4[2]} / {m4.ccr.regular_ccr:.0f}",
-                f"{p6[0]} / {m6.ccr.key_logical_ccr:.0f}",
-                f"{p6[1]} / {m6.ccr.key_physical_ccr:.0f}",
-                f"{p6[2]} / {m6.ccr.regular_ccr:.0f}",
-            ]
-        )
-    avg = lambda sel: sum(sel) / len(sel)  # noqa: E731
-    body.append(
-        [
-            "Average",
-            f"51 / {avg([m4.ccr.key_logical_ccr for _, m4, _ in table1_rows]):.0f}",
-            f"0 / {avg([m4.ccr.key_physical_ccr for _, m4, _ in table1_rows]):.0f}",
-            f"15 / {avg([m4.ccr.regular_ccr for _, m4, _ in table1_rows]):.0f}",
-            f"54 / {avg([m6.ccr.key_logical_ccr for _, _, m6 in table1_rows]):.0f}",
-            f"1 / {avg([m6.ccr.key_physical_ccr for _, _, m6 in table1_rows]):.0f}",
-            f"32 / {avg([m6.ccr.regular_ccr for _, _, m6 in table1_rows]):.0f}",
-        ]
-    )
     print()
-    print(
-        render_table(
-            "Table I: CCR (%) for ITC'99, split at M4 / M6 (paper / measured)",
-            header,
-            body,
-            note="paper's b17/M4 attack timed out after 72h (NA)",
-        )
-    )
+    print(render_table1(table1_rows))
 
 
 def test_key_logical_ccr_is_random_guessing(table1_rows):
@@ -118,8 +66,7 @@ def test_split_layer_agnostic_for_keys(table1_rows):
 
 def test_benchmark_attack_runtime(benchmark, table1_rows):
     """pytest-benchmark kernel: the proximity attack on one M4 view."""
-    artifacts = get_artifacts("b14")
-    view = artifacts.layouts[4].feol_view()
+    view = cell_layout(cell_spec("b14"), disk_cache()).feol_view()
     from repro.attacks.proximity import proximity_attack
 
     benchmark(lambda: proximity_attack(view))

@@ -14,54 +14,20 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import HD_PATTERNS, get_artifacts, table_benchmarks  # noqa: E402
+from _pipeline import HD_PATTERNS, cell_spec, disk_cache, table_campaign  # noqa: E402
 
-from repro.runner.paper_data import PAPER_TABLE2
+from repro.runner import cell_layout, locked_design
+from repro.runner.paper_data import render_table2, table12_rows
 
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    return [
-        (name, get_artifacts(name).runs[4], get_artifacts(name).runs[6])
-        for name in table_benchmarks()
-    ]
+    return table12_rows(table_campaign())
 
 
 def test_print_table2(table2_rows):
-    from repro.utils.tables import render_table
-
-    header = ["bench", "M4 HD (paper/ours)", "M4 OER", "M6 HD", "M6 OER"]
-    body = []
-    for name, m4, m6 in table2_rows:
-        p4, p6 = PAPER_TABLE2[name]
-        body.append(
-            [
-                name,
-                f"{p4[0]} / {m4.hd_oer.hd_percent:.0f}",
-                f"{p4[1]} / {m4.hd_oer.oer_percent:.0f}",
-                f"{p6[0]} / {m6.hd_oer.hd_percent:.0f}",
-                f"{p6[1]} / {m6.hd_oer.oer_percent:.0f}",
-            ]
-        )
-    avg = lambda xs: sum(xs) / len(xs)  # noqa: E731
-    body.append(
-        [
-            "Average",
-            f"53 / {avg([r.hd_oer.hd_percent for _, r, _ in table2_rows]):.0f}",
-            f"100 / {avg([r.hd_oer.oer_percent for _, r, _ in table2_rows]):.0f}",
-            f"25 / {avg([r.hd_oer.hd_percent for _, _, r in table2_rows]):.0f}",
-            f"100 / {avg([r.hd_oer.oer_percent for _, _, r in table2_rows]):.0f}",
-        ]
-    )
     print()
-    print(
-        render_table(
-            f"Table II: HD and OER (%) over {HD_PATTERNS} simulation runs "
-            "(paper used 1M)",
-            header,
-            body,
-        )
-    )
+    print(render_table2(table2_rows, HD_PATTERNS))
 
 
 def test_oer_is_total(table2_rows):
@@ -88,14 +54,12 @@ def test_hd_meaningfully_large(table2_rows):
 
 def test_benchmark_hd_oer_kernel(benchmark):
     """pytest-benchmark kernel: Monte-Carlo HD/OER on one recovered pair."""
-    artifacts = get_artifacts("b14")
-    run = artifacts.runs[4]
-    core = artifacts.core
+    cell = cell_spec("b14")
+    design = locked_design(cell, disk_cache())
     from repro.attacks.postprocess import reconnect_key_gates_to_ties
     from repro.attacks.proximity import proximity_attack
     from repro.metrics.hd_oer import compute_hd_oer
 
-    view = artifacts.layouts[4].feol_view()
+    view = cell_layout(cell, disk_cache(), design=design).feol_view()
     recovered = reconnect_key_gates_to_ties(proximity_attack(view)).recovered
-    benchmark(lambda: compute_hd_oer(core, recovered, patterns=2048))
-    del run
+    benchmark(lambda: compute_hd_oer(design.core, recovered, patterns=2048))

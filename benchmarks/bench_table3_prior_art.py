@@ -24,22 +24,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _pipeline import FULL, SEED, get_table3_grid  # noqa: E402
+from _pipeline import PROFILE, SEED, disk_cache  # noqa: E402
 
-from repro.benchgen import TABLE_III_BENCHMARKS
 from repro.defense import apply_defense, resolve_defense
-from repro.runner import CellSpec, cell_layout
-
-HD_PATTERNS = 1_000_000 if FULL else 8_192
-BENCHES = TABLE_III_BENCHMARKS if FULL else ("c432", "c880", "c1355", "c1908")
-KEY_BITS_ISCAS = 32  # prorated for the small ISCAS designs (see DESIGN.md)
-
-PAPER_AVERAGES = {
-    "[22]": (88.3, 73.3, 29.1, 99.9),
-    "[12]": (30.3, 0.0, 41.1, 100.0),
-    "[13]": (None, 0.0, 41.7, 99.9),
-    "proposed": (27.5, 1.1, 42.8, 99.8),
-}
+from repro.runner import CellSpec, cell_layout, run_attack_campaign
+from repro.runner.paper_data import render_table3, table3_grid
+from repro.runner.paper_data import table3_averages as _averages
 
 
 @pytest.fixture(scope="module")
@@ -47,44 +37,19 @@ def table3_data():
     """The Table III grid as ordinary attack x defense campaign cells.
 
     Each benchmark contributes the proximity attack on three prior-art
-    defenses of the unlocked design plus the proposed 32-bit lock,
-    computed once per spec through the shared artifact cache.
+    defenses of the unlocked design plus the proposed 32-bit lock
+    (:meth:`~repro.runner.ExperimentProfile.table3_cells`), run by the
+    runner through the shared artifact cache.
     """
-    return get_table3_grid(BENCHES, KEY_BITS_ISCAS, HD_PATTERNS)
-
-
-def _averages(table3_data, scheme):
-    rows = [table3_data[name][scheme] for name in table3_data]
-    n = len(rows)
-    return tuple(sum(r[i] for r in rows) / n for i in range(4))
+    result = run_attack_campaign(
+        PROFILE.table3_cells(), use_cache=disk_cache() is not None
+    )
+    return table3_grid(result)
 
 
 def test_print_table3(table3_data):
-    from repro.utils.tables import render_table
-
-    header = ["scheme", "PNR (paper/ours)", "CCR", "HD", "OER"]
-    body = []
-    for scheme in ("[22]", "[12]", "[13]", "proposed"):
-        ours = _averages(table3_data, scheme)
-        paper = PAPER_AVERAGES[scheme]
-        body.append(
-            [
-                scheme,
-                f"{paper[0] if paper[0] is not None else 'NA'} / {ours[0]:.1f}",
-                f"{paper[1]} / {ours[1]:.1f}",
-                f"{paper[2]} / {ours[2]:.1f}",
-                f"{paper[3]} / {ours[3]:.1f}",
-            ]
-        )
     print()
-    print(
-        render_table(
-            f"Table III (averages over {', '.join(BENCHES)}; split M4)",
-            header,
-            body,
-            note="CCR = physical CCR over each scheme's protected nets",
-        )
-    )
+    print(render_table3(table3_data))
 
 
 def test_weak_defense_leaks(table3_data):

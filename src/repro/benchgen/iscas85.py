@@ -2,8 +2,8 @@
 
 ``c17`` is small enough to reproduce exactly (it is also the worked example
 in the paper's Fig. 4).  The larger ISCAS-85 netlists are generated to match
-the published interface and gate counts; see DESIGN.md for the substitution
-rationale.
+the published interface and gate counts; see :mod:`repro.benchgen.profiles`
+for the substitution rationale.
 """
 
 from __future__ import annotations

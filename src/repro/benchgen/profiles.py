@@ -5,8 +5,10 @@ environment, so the suite is regenerated as *profile-matched* synthetic
 circuits: identical primary-input/output counts, flip-flop counts and gate
 counts scaled by a common factor that preserves the relative size ordering
 (b17 largest, timing out first in the paper's Table I).  Every generator is
-seeded and deterministic.  See DESIGN.md section 3 for why this substitution
-preserves the statistics the paper measures.
+seeded and deterministic.  The substitution preserves what the paper
+measures because its metrics read the locked netlist's structure and its
+split layout (interface widths, gate counts, the share of key-nets among
+broken nets), not the exact Boolean function of the original circuit.
 """
 
 from __future__ import annotations

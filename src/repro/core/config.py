@@ -22,7 +22,8 @@ class SplitLockConfig:
     ``split_layers`` lists the splits to produce; the paper evaluates
     M4 (lift to M5) and M6 (lift to M7).  ``key_bits`` defaults to the
     paper's 128; harnesses that measure *relative area* on scaled-down
-    benchmarks pass a prorated budget instead (see DESIGN.md).
+    benchmarks pass a prorated budget instead (see
+    :func:`repro.runner.profiles.prorated_key_bits`).
     """
 
     lock: AtpgLockConfig = field(default_factory=AtpgLockConfig)

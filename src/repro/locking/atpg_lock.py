@@ -192,9 +192,8 @@ def _plan_faults(
     """Rank candidate faults by the cost model and pick a sink-disjoint set.
 
     Sink-disjointness keeps every selected fault's failing set exact in
-    the presence of the other injections (see DESIGN.md): a fault's
-    influence region can only overlap another's module when they share an
-    affected sink.
+    the presence of the other injections: a fault's influence region can
+    only overlap another's module when they share an affected sink.
     """
     universe = internal_faults(work)
     # Cheap full scan: sink-count feasibility plus the cascade-removal

@@ -4,6 +4,9 @@ Subcommands:
 
 * ``table1`` / ``table2`` — the Tables I/II grid (six ITC'99 benchmarks
   at M4/M6), printed against the paper's published rows;
+* ``table3`` — the Table III grid (the proximity attack at M4 on three
+  prior-art defenses and on the proposed lock, ISCAS-85), printed
+  against the paper's averages;
 * ``fig5``   — the Fig. 5 layout-cost grid (Prelift/M4/M6 deltas);
 * ``sweep``  — a custom campaign: any benchmarks (ISCAS-85, ITC'99 or
   ``random:i<I>-o<O>-g<G>[-d<D>]`` descriptors) crossed with split
@@ -26,15 +29,16 @@ Subcommands:
 All experiment subcommands honour ``--workers`` (default: all CPUs, or
 ``REPRO_WORKERS``), ``--cache-dir`` (default: ``REPRO_CACHE_DIR`` or
 ``~/.cache/repro-splitlock``) and ``--no-cache``; ``table1``/``table2``/
-``fig5`` additionally honour the ``REPRO_FULL``/``REPRO_SCALE`` profile
-knobs.
+``table3``/``fig5`` additionally honour the ``REPRO_FULL`` profile knob,
+and all but ``table3`` the ``REPRO_SCALE`` knob.  The paper artefacts'
+specs live in :mod:`repro.runner.profiles`, their renderers in
+:mod:`repro.runner.paper_data`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from typing import Sequence
 
@@ -42,23 +46,30 @@ from repro.adversary.evaluate import grid_verdict
 from repro.adversary.scenario import default_scenario_names
 from repro.defense import matrix_verdict
 from repro.runner.engine import (
+    AttackCampaignResult,
     CampaignResult,
     run_attack_campaign,
     run_campaign,
     run_cost_campaign,
 )
-from repro.runner.paper_data import PAPER_FIG5, PAPER_TABLE1, PAPER_TABLE2
+from repro.runner.paper_data import (
+    render_fig5,
+    render_table1,
+    render_table2,
+    render_table3,
+    table12_rows,
+    table3_grid,
+)
 from repro.runner.serialize import attack_record, cell_record
 from repro.runner.profiles import (
     attack_smoke_campaign,
     current_profile,
     defense_smoke_campaign,
-    prorated_key_bits,
     smoke_campaign,
 )
-from repro.runner.spec import AttackCampaignSpec, CampaignSpec, CellSpec
+from repro.runner.spec import AttackCampaignSpec, AttackCellSpec, CampaignSpec
 from repro.utils.artifact_cache import ArtifactCache
-from repro.utils.tables import paper_vs_measured, render_table
+from repro.utils.tables import render_table
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -104,118 +115,51 @@ def _campaign(args: argparse.Namespace, spec: CampaignSpec) -> CampaignResult:
     return result
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    spec = current_profile().table_campaign()
-    runs = _campaign(args, spec).runs()
-    header = ["bench"]
-    for split in ("M4", "M6"):
-        header += [f"{split} key log", f"{split} key phy", f"{split} regular"]
-    body = []
-    for name in spec.benchmarks:
-        paper4, paper6 = PAPER_TABLE1[name]
-        row = [name]
-        for split, paper in ((4, paper4), (6, paper6)):
-            key = (
-                name,
-                split,
-                spec.key_bits[0],
-                spec.seed,
-                spec.hd_seed,
-                spec.postprocess_seed,
-            )
-            ccr = runs[key].ccr
-            row += [
-                paper_vs_measured(paper[0], round(ccr.key_logical_ccr)),
-                paper_vs_measured(paper[1], round(ccr.key_physical_ccr)),
-                paper_vs_measured(paper[2], round(ccr.regular_ccr)),
-            ]
-        body.append(row)
-    print(
-        render_table(
-            "Table I: CCR (%) for ITC'99, split at M4 / M6 (paper / measured)",
-            header,
-            body,
-            note="paper's b17/M4 attack timed out after 72h (NA)",
-        )
+def _attack_campaign(
+    args: argparse.Namespace, spec: AttackCampaignSpec | Sequence[AttackCellSpec]
+) -> AttackCampaignResult:
+    result = run_attack_campaign(
+        spec,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
     )
+    stats = result.cache_stats()
+    print(
+        f"[runner] {len(result.cells)} attack cells in "
+        f"{result.wall_seconds:.1f}s (cache: {stats.hits} hits, "
+        f"{stats.misses} misses)",
+        file=sys.stderr,
+    )
+    return result
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    rows = table12_rows(_campaign(args, current_profile().table_campaign()))
+    print(render_table1(rows))
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     spec = current_profile().table_campaign()
-    runs = _campaign(args, spec).runs()
-    header = ["bench", "M4 HD", "M4 OER", "M6 HD", "M6 OER"]
-    body = []
-    for name in spec.benchmarks:
-        paper4, paper6 = PAPER_TABLE2[name]
-        row = [name]
-        for split, paper in ((4, paper4), (6, paper6)):
-            key = (
-                name,
-                split,
-                spec.key_bits[0],
-                spec.seed,
-                spec.hd_seed,
-                spec.postprocess_seed,
-            )
-            report = runs[key].hd_oer
-            row += [
-                paper_vs_measured(paper[0], round(report.hd_percent)),
-                paper_vs_measured(paper[1], round(report.oer_percent)),
-            ]
-        body.append(row)
-    print(
-        render_table(
-            f"Table II: HD and OER (%) over {spec.hd_patterns} simulation "
-            "runs (paper / measured; paper used 1M)",
-            header,
-            body,
-        )
-    )
+    print(render_table2(table12_rows(_campaign(args, spec)), spec.hd_patterns))
+    return 0
+
+
+def _cmd_table3(args: argparse.Namespace) -> int:
+    result = _attack_campaign(args, current_profile().table3_cells())
+    print(render_table3(table3_grid(result)))
     return 0
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
-    profile = current_profile()
-    spec = profile.table_campaign()
-    cells = [
-        CellSpec(
-            benchmark=name,
-            key_bits=prorated_key_bits(name, profile.scale),
-            seed=profile.seed,
-            scale=profile.scale,
-            max_candidates=profile.max_candidates,
-        )
-        for name in spec.benchmarks
-    ]
     data = run_cost_campaign(
-        cells,
+        current_profile().fig5_cells(),
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
-    header = ["stage", "metric", "paper avg", "ours median", "ours min..max"]
-    body = []
-    for stage in ("prelift", "M4", "M6"):
-        for metric in ("area", "power", "timing"):
-            column = [data[name][stage][metric] for name in data]
-            body.append(
-                [
-                    stage,
-                    metric,
-                    f"{PAPER_FIG5[stage][metric]:+.1f}",
-                    f"{statistics.median(column):+.1f}",
-                    f"{min(column):+.1f} .. {max(column):+.1f}",
-                ]
-            )
-    print(
-        render_table(
-            "Fig. 5: layout cost (%) vs unprotected baseline "
-            "(key prorated to the paper's key:gate ratio)",
-            header,
-            body,
-        )
-    )
+    print(render_fig5(data))
     return 0
 
 
@@ -329,19 +273,7 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
             scale=args.scale,
             hd_patterns=args.hd_patterns,
         )
-    result = run_attack_campaign(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
-    stats = result.cache_stats()
-    print(
-        f"[runner] {len(result.cells)} attack cells in "
-        f"{result.wall_seconds:.1f}s (cache: {stats.hits} hits, "
-        f"{stats.misses} misses)",
-        file=sys.stderr,
-    )
+    result = _attack_campaign(args, spec)
     print(_attack_table(result))
     if args.json:
         _dump_json(args.json, [attack_record(r) for r in result.cells])
@@ -442,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, doc in (
         ("table1", _cmd_table1, "regenerate the Table I CCR grid"),
         ("table2", _cmd_table2, "regenerate the Table II HD/OER grid"),
+        ("table3", _cmd_table3, "regenerate the Table III prior-art grid"),
         ("fig5", _cmd_fig5, "regenerate the Fig. 5 layout-cost grid"),
         ("smoke", _cmd_smoke, "run one tiny end-to-end cell (CI smoke)"),
     ):

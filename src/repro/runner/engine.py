@@ -201,11 +201,9 @@ def execute_cost_cell(
     cell: CellSpec,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    split_layers: tuple[int, ...] = (4, 6),
 ) -> dict[str, dict[str, float]]:
     """Run one Fig. 5 cost cell (module-level: picklable to workers)."""
-    cache = _open_cache(cache_dir, use_cache)
-    return layout_cost_runs(cell, cache, split_layers=split_layers)
+    return layout_cost_runs(cell, _open_cache(cache_dir, use_cache))
 
 
 class CampaignExecutor:
@@ -246,11 +244,9 @@ class CampaignExecutor:
             initargs=(worker_cache_budget_bytes(),),
         )
 
-    def submit(self, worker: Callable, task, **kwargs):
+    def submit(self, worker: Callable, task):
         """Submit *task* (a cell or a bundle) through *worker*; its future."""
-        return self._pool.submit(
-            worker, task, self.cache_dir, self.use_cache, **kwargs
-        )
+        return self._pool.submit(worker, task, self.cache_dir, self.use_cache)
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)
@@ -288,7 +284,6 @@ def _map_cells(
     workers: int | None,
     cache_dir: str | Path | None,
     use_cache: bool,
-    **kwargs,
 ) -> list:
     """One task per cell through *worker* (Fig. 5's cost cells)."""
     cells = list(cells)
@@ -298,14 +293,14 @@ def _map_cells(
         results = []
         for cell in cells:
             try:
-                results.append(worker(cell, cache_dir, use_cache, **kwargs))
+                results.append(worker(cell, cache_dir, use_cache))
             except CellExecutionError:
                 raise
             except Exception as exc:
                 raise _wrap_cell_error(cell, exc) from exc
         return results
     with CampaignExecutor(count, cache_dir, use_cache) as executor:
-        futures = [executor.submit(worker, c, **kwargs) for c in cells]
+        futures = [executor.submit(worker, c) for c in cells]
         return _gather_fail_fast(futures, cells)
 
 
@@ -360,16 +355,8 @@ def run_cost_campaign(
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    split_layers: tuple[int, ...] = (4, 6),
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Fig. 5 grid: per-benchmark cost deltas for Prelift and each split."""
     cells = list(cells)
-    rows = _map_cells(
-        execute_cost_cell,
-        cells,
-        workers,
-        cache_dir,
-        use_cache,
-        split_layers=split_layers,
-    )
+    rows = _map_cells(execute_cost_cell, cells, workers, cache_dir, use_cache)
     return {cell.benchmark: row for cell, row in zip(cells, rows)}

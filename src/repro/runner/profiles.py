@@ -1,9 +1,10 @@
 """Experiment profiles: the paper's budgets and the scaled default.
 
 One place resolves the ``REPRO_FULL`` / ``REPRO_SCALE`` environment
-knobs into concrete budgets, shared by the benchmark harnesses and the
-``python -m repro.runner`` CLI so both sides of the cache agree on the
-spec (and therefore on the artifact keys).
+knobs into concrete budgets and holds the spec of every paper artefact
+(Tables I/II, Table III, Fig. 5), shared by the benchmark harnesses and
+the ``python -m repro.runner`` CLI so both sides of the cache agree on
+the spec (and therefore on the artifact keys).
 """
 
 from __future__ import annotations
@@ -11,10 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.adversary.scenario import default_scenario_names
-from repro.benchgen import TABLE_I_BENCHMARKS, profile
+from repro.benchgen import TABLE_I_BENCHMARKS, TABLE_III_BENCHMARKS, profile
 from repro.defense import default_defense_names
-from repro.runner.spec import AttackCampaignSpec, CampaignSpec, DEFAULT_SEED
+from repro.runner.spec import (
+    AttackCampaignSpec,
+    AttackCellSpec,
+    CampaignSpec,
+    CellSpec,
+    DEFAULT_SEED,
+)
 from repro.utils.env import env_flag, env_scale
+
+#: Table III's prior-art defenses and the row label (citation) of each.
+TABLE_III_DEFENSES = {
+    "routing-perturbation": "[22]",
+    "wire-lifting": "[12]",
+    "beol-restore": "[13]",
+}
+
+#: The proposed lock's key size on the ISCAS-85 designs of Table III:
+#: the paper's 128 bits prorated for the much smaller circuits.
+TABLE_III_KEY_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -51,6 +69,54 @@ class ExperimentProfile:
             hd_patterns=self.hd_patterns,
             max_candidates=self.max_candidates,
         )
+
+    @property
+    def table3_benchmarks(self) -> tuple[str, ...]:
+        """Table III's designs: four ISCAS-85 circuits, all seven full."""
+        return (
+            TABLE_III_BENCHMARKS if self.full else ("c432", "c880", "c1355", "c1908")
+        )
+
+    @property
+    def table3_hd_patterns(self) -> int:
+        """Table III's HD/OER budget (paper: 1,000,000 runs)."""
+        return 1_000_000 if self.full else 8_192
+
+    def table3_cells(self) -> tuple[AttackCellSpec, ...]:
+        """Table III as ordinary attack x defense cells, four per design.
+
+        Every cell mounts the proximity attack at M4: the prior art
+        protects the unlocked design (``key_bits=0``), the proposed row
+        is the :data:`TABLE_III_KEY_BITS` lock with no defense.  ISCAS-85
+        layouts clamp their regular nets to M2/M3, so at M4 only what
+        the lock or the defense hides is broken.
+        """
+        common = dict(
+            benchmarks=self.table3_benchmarks,
+            scenarios=("proximity",),
+            split_layers=(4,),
+            seed=self.seed,
+            hd_patterns=self.table3_hd_patterns,
+        )
+        return (
+            AttackCampaignSpec(
+                defenses=tuple(TABLE_III_DEFENSES), key_bits=(0,), **common
+            ).cells()
+            + AttackCampaignSpec(key_bits=(TABLE_III_KEY_BITS,), **common).cells()
+        )
+
+    def fig5_cells(self) -> list[CellSpec]:
+        """Fig. 5's cost cells: the Tables I/II designs, key prorated."""
+        return [
+            CellSpec(
+                benchmark=name,
+                key_bits=prorated_key_bits(name, self.scale),
+                seed=self.seed,
+                scale=self.scale,
+                max_candidates=self.max_candidates,
+            )
+            for name in TABLE_I_BENCHMARKS
+        ]
 
 
 def prorated_key_bits(

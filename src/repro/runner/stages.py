@@ -30,7 +30,7 @@ the hook is an exact passthrough.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.adversary.evaluate import AttackOutcome, run_scenario
@@ -64,6 +64,8 @@ class LockedDesign:
 
 # ---------------------------------------------------------------------------
 # Cache payloads (one per stage; downstream payloads nest upstream ones).
+# Config dataclasses go in as they are: ``spec_key`` canonicalises them
+# field by field, exactly as it would their ``asdict`` copy.
 
 
 def bench_payload(cell: CellSpec) -> dict[str, Any]:
@@ -74,7 +76,7 @@ def bench_payload(cell: CellSpec) -> dict[str, Any]:
         "scale": cell.scale,
     }
     if generator is not None:
-        payload["generator"] = asdict(generator)
+        payload["generator"] = generator
     return payload
 
 
@@ -82,7 +84,7 @@ def lock_payload(cell: CellSpec) -> dict[str, Any]:
     return {
         "stage": "lock",
         "bench": bench_payload(cell),
-        "lock": asdict(cell.lock_config()),
+        "lock": cell.lock_config(),
     }
 
 
@@ -120,7 +122,7 @@ def attack_payload(acell: AttackCellSpec) -> dict[str, Any]:
         "stage": "attack",
         "layout": layout_payload(cell),
         "scenario": acell.scenario.to_payload(),
-        "attack": asdict(cell.attack),
+        "attack": cell.attack,
         "postprocess_seed": cell.postprocess_seed,
         "hd_patterns": cell.hd_patterns,
         "hd_seed": cell.hd_seed,
@@ -315,14 +317,17 @@ def cell_attack(
     return cache.get_or_create("attack", attack_payload(acell), create)
 
 
+#: The splits Fig. 5 reports a final layout at (besides Prelift).
+FIG5_SPLIT_LAYERS = (4, 6)
+
+
 def layout_cost_runs(
-    cell: CellSpec,
-    cache: ArtifactCache | None = None,
-    split_layers: tuple[int, ...] = (4, 6),
+    cell: CellSpec, cache: ArtifactCache | None = None
 ) -> dict[str, dict[str, float]]:
     """Fig. 5 stage: cost deltas of Prelift and each split vs unprotected.
 
-    ``cell.split_layer`` is ignored; the sweep covers *split_layers*.
+    ``cell.split_layer`` is ignored; the sweep covers
+    :data:`FIG5_SPLIT_LAYERS`.
     """
     design = locked_design(cell, cache)
     base_layout = unprotected_layout(cell, cache, design=design)
@@ -332,7 +337,7 @@ def layout_cost_runs(
             cell_layout(cell, cache, design=design, prelift=True)
         ).delta_percent(base)
     }
-    for split in split_layers:
+    for split in FIG5_SPLIT_LAYERS:
         split_cell = replace(cell, split_layer=split)
         layout = cell_layout(split_cell, cache, design=design)
         deltas[f"M{split}"] = _cost(layout).delta_percent(base)

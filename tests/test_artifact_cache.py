@@ -148,6 +148,51 @@ def test_canonical_renders_stage_payloads_like_asdict():
     assert defended > 0
 
 
+def test_stage_keys_are_pinned():
+    """The lock/layout/defense/attack keys of two smoke cells, pinned.
+
+    The random-logic attack-smoke cell keys a generator config; the
+    defended matrix cell keys a defense spec.  A payload refactor that
+    moves any of these strands every cached artifact.
+    """
+    from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
+    from repro.runner.stages import (
+        attack_payload,
+        defense_payload,
+        layout_payload,
+        lock_payload,
+    )
+
+    smoke = attack_smoke_campaign().cells()[-1]
+    assert smoke.cell_id == "random:i14-o8-g200/M4/k16/oracle-key"
+    assert spec_key(lock_payload(smoke.cell)) == (
+        "394933103c9b11040b61e443c0a505ccf7434de2977710a6011ae5f262070976"
+    )
+    assert spec_key(layout_payload(smoke.cell)) == (
+        "56ca9eb59eff10d83fe5fb073b8ec8e13d175846d9761d3c930c5f078b48586d"
+    )
+    assert spec_key(attack_payload(smoke)) == (
+        "1513708276163a368cc51b76a6294dbabadbd121b20d45a234bdb91fe6e649d3"
+    )
+
+    defended = next(
+        c for c in defense_smoke_campaign().cells() if c.defense is not None
+    )
+    assert defended.cell_id == "b14/M4/k16/routing-perturbation/netflow"
+    assert spec_key(lock_payload(defended.cell)) == (
+        "96fca12cd5db8c670fc86b0ef9832caf7f8f79c86661e62b69fe403f3e81dc3f"
+    )
+    assert spec_key(layout_payload(defended.cell)) == (
+        "86fc61258f067088f91e657c4b9b8b0b69d02b58a5aa010c8c1b8cb84962727b"
+    )
+    assert spec_key(defense_payload(defended.cell, defended.defense)) == (
+        "7ec06c419465fdbe2d2f33a60c4c577b674bdd44370ffae01c8108b1f9f7b3e5"
+    )
+    assert spec_key(attack_payload(defended)) == (
+        "bd0b8ed3ca635f8d0e2824d7261762e5a5a1379dad21a69487d73290927a8ce6"
+    )
+
+
 @dataclass
 class _Node:
     left: Any

@@ -515,7 +515,7 @@ def test_layout_cost_study_pipeline_matches_standalone():
     cell = CellSpec(
         benchmark="random:i10-o5-g120", key_bits=10, max_candidates=350
     )
-    pipelined = layout_cost_runs(cell, cache=None, split_layers=(4,))
+    pipelined = layout_cost_runs(cell, cache=None)
 
     core = generate_random_circuit(
         GeneratorConfig(10, 5, 120), seed=cell.seed, name=cell.benchmark
@@ -530,10 +530,12 @@ def test_layout_cost_study_pipeline_matches_standalone():
     base = mlc(core, base_layout.floorplan, base_layout.routing)
     prelift = bll(locked, seed=cell.seed, prelift=True)
     m4 = bll(locked, split_layer=4, seed=cell.seed)
+    m6 = bll(locked, split_layer=6, seed=cell.seed)
     standalone = {
         "prelift": mlc(
             prelift.circuit, prelift.floorplan, prelift.routing
         ).delta_percent(base),
         "M4": mlc(m4.circuit, m4.floorplan, m4.routing).delta_percent(base),
+        "M6": mlc(m6.circuit, m6.floorplan, m6.routing).delta_percent(base),
     }
     assert pipelined == standalone

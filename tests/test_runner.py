@@ -269,11 +269,9 @@ def test_cost_campaign_produces_stage_deltas(tmp_path):
     cell = CellSpec(
         benchmark="b14", key_bits=10, scale=0.03, max_candidates=60
     )
-    data = run_cost_campaign(
-        [cell], workers=1, cache_dir=tmp_path, split_layers=(4,)
-    )
+    data = run_cost_campaign([cell], workers=1, cache_dir=tmp_path)
     assert set(data) == {"b14"}
-    assert set(data["b14"]) == {"prelift", "M4"}
+    assert set(data["b14"]) == {"prelift", "M4", "M6"}
     for deltas in data["b14"].values():
         assert set(deltas) == {"area", "power", "timing"}
 
