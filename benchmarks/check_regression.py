@@ -65,10 +65,6 @@ def _sim_max_pps(payload: dict[str, Any]) -> float:
     return max(r["compiled_pps"] for r in payload["results"])
 
 
-def _layout_min_speedup(payload: dict[str, Any]) -> float:
-    return min(p["speedup"] for p in payload["profiles"])
-
-
 #: The gate per payload stem.  Ratio metrics carry the tight tolerance,
 #: absolute ones the loose tolerance (see the module docstring).
 GATES: dict[str, tuple[Metric, ...]] = {
@@ -135,20 +131,6 @@ GATES: dict[str, tuple[Metric, ...]] = {
             "affinity_wall_seconds",
             lambda p: p["affinity_wall_seconds"],
             direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
-    ),
-    "BENCH_layout": (
-        Metric(
-            "largest_profile_speedup",
-            lambda p: p["largest_profile_speedup"],
-        ),
-        Metric("min_profile_speedup", _layout_min_speedup),
-        Metric(
-            "max_layouts_per_second",
-            lambda p: max(
-                x["layouts_per_second_compiled"] for x in p["profiles"]
-            ),
             tolerance=ABSOLUTE_TOLERANCE,
         ),
     ),

@@ -1,15 +1,13 @@
 """Physical design substrate: floorplan, place, route, lift, split, cost.
 
-Placement, routing and splitting are dual-engine (pure-Python
-reference vs the array-native core in :mod:`repro.phys.compiled`),
-dispatched per the ``REPRO_LAYOUT_ENGINE`` knob; both engines are
-bit-identical.  :mod:`repro.phys.geometry` exposes the shared
-stub-coordinate arrays and pairwise score blocks the attack pipelines
-consume.
+Placement, routing and splitting run on the array-native engine of
+:mod:`repro.phys.compiled`, bit-identical to the pure-Python reference
+flow that ``tests/layout_reference.py`` keeps as its test oracle.
+:mod:`repro.phys.geometry` exposes the shared stub-coordinate arrays and
+pairwise score blocks the attack pipelines consume.
 """
 
 from repro.phys.cost import LayoutCost, measure_layout_cost
-from repro.phys.dispatch import layout_engine_knob, resolve_layout_engine
 from repro.phys.floorplan import Floorplan, build_floorplan
 from repro.phys.layout import (
     PhysicalLayout,
@@ -57,13 +55,11 @@ __all__ = [
     "collect_pins",
     "ground_truth",
     "half_perimeter_wirelength",
-    "layout_engine_knob",
     "lift_key_nets",
     "measure_layout_cost",
     "package_route_keys",
     "place",
     "randomize_tie_cells",
-    "resolve_layout_engine",
     "route_design",
     "split_layout",
     "tie_distance_statistics",

@@ -1,8 +1,8 @@
 """Array-native physical-design engines (placement, routing, split).
 
-The compiled counterpart of the pure-Python reference flow, mirroring
-the PR-2 simulation-engine pattern: the same algorithms restated over
-contiguous NumPy arrays —
+The one layout engine every workload runs.  The algorithms are the
+pure-Python reference flow's (kept as the test oracle in
+``tests/layout_reference.py``), restated over contiguous NumPy arrays —
 
 * **placement** — the Jacobi relaxation runs as gather/scatter-add
   passes over a sparse net-incidence structure instead of per-cell
@@ -19,13 +19,13 @@ contiguous NumPy arrays —
   cache is pre-filled so downstream attack pipelines start on the
   array domain for free.
 
-Everything is **bit-identical** to the reference engines: the same
+Everything is **bit-identical** to the reference flow: the same
 ``random.Random`` streams are consumed in the same order, float
 reductions run in the same per-cell operation order (the k-slot
 accumulation below reproduces sequential neighbour sums exactly), and
 ``math.hypot`` is routed through :func:`repro.phys.geometry.exact_hypot`.
 ``tests/test_layout_compiled.py`` enforces equality of placements,
-routes, stubs and layout costs across engines.
+routes, stubs and layout costs against the oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def place_compiled(
     ignore_nets: set[str] | None = None,
     library: CellLibrary | None = None,
 ) -> Placement:
-    """Array-native placer; bit-identical to ``place_reference``."""
+    """Array-native placer; bit-identical to ``place_reference``
+    in ``tests/layout_reference.py``."""
     lib = library or NANGATE45
     ignore_nets = ignore_nets or set()
     rng = random.Random(seed)
@@ -404,7 +405,8 @@ def route_compiled(
     seed: int = 2019,
     key_nets: set[str] | None = None,
 ) -> Routing:
-    """Array-native router; bit-identical to ``route_reference``."""
+    """Array-native router; bit-identical to ``route_reference``
+    in ``tests/layout_reference.py``."""
     stack = stack or STACK
     rng = random.Random(seed)
     key_nets = key_nets or set()
@@ -527,7 +529,8 @@ def split_compiled(
     split_layer: int,
     key_nets: set[str] | None = None,
 ) -> FeolView:
-    """Array-native splitter; bit-identical to ``split_reference``."""
+    """Array-native splitter; bit-identical to ``split_reference``
+    in ``tests/layout_reference.py``."""
     del key_nets  # the routing's is_key_net flags are authoritative
     view = FeolView(circuit.name, split_layer)
     view.gates = dict(circuit.gates)

@@ -12,11 +12,9 @@ sites; the legalizer never moves them and packs movable cells around them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.netlist.cell_library import (
-    NANGATE45,
     ROW_HEIGHT_UM,
     SITE_WIDTH_UM,
     CellLibrary,
@@ -91,25 +89,11 @@ def place(
     hints".  Primary inputs are represented by their pads and act as fixed
     anchors; they own no placement site.
 
-    Dispatches between the pure-Python reference placer below and the
-    array-native engine of :mod:`repro.phys.compiled` per the
-    ``REPRO_LAYOUT_ENGINE`` knob; both are bit-identical.
+    Runs the array-native placer of :mod:`repro.phys.compiled`.
     """
-    from repro.phys.dispatch import resolve_layout_engine
+    from repro.phys.compiled import place_compiled
 
-    if resolve_layout_engine() == "compiled":
-        from repro.phys.compiled import place_compiled
-
-        return place_compiled(
-            circuit,
-            floorplan,
-            seed=seed,
-            iterations=iterations,
-            fixed_cells=fixed_cells,
-            ignore_nets=ignore_nets,
-            library=library,
-        )
-    return place_reference(
+    return place_compiled(
         circuit,
         floorplan,
         seed=seed,
@@ -191,187 +175,6 @@ def assign_cell_widths(
                 cells = lib.mapping_for(gate.gate_type, key[1])
             width = widths[key] = sum(c.width_sites for c in cells)
         placement.widths_sites[gate.name] = width
-
-
-def place_reference(
-    circuit: Circuit,
-    floorplan: Floorplan,
-    seed: int = 2019,
-    iterations: int = 24,
-    fixed_cells: dict[str, tuple[float, float]] | None = None,
-    ignore_nets: set[str] | None = None,
-    library: CellLibrary | None = None,
-) -> Placement:
-    """The pure-Python reference placer (the compiled engine's oracle)."""
-    lib = library or NANGATE45
-    ignore_nets = ignore_nets or set()
-    rng = random.Random(seed)
-    movable = movable_cells(circuit, fixed_cells)
-    fixed_cells = dict(fixed_cells or {})
-
-    positions: dict[str, tuple[float, float]] = {}
-    for name in movable:
-        positions[name] = (
-            rng.uniform(0, floorplan.width_um),
-            rng.uniform(0, floorplan.height_um),
-        )
-    positions.update(fixed_cells)
-
-    anchors = dict(floorplan.pad_ring.pads)
-
-    def pin_pos(net: str) -> tuple[float, float] | None:
-        if net in positions:
-            return positions[net]
-        if net in anchors:
-            return anchors[net]
-        return None
-
-    # Quadratic placement by Jacobi relaxation on the connectivity
-    # Laplacian: each movable cell repeatedly moves to the mean of its
-    # neighbours (pads and fixed cells act as boundary conditions).  This
-    # is the classic analytic-placement objective whose determinism and
-    # wirelength focus create the proximity hints attacks rely on.
-    neighbours = build_neighbours(circuit, movable, ignore_nets, anchors)
-
-    def fixed_pos(name: str) -> tuple[float, float] | None:
-        if name in anchors:
-            return anchors[name]
-        if name in fixed_cells:
-            return fixed_cells[name]
-        return None
-
-    for _ in range(max(iterations, 40)):
-        updates: dict[str, tuple[float, float]] = {}
-        for name in movable:
-            pulls = []
-            for other in neighbours[name]:
-                p = fixed_pos(other)
-                if p is None:
-                    p = positions.get(other)
-                if p is not None:
-                    pulls.append(p)
-            if not pulls:
-                continue
-            updates[name] = (
-                sum(p[0] for p in pulls) / len(pulls),
-                sum(p[1] for p in pulls) / len(pulls),
-            )
-        positions.update(updates)
-
-    # Order-preserving spread: relaxation clumps cells around the die
-    # centre; remap each axis to its rank percentile so density is even
-    # while relative order (= locality) is kept.  Small deterministic
-    # jitter breaks rank ties.
-    if movable:
-        by_x = sorted(movable, key=lambda n: (positions[n][0], n))
-        by_y = sorted(movable, key=lambda n: (positions[n][1], n))
-        span_x = floorplan.width_um - SITE_WIDTH_UM
-        span_y = floorplan.height_um - ROW_HEIGHT_UM
-        new_x = {
-            name: (rank + 0.5) / len(by_x) * span_x
-            for rank, name in enumerate(by_x)
-        }
-        new_y = {
-            name: (rank + 0.5) / len(by_y) * span_y
-            for rank, name in enumerate(by_y)
-        }
-        for name in movable:
-            positions[name] = (
-                new_x[name] + rng.uniform(-0.1, 0.1),
-                new_y[name] + rng.uniform(-0.1, 0.1),
-            )
-
-    placement = Placement()
-    placement.fixed = set(fixed_cells)
-    assign_cell_widths(placement, circuit, lib)
-    _legalize(placement, positions, floorplan, movable, fixed_cells)
-    return placement
-
-
-def _legalize(
-    placement: Placement,
-    positions: dict[str, tuple[float, float]],
-    floorplan: Floorplan,
-    movable: list[str],
-    fixed_cells: dict[str, tuple[float, float]],
-) -> None:
-    """Snap cells to rows/sites without overlaps (greedy row packing).
-
-    Cells are processed in global-position order per row; each takes the
-    nearest free site run wide enough for it.  Fixed cells reserve their
-    sites first.
-    """
-    occupied: dict[int, list[tuple[int, int, str]]] = {
-        row: [] for row in range(floorplan.num_rows)
-    }
-
-    def reserve(row: int, start: int, width: int, name: str) -> None:
-        occupied[row].append((start, start + width, name))
-
-    def fits(row: int, start: int, width: int) -> bool:
-        if start < 0 or start + width > floorplan.sites_per_row:
-            return False
-        for s, e, _ in occupied[row]:
-            if start < e and s < start + width:
-                return False
-        return True
-
-    for name, (x, y) in fixed_cells.items():
-        row, site = floorplan.snap(x, y)
-        width = placement.widths_sites.get(name, 1)
-        reserve(row, site, width, name)
-        placement.locations[name] = (
-            floorplan.site_x(site),
-            floorplan.row_y(row),
-        )
-
-    def nearest_fit_in_row(row: int, site: int, width: int) -> int | None:
-        """Closest feasible start site in *row*, or None when row is full."""
-        runs = sorted(occupied[row])
-        best: int | None = None
-        best_cost = float("inf")
-        cursor = 0
-        for run_start, run_end, _ in runs + [
-            (floorplan.sites_per_row, floorplan.sites_per_row, "")
-        ]:
-            gap_start, gap_end = cursor, run_start
-            cursor = max(cursor, run_end)
-            if gap_end - gap_start < width:
-                continue
-            candidate = min(max(site, gap_start), gap_end - width)
-            cost = abs(candidate - site)
-            if cost < best_cost:
-                best_cost = cost
-                best = candidate
-        return best
-
-    order = sorted(movable, key=lambda n: (positions[n][1], positions[n][0]))
-    for name in order:
-        x, y = positions[name]
-        row, site = floorplan.snap(x, y)
-        width = placement.widths_sites.get(name, 1)
-        placed = False
-        for d_row in sorted(
-            range(-floorplan.num_rows, floorplan.num_rows), key=abs
-        ):
-            r = row + d_row
-            if r < 0 or r >= floorplan.num_rows:
-                continue
-            s = nearest_fit_in_row(r, site, width)
-            if s is None:
-                continue
-            reserve(r, s, width, name)
-            placement.locations[name] = (
-                floorplan.site_x(s),
-                floorplan.row_y(r),
-            )
-            placed = True
-            break
-        if not placed:
-            raise RuntimeError(
-                f"legalization failed for {name}: floorplan too full "
-                f"(lower the utilization)"
-            )
 
 
 def half_perimeter_wirelength(

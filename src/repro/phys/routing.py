@@ -20,13 +20,12 @@ routers that proximity attacks bank on:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.netlist.circuit import Circuit
 from repro.phys.floorplan import Floorplan
 from repro.phys.placement import Placement
-from repro.phys.stackup import STACK, MetalStack
+from repro.phys.stackup import MetalStack
 
 
 @dataclass(frozen=True)
@@ -174,134 +173,18 @@ def route_design(
 ) -> Routing:
     """Route every net; key-nets are skipped (handled by the lifting step).
 
-    Dispatches between the reference router below and the array-native
-    engine of :mod:`repro.phys.compiled` per ``REPRO_LAYOUT_ENGINE``;
-    both are bit-identical.
+    Runs the array-native router of :mod:`repro.phys.compiled`.
     """
-    from repro.phys.dispatch import resolve_layout_engine
+    from repro.phys.compiled import route_compiled
 
-    if resolve_layout_engine() == "compiled":
-        from repro.phys.compiled import route_compiled
-
-        return route_compiled(
-            circuit, placement, floorplan,
-            stack=stack, seed=seed, key_nets=key_nets,
-        )
-    return route_reference(
+    return route_compiled(
         circuit, placement, floorplan,
         stack=stack, seed=seed, key_nets=key_nets,
     )
 
 
-def route_reference(
-    circuit: Circuit,
-    placement: Placement,
-    floorplan: Floorplan,
-    stack: MetalStack | None = None,
-    seed: int = 2019,
-    key_nets: set[str] | None = None,
-) -> Routing:
-    """The pure-Python reference router (the compiled engine's oracle)."""
-    stack = stack or STACK
-    rng = random.Random(seed)
-    key_nets = key_nets or set()
-    routing = Routing()
-
-    for lower in ROUTING_PAIRS:
-        if lower + 1 > stack.top:
-            continue
-        h_layer, v_layer = stack.routing_pair(lower)
-        h_tracks = floorplan.height_um / h_layer.pitch_um
-        v_tracks = floorplan.width_um / v_layer.pitch_um
-        routing.pair_capacity[lower] = CAPACITY_FRACTION * (
-            h_tracks * floorplan.width_um + v_tracks * floorplan.height_um
-        )
-        routing.pair_usage[lower] = 0.0
-
-    all_pins = collect_pins(circuit, placement, floorplan)
-    diag = floorplan.width_um + floorplan.height_um
-    density = _pin_density_grid(all_pins, floorplan)
-
-    # Short nets first: they claim the thin lower pairs, long nets climb.
-    def hpwl(net: str) -> float:
-        xs = [p.x for p in all_pins[net]]
-        ys = [p.y for p in all_pins[net]]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    for net in sorted(all_pins, key=hpwl):
-        pins = all_pins[net]
-        routed = RoutedNet(net, pins[0], is_key_net=net in key_nets)
-        for sink in pins[1:]:
-            dx = abs(sink.x - pins[0].x)
-            dy = abs(sink.y - pins[0].y)
-            routed.routes.append(
-                TwoPinRoute(
-                    sink=sink,
-                    h_length=dx,
-                    v_length=dy,
-                    bend_first="H" if rng.random() < 0.5 else "V",
-                )
-            )
-        if routed.is_key_net:
-            routing.nets[net] = routed
-            continue  # lifted later; consumes no regular capacity here
-        length = sum(r.length for r in routed.routes)
-        preferred = _preferred_pair(hpwl(net), diag)
-        if preferred == 2 and _congestion_spill(
-            net, pins, density, floorplan, rng
-        ):
-            # local congestion: a short net in a pin-dense region gets
-            # pushed one pair up — these short spilled nets are the easy
-            # targets that give real proximity attacks their hit rate.
-            preferred = 4
-        routed.lower_layer = _assign_pair(routing, preferred, length)
-        routing.pair_usage[routed.lower_layer] += length
-        routing.nets[net] = routed
-    return routing
-
-
 #: Fraction of short nets in congested regions pushed one layer pair up.
 SPILL_FRACTION = 0.15
-
-
-def _pin_density_grid(
-    all_pins: dict[str, list[Pin]], floorplan: Floorplan
-) -> dict[tuple[int, int], int]:
-    """Pins per ~4x4um gcell; drives the local-congestion model."""
-    grid: dict[tuple[int, int], int] = {}
-    for pins in all_pins.values():
-        for pin in pins:
-            cell = (int(pin.x // 4.0), int(pin.y // 4.0))
-            grid[cell] = grid.get(cell, 0) + 1
-    return grid
-
-
-def _congestion_spill(
-    net: str,
-    pins: list[Pin],
-    density: dict[tuple[int, int], int],
-    floorplan: Floorplan,
-    rng: random.Random,
-) -> bool:
-    """Deterministically spill a share of short nets in dense regions."""
-    local = max(
-        density.get((int(p.x // 4.0), int(p.y // 4.0)), 0) for p in pins
-    )
-    mean_density = (
-        sum(density.values()) / len(density) if density else 0.0
-    )
-    if local < 1.3 * max(1.0, mean_density):
-        return False
-    return rng.random() < SPILL_FRACTION
-
-
-def _preferred_pair(span: float, diag: float) -> int:
-    """Net-length-driven layer-pair preference."""
-    if span > 0.55 * diag:
-        return 6
-    if span > 0.30 * diag:
-        return 4
-    return 2
 
 
 def _assign_pair(routing: Routing, preferred: int, length: float) -> int:

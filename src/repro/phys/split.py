@@ -24,7 +24,6 @@ positions, escape directions and fanout branch counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.netlist.circuit import Circuit
@@ -138,49 +137,11 @@ def split_layout(
 ) -> FeolView:
     """Split the routed *circuit* at *split_layer*; returns the FEOL view.
 
-    Dispatches between the reference splitter below and the array-native
-    engine of :mod:`repro.phys.compiled` per ``REPRO_LAYOUT_ENGINE``;
-    both are bit-identical.
+    Runs the array-native splitter of :mod:`repro.phys.compiled`.
     """
-    from repro.phys.dispatch import resolve_layout_engine
+    from repro.phys.compiled import split_compiled
 
-    if resolve_layout_engine() == "compiled":
-        from repro.phys.compiled import split_compiled
-
-        return split_compiled(circuit, routing, split_layer, key_nets)
-    return split_reference(circuit, routing, split_layer, key_nets)
-
-
-def split_reference(
-    circuit: Circuit,
-    routing: Routing,
-    split_layer: int,
-    key_nets: set[str] | None = None,
-) -> FeolView:
-    """The pure-Python reference splitter (the compiled engine's oracle)."""
-    key_nets = key_nets or set()
-    view = FeolView(circuit.name, split_layer)
-    view.gates = dict(circuit.gates)
-    view.outputs = list(circuit.outputs)
-    counter = [0]
-
-    def next_id() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    for net_name, routed in routing.nets.items():
-        if routed.is_key_net:
-            _emit_key_stubs(view, circuit, routed, next_id)
-            continue
-        if routed.top_layer <= split_layer:
-            view.visible_nets.add(net_name)
-            continue
-        trunk_missing_only = routed.v_layer <= split_layer < routed.h_layer
-        if trunk_missing_only:
-            _emit_trunk_stubs(view, circuit, routed, next_id)
-        else:
-            _emit_pin_escape_stubs(view, circuit, routed, next_id)
-    return view
+    return split_compiled(circuit, routing, split_layer, key_nets)
 
 
 def _tie_info(circuit: Circuit, net_name: str) -> tuple[bool, int | None]:
@@ -188,147 +149,6 @@ def _tie_info(circuit: Circuit, net_name: str) -> tuple[bool, int | None]:
     if driver is None or not driver.is_tie:
         return False, None
     return True, 1 if driver.gate_type is GateType.TIEHI else 0
-
-
-def _emit_key_stubs(view: FeolView, circuit: Circuit, routed, next_id) -> None:
-    """Key-nets: stacked vias exactly on the pins, zero FEOL wiring."""
-    is_tie, tie_value = _tie_info(circuit, routed.net)
-    view.source_stubs.append(
-        SourceStub(
-            next_id(),
-            routed.source.owner,
-            routed.net,
-            routed.source.x,
-            routed.source.y,
-            is_tie,
-            tie_value,
-            trunk_axis=None,
-        )
-    )
-    for route in routed.routes:
-        view.sink_stubs.append(
-            SinkStub(
-                next_id(),
-                route.sink.owner,
-                route.sink.pin_index,
-                routed.net,
-                route.sink.x,
-                route.sink.y,
-                has_escape=False,
-                trunk_axis=None,
-            )
-        )
-
-
-def _emit_trunk_stubs(view: FeolView, circuit: Circuit, routed, next_id) -> None:
-    """Vertical legs visible, horizontal trunk missing: aligned stubs.
-
-    With a V-first bend the source's visible leg ends at (x_src, y_sink);
-    with an H-first bend the sink's visible leg ends at (x_sink, y_src).
-    Either way both dangling ends of a true pair share one y-row, and the
-    missing trunk runs along x.
-    """
-    is_tie, tie_value = _tie_info(circuit, routed.net)
-    sx, sy = routed.source.x, routed.source.y
-    for route in routed.routes:
-        kx, ky = route.sink.x, route.sink.y
-        if route.bend_first == "V":
-            src_pt = (sx, ky)
-            sink_pt = _nudge_toward(kx, ky, sx, escape=0.4)
-        else:
-            src_pt = _nudge_toward(sx, sy, kx, escape=0.4)
-            sink_pt = (kx, sy)
-        view.source_stubs.append(
-            SourceStub(
-                next_id(),
-                routed.source.owner,
-                routed.net,
-                src_pt[0],
-                src_pt[1],
-                is_tie,
-                tie_value,
-                trunk_axis="x",
-            )
-        )
-        view.sink_stubs.append(
-            SinkStub(
-                next_id(),
-                route.sink.owner,
-                route.sink.pin_index,
-                routed.net,
-                sink_pt[0],
-                sink_pt[1],
-                has_escape=True,
-                trunk_axis="x",
-            )
-        )
-
-
-def _emit_pin_escape_stubs(view: FeolView, circuit: Circuit, routed, next_id) -> None:
-    """Both legs above the split: only short pin escapes remain."""
-    is_tie, tie_value = _tie_info(circuit, routed.net)
-    centroid_x = (
-        sum(r.sink.x for r in routed.routes) / len(routed.routes)
-        if routed.routes
-        else routed.source.x
-    )
-    centroid_y = (
-        sum(r.sink.y for r in routed.routes) / len(routed.routes)
-        if routed.routes
-        else routed.source.y
-    )
-    escape = 2.0
-    sx, sy = _escape_point(
-        routed.source.x, routed.source.y, centroid_x, centroid_y, escape
-    )
-    view.source_stubs.append(
-        SourceStub(
-            next_id(),
-            routed.source.owner,
-            routed.net,
-            sx,
-            sy,
-            is_tie,
-            tie_value,
-            trunk_axis=None,
-        )
-    )
-    for route in routed.routes:
-        ex, ey = _escape_point(
-            route.sink.x, route.sink.y, routed.source.x, routed.source.y, escape
-        )
-        view.sink_stubs.append(
-            SinkStub(
-                next_id(),
-                route.sink.owner,
-                route.sink.pin_index,
-                routed.net,
-                ex,
-                ey,
-                has_escape=True,
-                trunk_axis=None,
-            )
-        )
-
-
-def _nudge_toward(x: float, y: float, toward_x: float, escape: float) -> tuple[float, float]:
-    """Short horizontal escape from a pin toward the missing trunk."""
-    step = escape if toward_x >= x else -escape
-    return (x + step, y)
-
-
-def _escape_point(
-    x: float, y: float, toward_x: float, toward_y: float, escape: float
-) -> tuple[float, float]:
-    """End of the FEOL escape segment leaving (x, y) toward a partner."""
-    if escape <= 0.0:
-        return (x, y)
-    dx, dy = toward_x - x, toward_y - y
-    dist = math.hypot(dx, dy)
-    if dist < 1e-9:
-        return (x, y)
-    step = min(escape, dist / 2.0)
-    return (x + dx / dist * step, y + dy / dist * step)
 
 
 def ground_truth(view: FeolView) -> dict[int, str]:

@@ -97,6 +97,7 @@ class ExperimentProfile:
             split_layers=(4,),
             seed=self.seed,
             hd_patterns=self.table3_hd_patterns,
+            max_candidates=self.max_candidates,
         )
         return (
             AttackCampaignSpec(

@@ -89,8 +89,6 @@ def lock_payload(cell: CellSpec) -> dict[str, Any]:
 
 
 def layout_payload(cell: CellSpec, prelift: bool = False) -> dict[str, Any]:
-    # The layout engines are bit-identical, so ``REPRO_LAYOUT_ENGINE``
-    # stays out of the key: either engine's artifact serves both.
     return {
         "stage": "layout",
         "lock": lock_payload(cell),

@@ -1,5 +1,5 @@
-"""Logic simulation: bit-parallel (big-int and compiled vectorized),
-event-driven, and sequential engines."""
+"""Logic simulation: bit-parallel engines, big-int and compiled
+vectorized."""
 
 from repro.sim.bitparallel import (
     compiled_engine_for,
@@ -18,16 +18,12 @@ from repro.sim.bitparallel import (
     unpack_word,
 )
 from repro.sim.compiled import CompiledCircuit, compile_circuit
-from repro.sim.event_sim import evaluate_outputs, simulate_event_driven
-from repro.sim.sequential import SequentialSimulator
 
 __all__ = [
     "CompiledCircuit",
-    "SequentialSimulator",
     "compile_circuit",
     "compiled_engine_for",
     "count_differing_lanes",
-    "evaluate_outputs",
     "exhaustive_words",
     "functions_equal_exhaustive",
     "mask_for",
@@ -35,7 +31,6 @@ __all__ = [
     "pack_patterns",
     "random_words",
     "signal_probabilities",
-    "simulate_event_driven",
     "simulate_patterns",
     "simulate_words",
     "simulate_words_bigint",

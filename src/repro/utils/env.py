@@ -15,10 +15,6 @@ Knobs:
 * ``REPRO_CACHE_DIR``   — artifact-cache directory override.
 * ``REPRO_WORKERS``     — default worker count for the campaign runner.
 * ``REPRO_SIM_ENGINE``  — simulation engine (``auto``/``compiled``/``bigint``).
-* ``REPRO_LAYOUT_ENGINE`` — physical-design engine selection
-  (``auto``/``compiled``/``reference``; parsed by
-  :mod:`repro.phys.dispatch`).  Both engines are bit-identical, so the
-  choice stays out of the runner's cache keys.
 * ``REPRO_ATTACK_SEED``   — default adversary-scenario seed (``0`` is a
   valid seed, unlike the scale knob).
 * ``REPRO_ATTACK_BUDGET`` — hypothesis budget for scenario key search

@@ -23,13 +23,18 @@ def render_table(
         for index, cell in enumerate(row):
             widths[index] = max(widths[index], len(cell))
     lines = [title, "=" * len(title)]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
+    lines.append(_padded(header, widths))
     lines.append("  ".join("-" * w for w in widths))
     for row in cells:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
+        lines.append(_padded(row, widths))
     if note:
         lines.append(f"note: {note}")
     return "\n".join(lines)
+
+
+def _padded(cells: Sequence[str], widths: list[int]) -> str:
+    """One row, each column padded to its width; no trailing spaces."""
+    return "  ".join(c.ljust(widths[i]) for i, c in enumerate(cells)).rstrip()
 
 
 def _fmt(cell: object) -> str:

@@ -26,8 +26,8 @@ from repro.atpg import (
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.sim.bitparallel import exhaustive_words, random_words
-from repro.sim.event_sim import evaluate_outputs
 from tests.conftest import build_random_circuit
+from tests.event_sim import evaluate_outputs
 
 
 def test_fault_universe_size(c17_circuit):

@@ -7,8 +7,11 @@ The load-bearing guarantees under test:
   ``select_protected_nets`` selection matches a cone-walk scoring;
 * every defense engine is deterministic, protects the nets it claims,
   and keeps the ``stub_arrays`` invalidation token honest;
-* the ``defense`` stage cache key splits per (scheme, strength, seed,
-  layout engine), while undefended cells keep their historical keys;
+* every defended view equals the one the reference splitter
+  (``tests/layout_reference.py``) cuts from the same lifted or
+  perturbed routing;
+* the ``defense`` stage cache key splits per (scheme, strength, seed),
+  while undefended cells keep their historical keys;
 * a defense x attack matrix grid plans one sibling group per (layout,
   defense) and the fused path is bit-identical to a per-cell reference;
 * :func:`repro.defense.matrix_verdict` judges recovery drops, the
@@ -52,6 +55,7 @@ from repro.runner.stages import attack_payload, cell_layout, defense_payload
 from repro.utils.artifact_cache import spec_key
 from repro.utils.env import env_fraction
 from tests.conftest import per_cell_records
+from tests.layout_reference import patch_reference, split_reference
 
 CELL = CellSpec(
     benchmark="random:i10-o5-g90",
@@ -247,6 +251,32 @@ def test_stub_arrays_invalidate_across_every_engine(name, layout):
     )} == {s.stub_id: s.x for s in moved}
 
 
+@pytest.mark.parametrize(
+    "name", ["wire-lifting", "beol-restore", "routing-perturbation"]
+)
+def test_defended_views_identical_to_oracle_split(name, layout, monkeypatch):
+    """The defenses re-split lifted or perturbed routings; those views
+    equal the reference splitter's stub for stub."""
+    spec = resolve_defense(name)
+    compiled = apply_defense(spec, layout, CELL.split_layer)
+    with monkeypatch.context() as patch:
+        calls = [
+            patch_reference(
+                patch, module, split_layout=split_reference
+            )
+            for module in (
+                "repro.defense.wire_lifting",
+                "repro.defense.routing_perturbation",
+            )
+        ]
+        reference = apply_defense(spec, layout, CELL.split_layer)
+    assert sum(calls, []) == ["split_reference"]
+    assert reference.protected_nets == compiled.protected_nets
+    assert reference.view.source_stubs == compiled.view.source_stubs
+    assert reference.view.sink_stubs == compiled.view.sink_stubs
+    assert reference.view.visible_nets == compiled.view.visible_nets
+
+
 def test_lifting_engines_erase_proximity_by_cositing(layout):
     defended = apply_defense(
         resolve_defense("wire-lifting"), layout, CELL.split_layer
@@ -289,7 +319,7 @@ def test_beol_restore_obfuscates_on_top_of_lifting(layout):
 # Cache keys: the defense stage and the defended attack stage
 
 
-def test_defense_stage_cache_key_splits(monkeypatch):
+def test_defense_stage_cache_key_splits():
     def key(spec):
         return spec_key(defense_payload(CELL, spec))
 
@@ -297,11 +327,6 @@ def test_defense_stage_cache_key_splits(monkeypatch):
     assert key(lifting) != key(resolve_defense("beol-restore"))
     assert key(lifting) != key(resolve_defense("wire-lifting-lite"))
     assert key(lifting) != key(dataclasses.replace(lifting, seed=999))
-    # the layout engines are bit-identical, so the knob is not keyed
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "reference")
-    referenced = key(lifting)
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "compiled")
-    assert key(lifting) == referenced
 
 
 def test_attack_cache_key_tracks_defense_axis():

@@ -163,6 +163,20 @@ def test_render_table_layout():
     assert "note: hello" in text
 
 
+def test_render_table_lines_end_without_spaces():
+    text = render_table(
+        "Title",
+        ["name", "wide header", "last"],
+        [["a", 1, 2.5], ["longer name", None, "x"], ["b", "", ""]],
+        note="hello",
+    )
+    lines = text.splitlines()
+    assert lines[2] == "name         wide header  last"
+    assert lines[4] == "a            1            2.5"
+    assert lines[6] == "b"
+    assert all(line == line.rstrip(" ") for line in lines)
+
+
 def test_paper_vs_measured():
     assert paper_vs_measured(52, 49.234) == "52 / 49.2"
     assert paper_vs_measured(None, 1) == "NA / 1"

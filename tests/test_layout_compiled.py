@@ -1,14 +1,14 @@
 """Differential + invariant tests of the array-native layout core.
 
-The compiled engines (`repro.phys.compiled`) must reproduce the
-pure-Python reference flow **bit-identically** — same RNG streams,
-same operation order per cell — across ISCAS-85, ITC'99 and
-random-logic circuits: placements, routes, FEOL stubs and LayoutCost
-all compare with ``==``, never ``approx``.  The shared array geometry
-(`repro.phys.geometry`) is likewise pinned against the scalar hint
-helpers, and the classic layout invariants (legality, fixed TIE
-cells, capacity spill order, stub accounting) are asserted for both
-engines.
+The compiled engine (`repro.phys.compiled`) must reproduce the
+pure-Python reference flow (`tests/layout_reference.py`)
+**bit-identically** — same RNG streams, same operation order per cell
+— across ISCAS-85, ITC'99 and random-logic circuits: placements,
+routes, FEOL stubs and LayoutCost all compare with ``==``, never
+``approx``.  The shared array geometry (`repro.phys.geometry`) is
+likewise pinned against the scalar hint helpers, and the classic
+layout invariants (legality, fixed TIE cells, capacity spill order,
+stub accounting) are asserted for both flows.
 """
 
 from dataclasses import asdict
@@ -30,16 +30,19 @@ from repro.phys.compiled import (
     split_compiled,
 )
 from repro.phys.cost import measure_layout_cost
-from repro.phys.dispatch import layout_engine_knob, resolve_layout_engine
 from repro.phys.floorplan import build_floorplan
 from repro.phys.geometry import exact_hypot, score_block, stub_arrays
 from repro.phys.layout import build_locked_layout
 from repro.phys.lifting import lift_key_nets
-from repro.phys.placement import place, place_reference
-from repro.phys.routing import ROUTING_PAIRS, collect_pins, route_reference
-from repro.phys.split import split_reference
+from repro.phys.routing import ROUTING_PAIRS, collect_pins
 from repro.phys.tie_cells import randomize_tie_cells
 from repro.utils.rng import rng_for
+from tests.layout_reference import (
+    patch_reference,
+    place_reference,
+    route_reference,
+    split_reference,
+)
 
 
 def _locked(circuit, key_bits, seed=2019):
@@ -353,80 +356,34 @@ def test_placement_pickles_without_pin_cache(engine_flows):
 
 
 # ----------------------------------------------------------------------
-# Dispatcher knob
+# Cache keys
 # ----------------------------------------------------------------------
-def test_layout_engine_knob_default(monkeypatch):
-    monkeypatch.delenv("REPRO_LAYOUT_ENGINE", raising=False)
-    assert layout_engine_knob() == "auto"
-    assert resolve_layout_engine() == "compiled"  # numpy is available
-
-
-@pytest.mark.parametrize("value", ["compiled", "reference"])
-def test_layout_engine_knob_forced(monkeypatch, value):
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", value)
-    assert layout_engine_knob() == value
-    assert resolve_layout_engine() == value
-
-
-def test_layout_engine_knob_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "turbo")
-    with pytest.raises(ValueError):
-        layout_engine_knob()
-
-
-def test_place_dispatches_on_knob(monkeypatch):
-    circuit = generate_random_circuit(
-        GeneratorConfig(6, 3, 40), seed=3, name="tiny"
-    )
-    plan = build_floorplan(circuit)
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "reference")
-    via_reference = place(circuit, plan, seed=5)
-    monkeypatch.setenv("REPRO_LAYOUT_ENGINE", "compiled")
-    via_compiled = place(circuit, plan, seed=5)
-    assert via_reference.locations == via_compiled.locations
-
-
-def test_cache_keys_ignore_layout_engine(monkeypatch):
-    """The engines are bit-identical, so the knob stays out of the
-    layout and unprotected-layout cache keys."""
+def test_cache_keys_ignore_layout_engine():
+    """One layout engine, so no engine rides in the layout and
+    unprotected-layout cache keys."""
     from repro.runner.spec import CellSpec
     from repro.runner.stages import layout_payload, unprotected_payload
-    from repro.utils.artifact_cache import spec_key
 
     cell = CellSpec(benchmark="b14", scale=0.03, key_bits=16)
-    keys = {}
-    for engine in ("reference", "compiled"):
-        monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
-        assert "engine" not in layout_payload(cell)
-        keys[engine] = (
-            spec_key(layout_payload(cell)),
-            spec_key(unprotected_payload(cell)),
-        )
-    assert keys["reference"] == keys["compiled"]
+    assert "engine" not in layout_payload(cell)
+    assert "engine" not in unprotected_payload(cell)
 
 
-def test_attack_key_names_no_engine(monkeypatch):
+def test_attack_key_names_no_engine():
     """The attack key carries neither a layout nor a SAT engine."""
     from repro.runner.spec import CellSpec, proximity_cell
     from repro.runner.stages import attack_payload
-    from repro.utils.artifact_cache import spec_key
 
     cell = proximity_cell(CellSpec(benchmark="b14", scale=0.03, key_bits=16))
-    keys = {}
-    for engine in ("reference", "compiled"):
-        monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
-        attack = attack_payload(cell)
-        assert set(attack) == {
-            "stage",
-            "layout",
-            "scenario",
-            "attack",
-            "postprocess_seed",
-            "hd_patterns",
-            "hd_seed",
-        }
-        keys[engine] = spec_key(attack)
-    assert keys["reference"] == keys["compiled"]
+    assert set(attack_payload(cell)) == {
+        "stage",
+        "layout",
+        "scenario",
+        "attack",
+        "postprocess_seed",
+        "hd_patterns",
+        "hd_seed",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -468,29 +425,36 @@ def test_row_occupancy_matches_reference_gap_scan():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the public entry points agree under both knob settings
+# End-to-end: the public entry points agree with the oracle flow
 # ----------------------------------------------------------------------
-def test_build_locked_layout_identical_across_knob(monkeypatch):
-    locked = _locked(
-        generate_random_circuit(
-            GeneratorConfig(10, 5, 120), seed=21, name="flow120"
-        ),
-        key_bits=10,
-    )
-    results = {}
-    for engine in ("reference", "compiled"):
-        monkeypatch.setenv("REPRO_LAYOUT_ENGINE", engine)
-        layout = build_locked_layout(locked, split_layer=4, seed=2019)
-        results[engine] = (layout, layout.feol_view())
-    ref_layout, ref_view = results["reference"]
-    cmp_layout, cmp_view = results["compiled"]
+def _locked_layout_both_ways(monkeypatch, locked, **kwargs):
+    """``build_locked_layout`` as it runs, then again with its place,
+    route and split entry points swapped for the reference flow."""
+    compiled = build_locked_layout(locked, **kwargs)
+    with monkeypatch.context() as patch:
+        calls = patch_reference(
+            patch,
+            "repro.phys.layout",
+            place=place_reference,
+            route_design=route_reference,
+            split_layout=split_reference,
+        )
+        reference = build_locked_layout(locked, **kwargs)
+        reference_view = reference.feol_view()
+    assert calls == ["place_reference", "route_reference", "split_reference"]
+    return (reference, reference_view), (compiled, compiled.feol_view())
+
+
+def _assert_layouts_identical(ref, cmp):
+    (ref_layout, ref_view), (cmp_layout, cmp_view) = ref, cmp
     assert ref_layout.placement.locations == cmp_layout.placement.locations
-    assert all(
-        ref_layout.routing.nets[n] == cmp_layout.routing.nets[n]
-        for n in ref_layout.routing.nets
-    )
+    assert ref_layout.placement.widths_sites == cmp_layout.placement.widths_sites
+    ref_nets, cmp_nets = ref_layout.routing.nets, cmp_layout.routing.nets
+    assert list(ref_nets) == list(cmp_nets)
+    assert all(ref_nets[n] == cmp_nets[n] for n in ref_nets)
     assert ref_view.source_stubs == cmp_view.source_stubs
     assert ref_view.sink_stubs == cmp_view.sink_stubs
+    assert ref_view.visible_nets == cmp_view.visible_nets
     assert asdict(
         measure_layout_cost(
             ref_layout.circuit, ref_layout.floorplan, ref_layout.routing
@@ -500,6 +464,36 @@ def test_build_locked_layout_identical_across_knob(monkeypatch):
             cmp_layout.circuit, cmp_layout.floorplan, cmp_layout.routing
         )
     )
+
+
+def test_build_locked_layout_identical_across_knob(monkeypatch):
+    """The public flow equals itself run on the reference functions."""
+    locked = _locked(
+        generate_random_circuit(
+            GeneratorConfig(10, 5, 120), seed=21, name="flow120"
+        ),
+        key_bits=10,
+    )
+    ref, cmp = _locked_layout_both_ways(
+        monkeypatch, locked, split_layer=4, seed=2019
+    )
+    _assert_layouts_identical(ref, cmp)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name, key_bits", [("c880", 24), ("b14", 32), ("c7552", 64)]
+)
+def test_full_profiles_identical_to_oracle(monkeypatch, name, key_bits):
+    """Full-size ISCAS-85 and ITC'99 profiles, M4, lock seed 2019."""
+    if name.startswith("c"):
+        circuit = load_iscas85(name)
+    else:
+        circuit = load_itc99(name).combinational_core()
+    ref, cmp = _locked_layout_both_ways(
+        monkeypatch, _locked(circuit, key_bits), split_layer=4, seed=2019
+    )
+    _assert_layouts_identical(ref, cmp)
 
 
 def test_layout_cost_study_pipeline_matches_standalone():

@@ -53,7 +53,7 @@ def test_table3_subcommand_takes_the_common_flags():
 def _table3_cells_oracle(full: bool) -> tuple:
     """Table III's cells as the harness pipeline built them: two attack
     campaign specs, the prior art on the unlocked design and the 32-bit
-    proposed lock."""
+    proposed lock, under the profile's candidate budget."""
     names = TABLE_III_BENCHMARKS if full else ("c432", "c880", "c1355", "c1908")
     common = dict(
         benchmarks=names,
@@ -61,6 +61,7 @@ def _table3_cells_oracle(full: bool) -> tuple:
         split_layers=(4,),
         seed=DEFAULT_SEED,
         hd_patterns=1_000_000 if full else 8_192,
+        max_candidates=500 if full else 250,
     )
     defenses = ("routing-perturbation", "wire-lifting", "beol-restore")
     return (

@@ -1,5 +1,5 @@
 """Simulation engine tests: bit-parallel vs event-driven differential,
-exhaustive enumeration, sequential stepping, activity estimation."""
+exhaustive enumeration, activity estimation."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.sim.bitparallel import (
     count_differing_lanes,
@@ -23,16 +22,8 @@ from repro.sim.bitparallel import (
     toggle_activity,
     unpack_word,
 )
-from repro.sim.event_sim import evaluate_outputs, simulate_event_driven
-from repro.sim.patterns import (
-    exhaustive_patterns,
-    int_to_pattern,
-    pattern_to_int,
-    random_patterns,
-    walking_ones,
-)
-from repro.sim.sequential import SequentialSimulator
 from tests.conftest import build_random_circuit, tiny_mux_circuit
+from tests.event_sim import evaluate_outputs, simulate_event_driven
 
 
 def test_c17_known_vectors(c17_circuit):
@@ -125,40 +116,6 @@ def test_signal_probabilities_bounds(small_random_circuit):
 def test_toggle_activity_range(small_random_circuit):
     activity = toggle_activity(small_random_circuit, 256, seed=2)
     assert all(0.0 <= a <= 0.5 for a in activity.values())
-
-
-def test_sequential_simulator_latches():
-    # q toggles every cycle: d = NOT q
-    circuit = Circuit("tff")
-    circuit.add_input("en")
-    circuit.add("q", GateType.DFF, ("d",))
-    circuit.add("d", GateType.NOT, ("q",))
-    circuit.add("z", GateType.AND, ("q", "en"))
-    circuit.add_output("z")
-    sim = SequentialSimulator(circuit, num_patterns=1)
-    outs = [sim.step({"en": 1})[ "z"] & 1 for _ in range(4)]
-    assert outs == [0, 1, 0, 1]
-
-
-def test_sequential_reset_value():
-    circuit = Circuit("hold")
-    circuit.add_input("x")
-    circuit.add("q", GateType.DFF, ("q2",))
-    circuit.add("q2", GateType.BUF, ("q",))
-    circuit.add_output("q2")
-    sim = SequentialSimulator(circuit, num_patterns=1, reset_value=1)
-    assert sim.step({"x": 0})["q2"] & 1 == 1
-
-
-def test_pattern_helpers():
-    assert pattern_to_int((1, 0, 1)) == 0b101
-    assert int_to_pattern(0b101, 3) == (1, 0, 1)
-    assert len(list(exhaustive_patterns(3))) == 8
-    ones = walking_ones(4)
-    assert len(ones) == 5 and sum(ones[2]) == 1
-    rng = random.Random(0)
-    pats = random_patterns(5, 7, rng)
-    assert len(pats) == 7 and all(len(p) == 5 for p in pats)
 
 
 def test_event_sim_rejects_sequential(sequential_circuit):
