@@ -38,7 +38,7 @@ def main() -> None:
     patterns_per_module = []
     for module in modules:
         patterns = enumerate_failing_patterns(
-            module.module, fault, max_inputs=5
+            circuit, fault, module, max_inputs=5
         )
         patterns_per_module.append(patterns)
         for sink, cover in patterns.covers_by_output.items():

@@ -99,6 +99,9 @@ class MinCostFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
+        #: ``to``, ``cap`` and ``cost`` as the int64 arrays :meth:`from_arcs`
+        #: built them from; dropped by :meth:`add_edge` and :meth:`solve`.
+        self.arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_arcs(
@@ -113,7 +116,9 @@ class MinCostFlow:
 
         Arcs are numbered exactly as :meth:`add_edge` called in array
         order would number them (arc ``i`` is ``2 * i``, its reverse
-        ``2 * i + 1``), and each node's arc list is in index order.
+        ``2 * i + 1``), and each node's arc list is in index order.  The
+        first :meth:`solve` reads the shape from :attr:`arrays`, so edit
+        the network only through :meth:`add_edge` before it.
         """
         if (cost < 0).any():
             raise ValueError("negative arc cost")
@@ -122,9 +127,11 @@ class MinCostFlow:
         order = np.argsort(tails, kind="stable").tolist()
         bounds = np.cumsum(np.bincount(tails, minlength=num_nodes)).tolist()
         flow.graph = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
-        flow.to = np.stack((head, tail), axis=1).ravel().tolist()
-        flow.cap = np.stack((cap, np.zeros_like(cap)), axis=1).ravel().tolist()
-        flow.cost = np.stack((cost, -cost), axis=1).ravel().tolist()
+        flow.arrays = tuple(
+            np.stack(pair, axis=1).ravel().astype(np.int64, copy=False)
+            for pair in ((head, tail), (cap, np.zeros_like(cap)), (cost, -cost))
+        )
+        flow.to, flow.cap, flow.cost = (array.tolist() for array in flow.arrays)
         return flow
 
     def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
@@ -136,6 +143,7 @@ class MinCostFlow:
         """
         if cost < 0:
             raise ValueError(f"arc {u}->{v} has negative cost {cost}")
+        self.arrays = None
         index = len(self.to)
         self.graph[u].append(index)
         self.to.append(v)
@@ -173,6 +181,7 @@ class MinCostFlow:
         """
         to, cap, cost = self.to, self.cap, self.cost
         layers = _Bipartite.of(self, s, t)
+        self.arrays = None  # the solve below moves flow
         if layers is not None:
             uncontended = layers.uncontended(cap, max_flow)
             if uncontended is not None:
@@ -277,17 +286,19 @@ class _Bipartite:
     #: arc costs, so every real label stays far below it.
     UNREACHED = 2**63 - 1
 
-    def __init__(self, s, to, cap, cost, arcs, s_arc, t_arc) -> None:
-        """Index the candidate *arcs*; every array is int64, per arc or node."""
-        nets, sinks = to[arcs + 1], to[arcs]
-        order = np.lexsort((nets, sinks))
+    def __init__(self, s, head, cap, cost, arcs, nets, sinks, s_arc, t_arc) -> None:
+        """Index the candidate *arcs*, already sorted by (sink, net).
+
+        *head* is the network's ``to`` list; every array is int64, per
+        arc or node.
+        """
         self.s = s
-        self.head = to.tolist()
-        self.arc = arcs[order]
-        self.net = nets[order]
-        self.sink = sinks[order]
-        self.cost = cost[self.arc]
-        starts = np.r_[True, self.sink[1:] != self.sink[:-1]]
+        self.head = head
+        self.arc = arcs
+        self.net = nets
+        self.sink = sinks
+        self.cost = cost[arcs]
+        starts = np.r_[True, sinks[1:] != sinks[:-1]]
         self.segment = np.cumsum(starts) - 1
         self.starts = np.flatnonzero(starts)
         self.s_arc = s_arc  # per node: its arc from s, or -1
@@ -302,9 +313,10 @@ class _Bipartite:
         n = flow.num_nodes
         if max(flow.cap, default=0) >= 2**62 or sum(flow.cost[0::2]) >= 2**61:
             return None  # keep capacities and labels well inside int64
-        to = np.asarray(flow.to, dtype=np.int64)
-        cap = np.asarray(flow.cap, dtype=np.int64)
-        cost = np.asarray(flow.cost, dtype=np.int64)
+        to, cap, cost = flow.arrays or (
+            np.asarray(column, dtype=np.int64)
+            for column in (flow.to, flow.cap, flow.cost)
+        )
         head, tail = to[0::2], to[1::2]
         from_s, into_t = tail == s, head == t
         middle = ~(from_s | into_t)
@@ -317,26 +329,29 @@ class _Bipartite:
             or (from_s & into_t).any()
             or not (left.size and right.size and middle.any())
             or left.max() >= right.min()
-            or np.unique(left).size != left.size
-            or np.unique(right).size != right.size
             or cost[0::2][from_s | into_t].any()
             or (cap[0::2][into_t | middle] != 1).any()
         ):
             return None
         side = np.zeros(n, dtype=np.int8)
         side[left], side[right] = 1, 2
-        pairs = tail[middle] * n + head[middle]
-        if (
-            (side[tail[middle]] != 1).any()
-            or (side[head[middle]] != 2).any()
-            or np.unique(pairs).size != pairs.size
-        ):
+        # left and right are disjoint (every left id is below every right
+        # id), so a repeated node leaves fewer nodes marked than listed.
+        if np.count_nonzero(side) != left.size + right.size:
             return None
+        arcs = 2 * np.flatnonzero(middle)
+        nets, sinks = tail[middle], head[middle]
+        if (side[nets] != 1).any() or (side[sinks] != 2).any():
+            return None
+        order = np.lexsort((nets, sinks))
+        arcs, nets, sinks = arcs[order], nets[order], sinks[order]
+        if ((sinks[1:] == sinks[:-1]) & (nets[1:] == nets[:-1])).any():
+            return None  # parallel candidate arcs
         s_arc = np.full(n, -1, dtype=np.int64)
         t_arc = np.full(n, -1, dtype=np.int64)
         s_arc[left] = 2 * np.flatnonzero(from_s)
         t_arc[right] = 2 * np.flatnonzero(into_t)
-        return cls(s, to, cap, cost, 2 * np.flatnonzero(middle), s_arc, t_arc)
+        return cls(s, flow.to, cap, cost, arcs, nets, sinks, s_arc, t_arc)
 
     def cheapest(self, nets: np.ndarray) -> np.ndarray:
         """CSR position of each sink's cheapest arc from *nets*.

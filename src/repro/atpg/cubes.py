@@ -90,9 +90,10 @@ def exact_cover(
     the on-set exceeds *max_minterms* (callers prefilter faults by failing
     count, mirroring the paper's cost-driven fault selection).
 
-    Minterms must lie below ``2 ** num_vars``.  Cube membership is tested
-    on the on-set (``m & mask == values``) rather than by expanding
-    cubes: the on-set is small, a cube's minterm space need not be.
+    Minterms must lie below ``2 ** num_vars``.  Sets of minterms are held
+    as one int over the ``2 ** num_vars`` lanes (bit *m* = minterm *m*),
+    so a cube's membership test and its greedy gain are a few big-int
+    operations.
     """
     if not minterms:
         return []
@@ -100,59 +101,46 @@ def exact_cover(
         raise ValueError(
             f"on-set of {len(minterms)} minterms exceeds limit {max_minterms}"
         )
-    on_set = set(minterms)
+    on_set = 0
+    for minterm in minterms:
+        on_set |= 1 << minterm
     full_mask = (1 << num_vars) - 1
 
     # Grow each minterm into a maximal cube by greedily dropping literals
     # (prime generation by expansion — equivalent result to classic QM
     # merging for exactness purposes, far cheaper on sparse on-sets).
-    primes: set[Cube] = set()
-    for minterm in on_set:
-        mask = full_mask
-        values = minterm
+    # Dropping literal i is legal when the cube's lanes, mirrored across
+    # variable i, stay inside the on-set.
+    primes: dict[Cube, int] = {}
+    for minterm in minterms:
+        mask, lanes = full_mask, 1 << minterm
         for index in range(num_vars):
-            bit = 1 << index
-            candidate_mask = mask & ~bit
-            candidate = Cube(candidate_mask, values & candidate_mask)
-            if _cube_inside(candidate, on_set, num_vars):
-                mask = candidate_mask
-                values = values & candidate_mask
-        primes.add(Cube(mask, values))
+            shift = 1 << index
+            mirror = lanes >> shift if minterm >> index & 1 else lanes << shift
+            if not mirror & ~on_set:
+                mask &= ~shift
+                lanes |= mirror
+        primes[Cube(mask, minterm & mask)] = lanes
 
     # Greedy unate covering: repeatedly take the cube covering the most
     # uncovered minterms; ties broken toward fewer care bits (fewer key
     # bits, smaller comparator).
-    uncovered = set(on_set)
+    uncovered = on_set
     cover: list[Cube] = []
     prime_list = sorted(primes, key=lambda c: (c.care_count(), c.mask, c.values))
     while uncovered:
         best = None
         best_gain = -1
         for cube in prime_list:
-            mask, values = cube.mask, cube.values
-            gain = sum(1 for m in uncovered if m & mask == values)
+            gain = (primes[cube] & uncovered).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best = cube
         if best is None or best_gain <= 0:  # pragma: no cover - defensive
             raise RuntimeError("covering failed to progress")
         cover.append(best)
-        uncovered = {m for m in uncovered if m & best.mask != best.values}
+        uncovered &= ~primes[best]
     return cover
-
-
-def _cube_inside(cube: Cube, on_set: set[int], num_vars: int) -> bool:
-    """True when every minterm of *cube* belongs to *on_set*.
-
-    The on-set holds distinct minterms below ``2 ** num_vars``, so the
-    cube lies inside it exactly when it holds as many on-set minterms as
-    the cube has.
-    """
-    size = cube.num_minterms(num_vars)
-    if size > len(on_set):
-        return False
-    mask, values = cube.mask, cube.values
-    return sum(1 for m in on_set if m & mask == values) == size
 
 
 def cover_care_bits(cover: Sequence[Cube]) -> int:

@@ -2,26 +2,28 @@
 
 This is the role Atalanta-M plays in the paper ("able to provide all
 failing patterns").  A candidate fault is evaluated inside its *module*
-(an extracted cone circuit with bounded input support): exhaustive
-bit-parallel simulation of the good and faulty machines yields, per module
-output, the exact set of input minterms on which the fault is observed.
-Each set is then compressed into a cube cover (the paper's Fig. 4(b) list
-of failing patterns with don't-cares).
+(the nets between a bounded-support cut and one sink, see
+:mod:`repro.locking.partition`), in place on the parent circuit: one
+exhaustive big-int sweep of the module's gates gives the good machine,
+and a second sweep from the fault site onward gives the stuck machine,
+so each module output yields the exact set of cut minterms on which the
+fault is observed.  Each set is then compressed into a cube cover (the
+paper's Fig. 4(b) list of failing patterns with don't-cares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.atpg.cubes import Cube, cover_care_bits, exact_cover
 from repro.atpg.faults import StuckAtFault
 from repro.netlist.circuit import Circuit
-from repro.sim.bitparallel import (
-    compiled_engine_for,
-    exhaustive_words,
-    mask_for,
-    simulate_words,
-)
+from repro.netlist.gate_types import evaluate_gate_words
+from repro.sim.bitparallel import _exhaustive_columns
+
+if TYPE_CHECKING:
+    from repro.locking.partition import FaultModule
 
 
 class FailingSetTooLarge(Exception):
@@ -67,43 +69,56 @@ class FailingPatterns:
 
 
 def enumerate_failing_patterns(
-    module: Circuit,
+    circuit: Circuit,
     fault: StuckAtFault,
+    module: FaultModule | None = None,
     max_inputs: int = 16,
     max_minterms: int = 256,
 ) -> FailingPatterns:
-    """Compute the exact failing sets of *fault* in *module*.
+    """Compute the exact failing sets of *fault* in *module* of *circuit*.
 
-    *module* must be combinational with ``len(inputs) <= max_inputs``.
-    Raises :class:`FailingSetTooLarge` when any output fails on more than
-    *max_minterms* assignments — such faults need restore comparators too
-    large to be cost-effective and are skipped by the locking flow.
+    The module's cut nets are the variables (in cut order) and its sinks
+    the observed outputs; with ``module=None`` the whole combinational
+    *circuit* is the module (its inputs are the variables, its outputs
+    observed).  Raises ``ValueError`` for more than *max_inputs*
+    variables, and :class:`FailingSetTooLarge` when any output fails on
+    more than *max_minterms* assignments — such faults need restore
+    comparators too large to be cost-effective and are skipped by the
+    locking flow.
     """
-    variables = list(module.inputs)
+    if module is None:
+        variables = circuit.inputs
+        order = combinational_order(circuit)
+        outputs = circuit.outputs
+    else:
+        variables, order, outputs = module.cut_nets, module.gates, module.sink_nets
     if len(variables) > max_inputs:
         raise ValueError(
             f"module has {len(variables)} inputs (> {max_inputs}); "
             "partition with a tighter support bound"
         )
-    words, num_patterns = exhaustive_words(variables)
-    mask = mask_for(num_patterns)
-    stuck_word = mask if fault.value else 0
-    engine = compiled_engine_for(module, num_patterns)
-    if engine is not None:
-        # One levelized sweep evaluates the good machine and the stuck
-        # machine as two override columns of the same stimulus batch.
-        good, faulty = engine.simulate_pair(
-            words, num_patterns, {fault.net: stuck_word}
-        )
-    else:
-        good = simulate_words(module, words, num_patterns)
-        faulty = simulate_words(
-            module, words, num_patterns, overrides={fault.net: stuck_word}
-        )
+    mask = (1 << (1 << len(variables))) - 1
+    good = dict(zip(variables, _exhaustive_columns(len(variables))))
+    sweep_words(circuit, order, good, mask)
+    # The stuck machine differs from the good one only downstream of the
+    # fault: keep just the words that differ.
+    start = order.index(fault.net) + 1 if fault.net in order else 0
+    faulty = {fault.net: mask if fault.value else 0}
+    gates = circuit.gates
+    for name in order[start:]:
+        fanin = gates[name].fanin
+        if any(net in faulty for net in fanin):
+            word = evaluate_gate_words(
+                gates[name].gate_type,
+                [faulty.get(net, good[net]) for net in fanin],
+                mask,
+            )
+            if word != good[name]:
+                faulty[name] = word
 
     minterms_by_output: dict[str, set[int]] = {}
-    for output in module.outputs:
-        diff = good[output] ^ faulty[output]
+    for output in outputs:
+        diff = good[output] ^ faulty.get(output, good[output])
         count = diff.bit_count()
         if count > max_minterms:
             raise FailingSetTooLarge(
@@ -116,7 +131,7 @@ def enumerate_failing_patterns(
             diff ^= low
         minterms_by_output[output] = terms
 
-    result = FailingPatterns(fault, variables, minterms_by_output)
+    result = FailingPatterns(fault, list(variables), minterms_by_output)
     for output, terms in minterms_by_output.items():
         if terms:
             result.covers_by_output[output] = exact_cover(
@@ -125,6 +140,34 @@ def enumerate_failing_patterns(
         else:
             result.covers_by_output[output] = []
     return result
+
+
+def combinational_order(circuit: Circuit) -> list[str]:
+    """Every non-INPUT net of a combinational *circuit*, in topological order."""
+    if circuit.is_sequential:
+        raise ValueError(
+            "expected a combinational circuit; lower with "
+            "combinational_core() first"
+        )
+    gates = circuit.gates
+    return [n for n in circuit.topological_order() if not gates[n].is_input]
+
+
+def sweep_words(
+    circuit: Circuit, order: list[str], values: dict[str, int], mask: int
+) -> dict[str, int]:
+    """Evaluate the gates *order* of *circuit* into *values*, in order.
+
+    *values* holds a big-int word per already known net (one bit lane
+    per pattern, within *mask*) and gains one per evaluated gate.
+    """
+    gates = circuit.gates
+    for name in order:
+        gate = gates[name]
+        values[name] = evaluate_gate_words(
+            gate.gate_type, [values[n] for n in gate.fanin], mask
+        )
+    return values
 
 
 def verify_cover_exactness(patterns: FailingPatterns) -> bool:

@@ -11,8 +11,8 @@ cost in elevated wiring and via stacks).
 Engines must be pure functions of their context: same layout + same
 resolved spec ⇒ bit-identical view.  They must never mutate the layout
 they are handed — it is typically a shared artifact-cache object — so
-every engine works on a deep copy of the routing before re-splitting
-through the (compiled) layout engine.
+every engine re-splits a copy of the routing's net table in which only
+the nets it changes are replaced (``dataclasses.replace``).
 """
 
 from __future__ import annotations

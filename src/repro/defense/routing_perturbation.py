@@ -10,8 +10,8 @@ perturbed connections recovered.  The perturbation is real but weak.
 
 from __future__ import annotations
 
-import copy
 import random
+from dataclasses import replace
 
 from repro.defense.engine import (
     DefendedView,
@@ -74,7 +74,8 @@ class RoutingPerturbationEngine(DefenseEngine):
 
     def apply(self, ctx: DefenseContext) -> DefendedView:
         layout = ctx.layout
-        routing = copy.deepcopy(layout.routing)
+        # The layout stays untouched: only the perturbed nets are copied.
+        routing = replace(layout.routing, nets=dict(layout.routing.nets))
         rng = ctx.rng("perturb")
         candidates = [
             net
@@ -93,9 +94,12 @@ class RoutingPerturbationEngine(DefenseEngine):
             before = routed.length_um
             # push the net across the split: its trunk now runs one
             # pair up, at a detour-inflated length
-            routed.lower_layer = ctx.split_layer
-            routed.detour_factor = max(
-                routed.detour_factor, 1.0 + rng.uniform(0.05, 0.2)
+            routed = routing.nets[net] = replace(
+                routed,
+                lower_layer=ctx.split_layer,
+                detour_factor=max(
+                    routed.detour_factor, 1.0 + rng.uniform(0.05, 0.2)
+                ),
             )
             detour_wl += routed.length_um - before
         view = split_layout(

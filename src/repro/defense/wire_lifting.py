@@ -19,9 +19,9 @@ layout engine.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
+from dataclasses import replace
 
 from repro.defense.engine import (
     DefendedView,
@@ -159,10 +159,13 @@ def lift_protected(
     layout engine, then co-sites the lifted stubs.
     """
     layout = ctx.layout
-    routing = copy.deepcopy(layout.routing)
+    # The layout stays untouched: only the lifted nets are copied.
+    routing = replace(layout.routing, nets=dict(layout.routing.nets))
     chosen = select_protected_nets(layout.circuit, routing, ctx.spec.fraction)
     for net in chosen:
-        routing.nets[net].lower_layer = ctx.split_layer + 1
+        routing.nets[net] = replace(
+            routing.nets[net], lower_layer=ctx.split_layer + 1
+        )
     view = split_layout(
         layout.circuit, routing, ctx.split_layer, key_nets=layout.key_nets
     )

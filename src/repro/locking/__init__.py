@@ -11,7 +11,7 @@ from repro.locking.key import KeyBit, LockedCircuit
 from repro.locking.partition import (
     FaultModule,
     affected_sinks,
-    extract_fault_module,
+    extract_sink_modules,
     grow_cut,
 )
 from repro.locking.random_lock import insert_random_key_gates, random_lock
@@ -28,7 +28,7 @@ __all__ = [
     "RestoreResult",
     "affected_sinks",
     "atpg_lock",
-    "extract_fault_module",
+    "extract_sink_modules",
     "grow_cut",
     "insert_random_key_gates",
     "insert_restore",

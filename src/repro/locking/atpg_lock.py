@@ -29,7 +29,9 @@ from repro.atpg.faults import internal_faults
 from repro.atpg.patterns import (
     FailingPatterns,
     FailingSetTooLarge,
+    combinational_order,
     enumerate_failing_patterns,
+    sweep_words,
 )
 from repro.locking.cost_model import (
     FaultCost,
@@ -221,30 +223,18 @@ def _plan_faults(
     # enumerates failing patterns over the primary-input space where this
     # cannot happen; our cut-space substitution must screen for it.
     sim_lanes = 4096
-    sim_words = {
-        net: rng.getrandbits(sim_lanes) for net in work.inputs
-    }
-    from repro.sim.bitparallel import compiled_engine_for, simulate_words
-
-    engine = compiled_engine_for(work, sim_lanes)
-    if engine is not None:
-        # Keep the values in the array domain: the reachability screen
-        # below ANDs per-variable words for every candidate minterm, and
-        # vectorized rows avoid re-materializing 4096-bit ints per net.
-        value_rows = engine.simulate_array(sim_words, sim_lanes)
-        net_values = {
-            net: value_rows[slot] for net, slot in engine.index.items()
-        }
-    else:
-        net_values = simulate_words(work, sim_words, sim_lanes)
+    net_values = _screen_words(work, rng, sim_lanes)
 
     keyed: list[FaultPlan] = []
     free: list[FaultPlan] = []
+    modules_of: dict[str, list[FaultModule] | None] = {}  # sa0 and sa1 share
     for fault in candidates:
         report.candidates_examined += 1
-        modules = extract_sink_modules(
-            work, fault.net, config.max_support, config.max_sinks
-        )
+        if fault.net not in modules_of:
+            modules_of[fault.net] = extract_sink_modules(
+                work, fault.net, config.max_support, config.max_sinks
+            )
+        modules = modules_of[fault.net]
         if modules is None:
             continue
         patterns: list[FailingPatterns] = []
@@ -255,8 +245,9 @@ def _plan_faults(
         for module in modules:
             try:
                 fp = enumerate_failing_patterns(
-                    module.module,
+                    work,
                     fault,
+                    module,
                     max_inputs=config.max_support,
                     max_minterms=config.max_minterms,
                 )
@@ -338,10 +329,14 @@ def _cover_has_flip_symmetry(patterns: FailingPatterns) -> bool:
     return False
 
 
+def _screen_words(work: Circuit, rng: random.Random, lanes: int) -> dict[str, int]:
+    """Every net's word over *lanes* random input patterns (one big-int sweep)."""
+    words = {net: rng.getrandbits(lanes) for net in work.inputs}
+    return sweep_words(work, combinational_order(work), words, (1 << lanes) - 1)
+
+
 def _failing_set_reachable(
-    patterns: FailingPatterns,
-    net_values: dict[str, int] | dict[str, "object"],
-    lanes: int,
+    patterns: FailingPatterns, net_values: dict[str, int], lanes: int
 ) -> bool:
     """Does any simulated input pattern land in the failing set?
 
@@ -349,13 +344,8 @@ def _failing_set_reachable(
     values equal that minterm (an AND over per-variable (non-)inverted
     words); any nonzero word proves the minterm occurs under real input
     stimuli, i.e. a wrong key will visibly corrupt the design there.
-
-    Accepts big-int words or uint64 lane arrays (whichever engine
-    produced the reference simulation).
     """
     variable_words = [net_values[v] for v in patterns.variables]
-    if variable_words and not isinstance(variable_words[0], int):
-        return _failing_set_reachable_arrays(patterns, variable_words, lanes)
     mask = (1 << lanes) - 1
     for terms in patterns.minterms_by_output.values():
         for minterm in terms:
@@ -369,36 +359,4 @@ def _failing_set_reachable(
                     break
             if word:
                 return True
-    return False
-
-
-def _failing_set_reachable_arrays(
-    patterns: FailingPatterns,
-    variable_rows: list,
-    lanes: int,
-) -> bool:
-    """Array-domain variant of :func:`_failing_set_reachable`."""
-    import numpy as np
-
-    from repro.sim.compiled import tail_mask
-
-    tail = tail_mask(lanes)
-    for terms in patterns.minterms_by_output.values():
-        for minterm in terms:
-            word = None  # None = all lanes still match
-            for index, row in enumerate(variable_rows):
-                if (minterm >> index) & 1:
-                    cur = row
-                else:
-                    cur = np.bitwise_not(row)  # fresh array, safe to edit
-                    cur[-1] &= tail
-                if word is None:
-                    word = cur.copy() if cur is row else cur
-                else:
-                    word &= cur
-                if not word.any():
-                    break
-            else:
-                if word is None or word.any():
-                    return True
     return False

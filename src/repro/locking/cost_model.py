@@ -62,15 +62,15 @@ def cascade_removed_area(
     comes after its constant fanins, so ``constant`` gains the same
     gates in the same topological order as a sweep over the whole fanout
     cone, and the area sums add in the same order (bit-identical floats).
+    Gate areas come from a per-circuit table, built once per library.
     """
     lib = library or NANGATE45
     fanout = circuit.fanout_map()
     logic = circuit.logic_nets()
     outputs = set(circuit.outputs)
-
-    def gate_area(name: str) -> float:
-        gate = circuit.gates[name]
-        return lib.gate_area(gate.gate_type, len(gate.fanin))
+    gate_area = circuit.cached_view(
+        ("gate_areas", lib), lambda: _gate_areas(circuit, lib)
+    ).__getitem__
 
     # (a) fanout-free cone of the tied net
     cone: set[str] = {net}
@@ -115,6 +115,14 @@ def cascade_removed_area(
         if n != net and n not in cone
     )
     return area
+
+
+def _gate_areas(circuit, lib: CellLibrary) -> dict[str, float]:
+    """Each gate's mapped cell area under *lib*."""
+    return {
+        name: lib.gate_area(gate.gate_type, len(gate.fanin))
+        for name, gate in circuit.gates.items()
+    }
 
 
 def _fold_value(gate_type: GateType, values: list[int | None]) -> int | None:

@@ -121,10 +121,10 @@ class Circuit:
     Derived views are cached: fanout, topological order and index,
     levels, the compiled simulation program, the role lists
     (:attr:`inputs`, :attr:`dffs`, :attr:`tie_cells`,
-    :attr:`is_sequential`, :meth:`logic_nets`) and the
-    :meth:`sink_table`.  Every edit made through the methods here
-    (adding, replacing or removing a gate; adding or renaming an output)
-    clears them all, so edit :attr:`gates` and :attr:`outputs` only
+    :attr:`is_sequential`, :meth:`logic_nets`), the :meth:`sink_table`
+    and every :meth:`cached_view`.  Every edit made through the methods
+    here (adding, replacing or removing a gate; adding or renaming an
+    output) clears them all, so edit :attr:`gates` and :attr:`outputs` only
     through those methods, or call :meth:`_invalidate` afterwards.
     """
 
@@ -141,7 +141,7 @@ class Circuit:
         self._topo_cache: list[str] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._compiled_cache: object | None = None
-        self._views: dict[str, object] = {}
+        self._views: dict[object, object] = {}
         for gate in gates:
             self.add_gate(gate)
         for net in outputs:
@@ -268,6 +268,13 @@ class Circuit:
     def logic_nets(self) -> frozenset[str]:
         """Nets whose driver is not a source (INPUT, DFF or TIE); cached."""
         return self._roles().logic
+
+    def cached_view(self, key: object, build: Callable[[], object]) -> object:
+        """``build()``, memoised under *key* and cleared with every other view."""
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = build()
+        return view
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -426,6 +433,7 @@ class Circuit:
     def transitive_fanout(self, nets: Iterable[str]) -> set[str]:
         """All nets in the transitive fanout cone of *nets* (inclusive)."""
         fanout = self.fanout_map()
+        dffs = self.cached_view("dff_set", lambda: frozenset(self._roles().dffs))
         seen: set[str] = set()
         stack = list(nets)
         while stack:
@@ -434,7 +442,7 @@ class Circuit:
                 continue
             seen.add(net)
             for reader in fanout[net]:
-                if self.gates[reader].is_dff:
+                if reader in dffs:
                     seen.add(reader)
                     continue
                 stack.append(reader)

@@ -530,18 +530,6 @@ class CompiledCircuit:
         buf = self.simulate_array(input_words, num_patterns, overrides)
         return {net: lanes_to_int(buf[i]) for i, net in enumerate(self.nets)}
 
-    def simulate_pair(
-        self,
-        input_words: Mapping[str, int],
-        num_patterns: int,
-        overrides: Mapping[str, int],
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """Good and overridden machines in one sweep (columns 0 and 1)."""
-        buf = self.simulate_batch_array(input_words, num_patterns, [None, overrides])
-        good = {net: lanes_to_int(buf[i, 0]) for i, net in enumerate(self.nets)}
-        bad = {net: lanes_to_int(buf[i, 1]) for i, net in enumerate(self.nets)}
-        return good, bad
-
     def output_word_arrays(
         self,
         input_words: Mapping[str, int] | Mapping[str, np.ndarray],

@@ -20,8 +20,10 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -275,6 +277,129 @@ def test_defended_views_identical_to_oracle_split(name, layout, monkeypatch):
     assert reference.view.source_stubs == compiled.view.source_stubs
     assert reference.view.sink_stubs == compiled.view.sink_stubs
     assert reference.view.visible_nets == compiled.view.visible_nets
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write routing: the engines replace only the nets they change
+
+
+def deepcopy_lift_protected(ctx):
+    """``lift_protected`` on a deep copy of the whole routing."""
+    from repro.defense.wire_lifting import concert_stubs, elevated_cost
+    from repro.phys.split import split_layout
+
+    layout = ctx.layout
+    routing = copy.deepcopy(layout.routing)
+    chosen = select_protected_nets(layout.circuit, routing, ctx.spec.fraction)
+    for net in chosen:
+        routing.nets[net].lower_layer = ctx.split_layer + 1
+    view = split_layout(
+        layout.circuit, routing, ctx.split_layer, key_nets=layout.key_nets
+    )
+    sites = concert_stubs(view, set(chosen), layout, ctx.rng("sites"))
+    cost = elevated_cost(routing, chosen, ctx.split_layer)
+    total_wl = layout.routing.total_wirelength()
+    diagnostics = {
+        "lifting_sites": len(sites),
+        "elevated_share": (
+            cost.elevated_wirelength_um / total_wl if total_wl else 0.0
+        ),
+    }
+    return view, chosen, cost, diagnostics
+
+
+def deepcopy_perturbation_apply(self, ctx):
+    """``RoutingPerturbationEngine.apply`` on a deep copy of the routing."""
+    from repro.defense.engine import DefendedView, DefenseCost
+    from repro.defense.routing_perturbation import jog_stubs
+    from repro.phys.split import split_layout
+
+    layout = ctx.layout
+    routing = copy.deepcopy(layout.routing)
+    rng = ctx.rng("perturb")
+    candidates = [
+        net
+        for net, routed in routing.nets.items()
+        if routed.routes
+        and not routed.is_key_net
+        and routed.top_layer <= ctx.split_layer
+    ]
+    rng.shuffle(candidates)
+    chosen = candidates[
+        : max(1, int(len(candidates) * ctx.spec.fraction))
+    ] if candidates else []
+    detour_wl = 0.0
+    for net in chosen:
+        routed = routing.nets[net]
+        before = routed.length_um
+        routed.lower_layer = ctx.split_layer
+        routed.detour_factor = max(
+            routed.detour_factor, 1.0 + rng.uniform(0.05, 0.2)
+        )
+        detour_wl += routed.length_um - before
+    view = split_layout(
+        layout.circuit, routing, ctx.split_layer, key_nets=layout.key_nets
+    )
+    jog_stubs(view, set(chosen), rng, ctx.spec.jog_um, ctx.spec.cross_jog_um)
+    total_wl = layout.routing.total_wirelength()
+    cost = DefenseCost(
+        protected_nets=len(chosen),
+        via_stacks=0,
+        elevated_wirelength_um=detour_wl,
+        cost_units=detour_wl,
+    )
+    diagnostics = {"detour_share": detour_wl / total_wl if total_wl else 0.0}
+    return DefendedView(view, ctx.spec, frozenset(chosen), cost, diagnostics)
+
+
+def build_smoke_layouts():
+    """The fixture cell's layout and the matrix-smoke grid's scaled b14
+    layout, built afresh."""
+    from repro.runner.profiles import defense_smoke_campaign
+
+    cells = (CELL, defense_smoke_campaign().cells()[0].cell)
+    return [cell_layout(cell, None) for cell in cells]
+
+
+@pytest.fixture(scope="module")
+def smoke_layouts():
+    return build_smoke_layouts()
+
+
+@pytest.mark.parametrize(
+    "name", ["wire-lifting", "beol-restore", "routing-perturbation"]
+)
+def test_defended_views_equal_deepcopy_routing(name, smoke_layouts, monkeypatch):
+    spec = resolve_defense(name)
+    for layout in smoke_layouts:
+        got = apply_defense(spec, layout, layout.split_layer)
+        with monkeypatch.context() as patch:
+            for module in ("wire_lifting", "beol_restore"):
+                patch.setattr(
+                    f"repro.defense.{module}.lift_protected",
+                    deepcopy_lift_protected,
+                )
+            patch.setattr(
+                "repro.defense.routing_perturbation."
+                "RoutingPerturbationEngine.apply",
+                deepcopy_perturbation_apply,
+            )
+            want = apply_defense(spec, layout, layout.split_layer)
+        assert got.view.source_stubs == want.view.source_stubs
+        assert got.view.sink_stubs == want.view.sink_stubs
+        assert got.view.visible_nets == want.view.visible_nets
+        assert got.view.gates == want.view.gates
+        assert got.protected_nets == want.protected_nets
+        assert got.cost == want.cost
+        assert got.diagnostics == want.diagnostics
+
+
+def test_apply_defense_leaves_the_layout_bytes_unchanged():
+    for layout in build_smoke_layouts():
+        before = pickle.dumps(layout)
+        for name in ("wire-lifting", "beol-restore", "routing-perturbation"):
+            apply_defense(resolve_defense(name), layout, layout.split_layer)
+        assert pickle.dumps(layout) == before
 
 
 def test_lifting_engines_erase_proximity_by_cositing(layout):

@@ -23,7 +23,6 @@ from repro.locking import (
     AtpgLockConfig,
     LockedCircuit,
     atpg_lock,
-    extract_fault_module,
     insert_restore,
     random_lock,
 )
@@ -65,20 +64,18 @@ def test_grow_cut_separates_and_contains(c17_circuit):
     assert not set(cut) & tainted
 
 
-def test_extract_fault_module_contains_fault(c17_circuit):
-    module = extract_fault_module(c17_circuit, "N11", max_support=5)
-    assert module is not None
-    assert "N11" in module.module.gates
-    assert set(module.module.outputs) == {"N22", "N23"}
-
-
 def test_extract_sink_modules_per_sink(c17_circuit):
     modules = extract_sink_modules(c17_circuit, "N11", max_support=5)
     assert modules is not None
     assert len(modules) == 2
     for module in modules:
         assert len(module.sink_nets) == 1
-        assert "N11" in module.module.gates
+        assert "N11" in module.gates
+        # the module's nets in topological order, ending at its sink
+        index = c17_circuit.topological_index()
+        assert module.gates == sorted(module.gates, key=index.__getitem__)
+        assert module.gates[-1] == module.sink_nets[0]
+        assert not set(module.cut_nets) & set(module.gates)
 
 
 def test_extract_sink_modules_respects_budget(c17_circuit):
@@ -105,7 +102,7 @@ def test_inject_plus_restore_is_equivalent(c17_circuit, fault):
     rng = random.Random(4)
     key_index = 0
     patterns_list = [
-        enumerate_failing_patterns(m.module, fault, max_inputs=5, max_minterms=32)
+        enumerate_failing_patterns(work, fault, m, max_inputs=5, max_minterms=32)
         for m in modules
     ]
     from repro.netlist.circuit import Gate
@@ -339,9 +336,9 @@ def test_cascade_removed_area_counts_mffc(c17_circuit):
 
 
 def test_restore_area_estimate_tracks_insertion(c17_circuit):
-    module = extract_fault_module(c17_circuit, "N10", max_support=5)
+    (module,) = extract_sink_modules(c17_circuit, "N10", max_support=5)
     patterns = enumerate_failing_patterns(
-        module.module, StuckAtFault("N10", 1), max_inputs=5
+        c17_circuit, StuckAtFault("N10", 1), module, max_inputs=5
     )
     estimate = restore_area_estimate(patterns)
     assert estimate > 0.0

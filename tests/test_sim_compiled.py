@@ -133,19 +133,6 @@ def test_compiled_missing_stimulus_message(c17_circuit):
         engine.simulate({"N1": 0}, 8)
 
 
-def test_simulate_pair_matches_two_single_sweeps():
-    circuit = random_circuit(3)
-    lanes = 500
-    words = random_words(circuit.inputs, lanes, random.Random(9))
-    target = [n for n in circuit.gates if not circuit.gates[n].is_input][5]
-    engine = compile_circuit(circuit)
-    good, faulty = engine.simulate_pair(words, lanes, {target: 0})
-    assert good == simulate_words_bigint(circuit, words, lanes)
-    assert faulty == simulate_words_bigint(
-        circuit, words, lanes, overrides={target: 0}
-    )
-
-
 def test_batch_override_columns_match_bigint():
     circuit = random_circuit(5)
     lanes = 130
