@@ -3,8 +3,8 @@
 Runs one small scenario grid cell (the CI attack smoke cell) twice
 against a fresh cache directory — once cold (every stage computed) and
 once warm (every stage served from the content-keyed artifact cache) —
-and emits ``BENCH_attacks.json`` next to ``BENCH_sim.json`` so the
-attack-stage cost and the cache's effectiveness are tracked PR over PR.
+and emits ``BENCH_attacks.json`` so the attack-stage cost and the
+cache's effectiveness are tracked PR over PR.
 The warm pass also cross-checks that cached outcomes are bit-identical
 to the cold computation, and that every connection-recovering scenario
 beat the random floor.

@@ -6,20 +6,20 @@ a small set of named metrics against the committed baseline in
 beyond its tolerance.  CI runners differ wildly from the machine that
 recorded a baseline, so the tolerances are deliberately asymmetric:
 
-* **ratio metrics** (speedups — compiled vs big-int, cached vs cold)
+* **ratio metrics** (speedups — cached vs cold, fused vs per-cell)
   divide out the machine and get the tight tolerance: a real algorithmic
   regression moves them on any machine;
-* **absolute metrics** (wall seconds, patterns/sec) get the loose
-  tolerance: they gate only order-of-magnitude collapses.
+* **absolute metrics** (wall seconds) get the loose tolerance: they
+  gate only order-of-magnitude collapses.
 
 Improvements never fail.  Usage::
 
-    python benchmarks/check_regression.py BENCH_sim.json
+    python benchmarks/check_regression.py BENCH_attacks.json
     python benchmarks/check_regression.py BENCH_*.json
-    python benchmarks/check_regression.py --update BENCH_sim.json  # refresh
+    python benchmarks/check_regression.py --update BENCH_attacks.json  # refresh
 
-The baseline file is matched by name: ``BENCH_sim.json`` checks against
-``benchmarks/baselines/BENCH_sim.json``.
+The baseline file is matched by name: ``BENCH_attacks.json`` checks
+against ``benchmarks/baselines/BENCH_attacks.json``.
 """
 
 from __future__ import annotations
@@ -57,29 +57,9 @@ class Metric:
     tolerance: float = RATIO_TOLERANCE
 
 
-def _sim_min_speedup(payload: dict[str, Any]) -> float:
-    return min(r["speedup"] for r in payload["results"])
-
-
-def _sim_max_pps(payload: dict[str, Any]) -> float:
-    return max(r["compiled_pps"] for r in payload["results"])
-
-
 #: The gate per payload stem.  Ratio metrics carry the tight tolerance,
 #: absolute ones the loose tolerance (see the module docstring).
 GATES: dict[str, tuple[Metric, ...]] = {
-    "BENCH_sim": (
-        Metric(
-            "largest_iscas85_speedup",
-            lambda p: p["largest_iscas85"]["speedup"],
-        ),
-        Metric("min_benchmark_speedup", _sim_min_speedup),
-        Metric(
-            "max_compiled_pps",
-            _sim_max_pps,
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
-    ),
     "BENCH_attacks": (
         Metric("cache_speedup", lambda p: p["cache_speedup"]),
         Metric(

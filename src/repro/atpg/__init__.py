@@ -1,12 +1,7 @@
 """ATPG substrate: stuck-at faults, PODEM, fault simulation, failing sets."""
 
 from repro.atpg.cubes import Cube, cover_care_bits, cover_minterms, exact_cover
-from repro.atpg.fault_sim import (
-    FaultSimulator,
-    excitation_word,
-    failing_output_words,
-    fault_coverage,
-)
+from repro.atpg.fault_sim import fault_coverage
 from repro.atpg.faults import StuckAtFault, all_faults, collapse_faults, internal_faults
 from repro.atpg.patterns import (
     FailingPatterns,
@@ -20,7 +15,6 @@ __all__ = [
     "Cube",
     "FailingPatterns",
     "FailingSetTooLarge",
-    "FaultSimulator",
     "PodemEngine",
     "PodemResult",
     "StuckAtFault",
@@ -31,8 +25,6 @@ __all__ = [
     "cover_minterms",
     "enumerate_failing_patterns",
     "exact_cover",
-    "excitation_word",
-    "failing_output_words",
     "fault_coverage",
     "internal_faults",
     "verify_cover_exactness",

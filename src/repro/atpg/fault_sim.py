@@ -1,85 +1,27 @@
 """Bit-parallel stuck-at fault simulation.
 
-Two strategies share the public API:
-
-* the cone-based big-int :class:`FaultSimulator` — the good circuit is
-  swept once and each fault re-evaluates only its transitive fanout
-  cone, which keeps one-off queries cheap in pure Python;
-* the compiled batched path used by :func:`fault_coverage` — faults are
-  packed as override *columns* of one vectorized sweep
-  (:meth:`repro.sim.compiled.CompiledCircuit.simulate_batch_array`), so
-  a whole fault universe is simulated in a handful of NumPy passes.
+:func:`fault_coverage` packs faults as override *columns* of one
+vectorized sweep
+(:meth:`repro.sim.compiled.CompiledCircuit.simulate_batch_array`), so a
+whole fault universe is simulated in a handful of NumPy passes.  Its
+differential oracle is the cone-based big-int fault simulator of
+``tests/bigint_sim.py``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.atpg.faults import StuckAtFault
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate_types import evaluate_gate_words
-from repro.sim.bitparallel import compiled_engine_for, mask_for, simulate_words
+from repro.sim.compiled import CompiledCircuit, compile_circuit, num_words, tail_mask
 
 #: Memory budget of one batched fault-simulation sweep (bytes).  The
 #: batch buffer is ``num_nets x batch x words``; chunking faults keeps
 #: it cache-friendly instead of materializing the whole universe.
 _BATCH_BUDGET_BYTES = 32 << 20
-
-
-class FaultSimulator:
-    """Reusable fault-simulation context over one pattern batch."""
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        input_words: Mapping[str, int],
-        num_patterns: int,
-    ) -> None:
-        if circuit.is_sequential:
-            raise ValueError("fault simulation expects a combinational circuit")
-        self.circuit = circuit
-        self.num_patterns = num_patterns
-        self.mask = mask_for(num_patterns)
-        self.good_values = simulate_words(circuit, input_words, num_patterns)
-        self._topo = circuit.topological_order()
-        self._topo_index = {net: i for i, net in enumerate(self._topo)}
-        self._output_set = set(circuit.outputs)
-
-    def detection_word(self, fault: StuckAtFault) -> int:
-        """Packed word with bit *p* set iff pattern *p* detects *fault*.
-
-        Detection means at least one primary output differs from the good
-        value.  Only the fault's fanout cone is re-evaluated.
-        """
-        stuck_word = self.mask if fault.value else 0
-        if self.good_values[fault.net] == stuck_word:
-            return 0  # fault never excited by this batch
-        cone = self.circuit.transitive_fanout([fault.net])
-        ordered = sorted(cone, key=self._topo_index.__getitem__)
-        faulty: dict[str, int] = {fault.net: stuck_word}
-        detected = 0
-        if fault.net in self._output_set:
-            detected |= self.good_values[fault.net] ^ stuck_word
-        for net in ordered:
-            if net == fault.net:
-                continue
-            gate = self.circuit.gates[net]
-            if gate.is_dff or gate.is_input:
-                continue
-            words = [
-                faulty.get(n, self.good_values[n]) for n in gate.fanin
-            ]
-            value = evaluate_gate_words(gate.gate_type, words, self.mask)
-            if value == self.good_values[net]:
-                continue  # fault effect masked on this net
-            faulty[net] = value
-            if net in self._output_set:
-                detected |= value ^ self.good_values[net]
-        return detected
-
-    def detects(self, fault: StuckAtFault) -> bool:
-        """True when at least one pattern of the batch detects *fault*."""
-        return self.detection_word(fault) != 0
 
 
 def fault_coverage(
@@ -88,37 +30,25 @@ def fault_coverage(
     input_words: Mapping[str, int],
     num_patterns: int,
 ) -> tuple[float, list[StuckAtFault]]:
-    """Coverage of *faults* by the batch; returns ``(ratio, undetected)``.
-
-    Uses the compiled engine with faults batched as override columns
-    when the circuit/batch is large enough to amortize it; both paths
-    agree bit-for-bit (differential-tested).
-    """
-    engine = compiled_engine_for(circuit, num_patterns)
-    if engine is not None and faults:
-        detected = _batch_detected(
-            engine, faults, input_words, num_patterns
-        )
-        undetected = [f for f, hit in zip(faults, detected) if not hit]
-    else:
-        simulator = FaultSimulator(circuit, input_words, num_patterns)
-        undetected = [f for f in faults if not simulator.detects(f)]
+    """Coverage of *faults* by the batch; returns ``(ratio, undetected)``."""
+    if circuit.is_sequential:
+        raise ValueError("fault simulation expects a combinational circuit")
+    detected = _batch_detected(
+        compile_circuit(circuit), faults, input_words, num_patterns
+    )
+    undetected = [f for f, hit in zip(faults, detected) if not hit]
     covered = len(faults) - len(undetected)
     ratio = covered / len(faults) if faults else 1.0
     return ratio, undetected
 
 
 def _batch_detected(
-    engine,
+    engine: CompiledCircuit,
     faults: Sequence[StuckAtFault],
     input_words: Mapping[str, int],
     num_patterns: int,
 ) -> list[bool]:
     """Per-fault detection flags via column-batched compiled sweeps."""
-    import numpy as np
-
-    from repro.sim.compiled import num_words, tail_mask
-
     # Convert the stimulus once; every batched sweep below reuses it.
     arrays = engine.input_lane_arrays(input_words, num_patterns)
     good = engine.simulate_array(arrays, num_patterns)
@@ -157,32 +87,3 @@ def _batch_detected(
         for i, hit in zip(group, hits):
             detected[i] = bool(hit)
     return detected
-
-
-def failing_output_words(
-    circuit: Circuit,
-    fault: StuckAtFault,
-    input_words: Mapping[str, int],
-    num_patterns: int,
-) -> dict[str, int]:
-    """Per-output difference words (good XOR faulty) for *fault*."""
-    mask = mask_for(num_patterns)
-    good = simulate_words(circuit, input_words, num_patterns)
-    stuck_word = mask if fault.value else 0
-    faulty = simulate_words(
-        circuit, input_words, num_patterns, overrides={fault.net: stuck_word}
-    )
-    return {net: good[net] ^ faulty[net] for net in circuit.outputs}
-
-
-def excitation_word(
-    circuit: Circuit,
-    fault: StuckAtFault,
-    input_words: Mapping[str, int],
-    num_patterns: int,
-) -> int:
-    """Patterns (as a packed word) whose good value at the fault net
-    differs from the stuck value — i.e. the fault is locally excited."""
-    good = simulate_words(circuit, input_words, num_patterns)
-    stuck_word = mask_for(num_patterns) if fault.value else 0
-    return good[fault.net] ^ stuck_word

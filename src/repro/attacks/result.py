@@ -13,7 +13,7 @@ targets through ``_poalias`` BUFs and breaks loops on ints
 (:func:`recovered_machine`), and the :class:`RecoveredMachine` compiles
 straight into the program HD/OER sweeps.  A :class:`Circuit` is
 rendered from it only when read (:attr:`AttackResult.recovered`,
-:func:`rebuild_netlist`, the big-int fallback).  Engines record only the
+:func:`rebuild_netlist`).  Engines record only the
 netlist's name; the machine is built on first read and kept.
 
 Results are never pickled into an artifact: the cached ``attack`` stage

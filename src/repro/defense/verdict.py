@@ -46,19 +46,12 @@ def matrix_verdict(
     and every scenario in *scenarios*, each defended outcome must
     strictly reduce effective regular recovery below the undefended
     baseline of the same cell, and lifting-family defenses must hold
-    their protected-net CCR at the Table III near-zero regime.  Cells
-    silently falling back off the compiled simulation path are reported
-    too (mirroring ``grid_verdict``).
+    their protected-net CCR at the Table III near-zero regime.
     """
     problems: list[str] = []
     groups: dict[tuple, dict[str, object]] = {}
     for item in cells:
         acell = item.cell
-        engine = item.outcome.sim_engine
-        if engine != "none" and not engine.startswith("compiled"):
-            problems.append(
-                f"{acell.cell_id}: simulation fell back to {engine}"
-            )
         if acell.scenario.name not in scenarios:
             continue
         name = acell.defense.name if acell.defense else "none"

@@ -17,13 +17,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.netlist.circuit import Circuit
-from repro.sim.bitparallel import (
-    compiled_engine_for,
-    iter_pattern_chunks,
-    output_words,
-    wants_compiled,
-)
+from repro.sim.bitparallel import iter_pattern_chunks
+from repro.sim.compiled import compile_circuit, int_to_lanes, popcount
 
 if TYPE_CHECKING:
     from repro.attacks.result import RecoveredMachine
@@ -38,10 +36,9 @@ DEFAULT_HD_PATTERNS = 20_000
 class HdOerReport:
     """HD and OER in percent, plus the sample size used.
 
-    ``engine`` records which simulation engine actually computed the
-    report (``compiled``/``bigint``) — excluded from equality, since
-    the numbers are bit-identical either way and the differential
-    suites compare reports across engines.
+    ``engine`` records the simulation engine that computed the report
+    (``compiled``) — excluded from equality, so the differential suites
+    can compare a report against the big-int oracle's.
     """
 
     hd_percent: float
@@ -61,11 +58,10 @@ def compute_hd_oer(
 
     *recovered* is a :class:`Circuit` or an attacker's
     :class:`~repro.attacks.result.RecoveredMachine`, which compiles
-    straight from its index arrays (it renders a :class:`Circuit` only
-    for the big-int path).  Sequential designs are compared on their
-    combinational cores (primary outputs plus next-state functions), the
-    standard way sequential miters are approximated for attack
-    evaluation; a machine is lowered that way already.
+    straight from its index arrays.  Sequential designs are compared on
+    their combinational cores (primary outputs plus next-state
+    functions), the standard way sequential miters are approximated for
+    attack evaluation; a machine is lowered that way already.
     """
     if original.is_sequential:
         original = original.combinational_core()
@@ -77,48 +73,20 @@ def compute_hd_oer(
         raise ValueError("output counts differ; cannot compare")
 
     # Compile both machines once and compare output rows in the array
-    # domain; the RNG stream and the counted bits are identical to the
-    # big-int path, so the metrics are bit-for-bit engine-independent.
-    engine_a = compiled_engine_for(original, chunk)
+    # domain.
+    engine_a = compile_circuit(original)
     if isinstance(recovered, Circuit):
-        engine_b = compiled_engine_for(recovered, chunk)
+        engine_b = compile_circuit(recovered)
     else:
-        compiled = wants_compiled(len(recovered.table.names), chunk)
-        engine_b = recovered.compile() if compiled else None
-    if engine_a is not None and engine_b is not None and original.outputs:
-        return _compute_hd_oer_compiled(
-            engine_a, engine_b, original.inputs, patterns, seed, chunk
-        )
-    if not isinstance(recovered, Circuit):
-        recovered = recovered.circuit().combinational_core()
-
-    rng = random.Random(seed)
-    total_bits = 0
-    differing_bits = 0
-    erroneous_patterns = 0
-    total_patterns = 0
-    for words, lanes in iter_pattern_chunks(
-        original.inputs, patterns, chunk, rng
-    ):
-        out_a = output_words(original, words, lanes)
-        out_b = output_words(recovered, words, lanes)
-        error_word = 0
-        for net_a, net_b in zip(original.outputs, recovered.outputs):
-            diff = out_a[net_a] ^ out_b[net_b]
-            differing_bits += diff.bit_count()
-            error_word |= diff
-        total_bits += lanes * len(original.outputs)
-        erroneous_patterns += error_word.bit_count()
-        total_patterns += lanes
-
-    hd = 100.0 * differing_bits / total_bits if total_bits else 0.0
-    oer = 100.0 * erroneous_patterns / total_patterns if total_patterns else 0.0
-    return HdOerReport(hd, oer, total_patterns, engine="bigint")
+        engine_b = recovered.compile()
+    return _compute_hd_oer_compiled(
+        engine_a, engine_b, original.inputs, patterns, seed, chunk
+    )
 
 
 #: Chunks fused into one compiled sweep.  The RNG stream stays chunked
-#: exactly like the big-int path (so sampled patterns are identical);
-#: fusing only amortizes per-sweep overhead over more lanes.
+#: (so sampled patterns do not depend on the fusion); fusing only
+#: amortizes per-sweep overhead over more lanes.
 _SUPERCHUNK = 4
 
 #: Active reference-sweep memo (``None`` outside the context manager):
@@ -134,7 +102,7 @@ def shared_reference_sweeps():
     Sibling grid cells compare many *recovered* netlists against the
     **same** original machine with the same (patterns, seed, chunk)
     budget; re-simulating the reference per sibling is pure waste.
-    Inside this context, :func:`compute_hd_oer`'s compiled path records
+    Inside this context, :func:`compute_hd_oer` records
     each flush's stimulus arrays and reference output rows on first
     use and replays them for later calls that share the reference
     engine and the exact pattern budget.
@@ -157,10 +125,6 @@ def shared_reference_sweeps():
 def _compute_hd_oer_compiled(
     engine_a, engine_b, inputs, patterns, seed, chunk
 ) -> HdOerReport:
-    import numpy as np
-
-    from repro.sim.compiled import int_to_lanes, popcount
-
     num_outputs = len(engine_a.outputs)
     differing_bits = 0
     erroneous_patterns = 0

@@ -17,7 +17,8 @@ from repro.netlist.circuit import Circuit
 from repro.sat.cnf import Cnf
 from repro.sat.solver import SatResult, solve_cnf
 from repro.sat.tseitin import encode_circuit
-from repro.sim.bitparallel import compiled_engine_for, output_words, random_words
+from repro.sim.bitparallel import output_words, random_words
+from repro.sim.compiled import compile_circuit
 
 
 @dataclass
@@ -87,51 +88,28 @@ def check_equivalence(
     if len(a.outputs) != len(b.outputs):
         raise ValueError("circuits expose different output counts")
 
-    # Phase 1: random simulation to catch inequivalence cheaply.  On the
-    # compiled engine the comparison stays in the array domain; only a
-    # counterexample lane (if any) is materialized.
+    # Phase 1: random simulation to catch inequivalence cheaply.  The
+    # comparison stays in the array domain; only a counterexample lane
+    # (if any) is materialized.
     rng = random.Random(seed)
     lanes = min(simulation_patterns, 4096)
     words = random_words(a.inputs, lanes, rng)
-    engine_a = compiled_engine_for(a, lanes)
-    engine_b = compiled_engine_for(b, lanes)
-    if engine_a is not None and engine_b is not None:
-        rows_a = engine_a.output_word_arrays(words, lanes)
-        rows_b = engine_b.output_word_arrays(words, lanes)
-        diff_lane = _first_differing_lane(rows_a, rows_b)
-        if diff_lane is not None:
-            counterexample = {
-                net: (words[net] >> diff_lane) & 1 for net in a.inputs
-            }
-            return LecResult(
-                False, "simulation", counterexample,
-                counterexample_confirmed=True,
-            )
-    else:
-        out_a = output_words(a, words, lanes)
-        out_b = output_words(b, words, lanes)
-        for net_a, net_b in zip(a.outputs, b.outputs):
-            diff = out_a[net_a] ^ out_b[net_b]
-            if diff:
-                lane = (diff & -diff).bit_length() - 1
-                counterexample = {
-                    net: (words[net] >> lane) & 1 for net in a.inputs
-                }
-                return LecResult(
-                    False, "simulation", counterexample,
-                    counterexample_confirmed=True,
-                )
+    rows_a = compile_circuit(a).output_word_arrays(words, lanes)
+    rows_b = compile_circuit(b).output_word_arrays(words, lanes)
+    diff_lane = _first_differing_lane(rows_a, rows_b)
+    if diff_lane is not None:
+        counterexample = {net: (words[net] >> diff_lane) & 1 for net in a.inputs}
+        return LecResult(
+            False, "simulation", counterexample, counterexample_confirmed=True
+        )
 
     # Phase 2: SAT proof on the miter.
     return _prove_equivalence(a, b, conflict_limit)
 
 
 def _first_differing_lane(rows_a, rows_b) -> int | None:
-    """Lowest differing lane of the first differing output pair, or None.
-
-    Matches the big-int search order: output pairs positionally, lanes
-    lowest-first within the first mismatching pair.
-    """
+    """Lowest differing lane of the first differing output pair, or None
+    (output pairs positionally, lanes lowest-first within the pair)."""
     for row_a, row_b in zip(rows_a, rows_b):
         diff = row_a ^ row_b
         if diff.any():

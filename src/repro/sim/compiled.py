@@ -1,13 +1,10 @@
 """Compiled vectorized logic simulation over NumPy ``uint64`` lanes.
 
-:mod:`repro.sim.bitparallel` re-walks ``topological_order()`` and does a
-per-gate dict lookup on every call, operating on Python big-int words.
-That is fine for one-shot cones, but every paper metric (HD/OER over
-20k patterns, fault coverage, the attack evaluators) sweeps the *same*
-circuit thousands of times.  This module levelizes a circuit **once**
-into a flat op program — int op-codes plus fanin index arrays — and
-evaluates it over ``numpy.uint64`` arrays with ``N x 64`` multi-word
-pattern batches:
+Every paper metric (HD/OER over 20k patterns, fault coverage, the attack
+evaluators) sweeps the *same* circuit thousands of times, so this module
+levelizes a circuit **once** into a flat op program — int op-codes plus
+fanin index arrays — and evaluates it over ``numpy.uint64`` arrays with
+``N x 64`` multi-word pattern batches:
 
 * net *slots* are permuted so that all gates of one (level, base-op,
   arity) **bucket** occupy a contiguous slot range: one fancy-indexed
@@ -17,7 +14,7 @@ pattern batches:
   are flipped afterwards with a per-gate invert-mask column;
 * an *overrides* channel forces named nets to fixed words (stuck-at
   injection, key tying), applied level-interleaved so downstream gates
-  observe the forced value exactly as in the big-int engine;
+  observe the forced value exactly as in the big-int oracle;
 * a *batch* axis evaluates many override scenarios (e.g. all stuck-at
   faults of a chunk) against one stimulus load in a single sweep.
 
@@ -29,8 +26,8 @@ result`).
 
 Programs are cached per circuit (invalidated on any structural edit);
 :func:`compile_circuit` is the entry point.  Results are bit-identical
-to the big-int engine — the differential suite in
-``tests/test_sim_compiled.py`` enforces that.
+to the gate-by-gate big-int oracle of ``tests/bigint_sim.py`` — the
+differential suite in ``tests/test_sim_compiled.py`` enforces that.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ _ZERO = np.uint64(0)
 
 #: Flat op-codes: the three reducible bitwise bases plus plain copy.
 #: Inverting types are the same base with an invert mask; degenerate
-#: single-input AND/OR/XOR collapse to COPY (as in the big-int engine).
+#: single-input AND/OR/XOR collapse to COPY (as in the big-int oracle).
 OP_AND, OP_OR, OP_XOR, OP_COPY = 0, 1, 2, 3
 
 _OP_OF_TYPE: dict[GateType, tuple[int, bool]] = {
@@ -261,7 +258,7 @@ class CompiledCircuit:
         self.level_of = level_of or dict(zip(nets, level.tolist()))
 
         # Degenerate single-input AND/OR/XOR families behave as BUF (or
-        # NOT when inverting) — same as the big-int path.
+        # NOT when inverting) — same as the big-int oracle.
         op = np.where(arity == 1, OP_COPY, table.op)
         stride = table.fanin.shape[1] + 1
         is_gate = kind == KIND_GATE
@@ -417,7 +414,7 @@ class CompiledCircuit:
         for net, word in overrides.items():
             slot = self.index.get(net)
             if slot is None:
-                continue  # parity with the big-int engine: ignored
+                continue  # ignored, as by the big-int oracle
             lanes = (
                 word
                 if isinstance(word, np.ndarray)
@@ -526,7 +523,7 @@ class CompiledCircuit:
         num_patterns: int,
         overrides: Mapping[str, int] | None = None,
     ) -> dict[str, int]:
-        """Big-int API parity with :func:`repro.sim.bitparallel.simulate_words`."""
+        """Words per net as Python ints (see ``simulate_words``)."""
         buf = self.simulate_array(input_words, num_patterns, overrides)
         return {net: lanes_to_int(buf[i]) for i, net in enumerate(self.nets)}
 
@@ -546,7 +543,7 @@ class CompiledCircuit:
         num_patterns: int,
         overrides: Mapping[str, int] | None = None,
     ) -> dict[str, int]:
-        """Big-int API parity with :func:`repro.sim.bitparallel.output_words`."""
+        """Primary-output words as Python ints (see ``output_words``)."""
         buf = self.simulate_array(input_words, num_patterns, overrides)
         return {
             net: lanes_to_int(buf[self.index[net]]) for net in self.outputs

@@ -99,7 +99,7 @@ def _collapse_wire_gates(circuit: Circuit, protected: set[str]) -> int:
     feeds a protected gate (don't-touch networks keep their topology).
     """
     removed = 0
-    fanout = circuit.fanout_map()
+    fanout = {net: set(readers) for net, readers in circuit.fanout_map().items()}
     for name in list(circuit.gates):
         gate = circuit.gates.get(name)
         if gate is None:  # removed earlier in this sweep
@@ -111,18 +111,24 @@ def _collapse_wire_gates(circuit: Circuit, protected: set[str]) -> int:
             continue
         if any(reader in protected for reader in fanout.get(gate.name, ())):
             continue
-        if gate.name in circuit.outputs:
-            if source in circuit.outputs or circuit.gates[source].is_input:
-                continue  # keep interface nets distinct
-            # transfer the name: readers of `source` move to the BUF? No —
-            # simply repoint the output alias and keep the source name.
-            substitute_net(circuit, gate.name, source)
-            circuit.remove_gate(gate.name)
-            removed += 1
-            fanout = circuit.fanout_map()
-            continue
-        substitute_net(circuit, gate.name, source)
-        circuit.remove_gate(gate.name)
+        if gate.name in circuit.outputs and (
+            source in circuit.outputs or circuit.gates[source].is_input
+        ):
+            continue  # keep interface nets distinct
+        # An output BUF keeps the source's name: the output alias moves.
+        _remove_buffer(circuit, fanout, gate.name, source)
         removed += 1
-        fanout = circuit.fanout_map()
     return removed
+
+
+def _remove_buffer(
+    circuit: Circuit, fanout: dict[str, set[str]], buf: str, source: str
+) -> None:
+    """Rewire the readers of BUF *buf* to *source* and delete it, keeping
+    *fanout* (net -> readers) equal to a fresh ``fanout_map()`` instead
+    of rebuilding it per removal."""
+    substitute_net(circuit, buf, source)
+    circuit.remove_gate(buf)
+    readers = fanout[source]
+    readers |= fanout.pop(buf)
+    readers.discard(buf)

@@ -14,7 +14,6 @@ Knobs:
 * ``REPRO_SCALE=<f>``   — benchmark scale-factor override (``> 0``).
 * ``REPRO_CACHE_DIR``   — artifact-cache directory override.
 * ``REPRO_WORKERS``     — default worker count for the campaign runner.
-* ``REPRO_SIM_ENGINE``  — simulation engine (``auto``/``compiled``/``bigint``).
 * ``REPRO_ATTACK_SEED``   — default adversary-scenario seed (``0`` is a
   valid seed, unlike the scale knob).
 * ``REPRO_ATTACK_BUDGET`` — hypothesis budget for scenario key search
@@ -115,21 +114,6 @@ def env_int(name: str, default: int | None = None) -> int | None:
         raise ValueError(f"{name}={raw!r} is not an integer") from exc
 
 
-def env_choice(
-    name: str, choices: tuple[str, ...], default: str
-) -> str:
-    """Parse an enumerated knob; unset or empty means *default*."""
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    value = raw.strip().lower()
-    if value not in choices:
-        raise ValueError(
-            f"{name}={raw!r} is not one of {', '.join(choices)}"
-        )
-    return value
-
-
 def env_positive_int(name: str, default: int | None = None) -> int | None:
     """Parse an integer knob that must be strictly positive when set.
 
@@ -176,10 +160,10 @@ def env_name(
 ) -> str | None:
     """Parse an enumerated knob whose "unset" state is meaningful.
 
-    Like :func:`env_choice` but with an optional (``None``) default, so
-    callers can distinguish "no override configured" from any concrete
-    choice.  The raw value is validated against *choices* — a typo'd
-    engine name fails loudly instead of silently running the default.
+    Unset or empty means *default*, which may be ``None``, so callers
+    can distinguish "no override configured" from any concrete choice.
+    The raw value is validated against *choices* — a typo'd engine name
+    fails loudly instead of silently running the default.
     """
     raw = os.environ.get(name)
     if raw is None or raw.strip() == "":

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.atpg import (
     Cube,
     FailingSetTooLarge,
-    FaultSimulator,
     PodemEngine,
     StuckAtFault,
     all_faults,
@@ -18,7 +17,6 @@ from repro.atpg import (
     cover_minterms,
     enumerate_failing_patterns,
     exact_cover,
-    failing_output_words,
     fault_coverage,
     internal_faults,
     verify_cover_exactness,
@@ -26,6 +24,7 @@ from repro.atpg import (
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.sim.bitparallel import exhaustive_words, random_words
+from tests.bigint_sim import FaultSimulator, failing_output_words
 from tests.conftest import build_random_circuit
 from tests.event_sim import evaluate_outputs
 

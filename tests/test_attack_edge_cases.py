@@ -2,15 +2,21 @@
 
 The satellite cases: an *empty cut set* (a split so high nothing is
 broken), *single-candidate* nets, exactly *tied* distance scores, and
-*constant-output* circuits — each exercised under both simulation
-engines where simulation is involved.
+*constant-output* circuits — where simulation is involved, checked
+against the big-int oracle of ``tests/bigint_sim.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adversary import SCENARIOS, build_candidates, get_engine, run_scenario
+from repro.adversary import (
+    SCENARIOS,
+    build_candidates,
+    evaluate,
+    get_engine,
+    run_scenario,
+)
 from repro.adversary.engine import AttackContext
 from repro.attacks import proximity_attack
 from repro.attacks.result import rebuild_netlist
@@ -21,6 +27,7 @@ from repro.netlist.gate_types import GateType
 from repro.phys import build_locked_layout
 from repro.phys.layout import build_unprotected_layout
 from repro.phys.split import FeolView, SinkStub, SourceStub
+from tests.bigint_sim import reference_hd_oer
 from tests.conftest import build_random_circuit
 
 ENGINES = ("proximity", "netflow", "learned", "random")
@@ -160,45 +167,38 @@ def constant_design():
     return circuit, locked, layout.feol_view()
 
 
-def test_constant_outputs_attacked_identically_on_both_engines(
-    monkeypatch, constant_design
-):
+def test_constant_outputs_attacked_identically_on_both_engines(constant_design):
     circuit, _, view = constant_design
-    reports = {}
-    for sim_engine in ("bigint", "compiled"):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", sim_engine)
-        result = proximity_attack(view)
-        reports[sim_engine] = compute_hd_oer(
-            circuit, result.recovered, patterns=512
-        )
+    result = proximity_attack(view)
+    report = compute_hd_oer(circuit, result.recovered, patterns=512)
     # Constant cones cap the reachable HD: z0/z1 cannot differ unless
-    # the attacker breaks the constant, so whatever the number is it
-    # must be engine-independent bit for bit.
-    assert reports["bigint"] == reports["compiled"]
-    assert 0.0 <= reports["bigint"].hd_percent <= 100.0
+    # the attacker breaks the constant, so whatever the number is the
+    # big-int oracle must report it bit for bit.
+    assert report == reference_hd_oer(circuit, result.recovered, patterns=512)
+    assert 0.0 <= report.hd_percent <= 100.0
 
 
 def test_constant_circuit_scenarios_run_on_both_engines(
     monkeypatch, constant_design
 ):
     circuit, locked, view = constant_design
-    metrics = {}
-    for sim_engine in ("bigint", "compiled"):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", sim_engine)
-        outcome = run_scenario(
-            SCENARIOS["netflow"].resolve(),
-            view,
-            locked,
-            circuit,
-            "const",
-            4,
-            hd_patterns=512,
-        )
-        assert outcome.hd_oer is not None
-        metrics[sim_engine] = (
-            outcome.hd_oer.hd_percent,
-            outcome.hd_oer.oer_percent,
-            outcome.ccr.regular_ccr,
-            outcome.ccr.key_logical_ccr,
-        )
-    assert metrics["bigint"] == metrics["compiled"]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return compute_hd_oer(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "compute_hd_oer", spy)
+    outcome = run_scenario(
+        SCENARIOS["netflow"].resolve(),
+        view,
+        locked,
+        circuit,
+        "const",
+        4,
+        hd_patterns=512,
+    )
+    assert outcome.hd_oer is not None
+    assert outcome.sim_engine == "compiled-array"
+    [(args, kwargs)] = calls
+    assert outcome.hd_oer == reference_hd_oer(*args, **kwargs)

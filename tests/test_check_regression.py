@@ -18,16 +18,6 @@ from check_regression import (  # noqa: E402
 )
 
 
-def _sim_payload(speedup: float = 6.0, pps: float = 1e6) -> dict:
-    return {
-        "largest_iscas85": {"speedup": speedup},
-        "results": [
-            {"speedup": speedup, "compiled_pps": pps},
-            {"speedup": speedup + 1.0, "compiled_pps": pps / 2},
-        ],
-    }
-
-
 def _attacks_payload(
     cache_speedup: float = 100.0, cold: float = 2.0, cached: float = 0.02
 ) -> dict:
@@ -39,15 +29,11 @@ def _attacks_payload(
 
 
 def test_identical_payload_passes():
-    payload = _sim_payload()
-    assert check_payload("BENCH_sim", payload, payload) == []
+    payload = _attacks_payload()
+    assert check_payload("BENCH_attacks", payload, payload) == []
 
 
 def test_improvement_never_fails():
-    assert (
-        check_payload("BENCH_sim", _sim_payload(speedup=60.0), _sim_payload())
-        == []
-    )
     assert (
         check_payload(
             "BENCH_attacks",
@@ -59,12 +45,12 @@ def test_improvement_never_fails():
 
 
 def test_ratio_regression_beyond_tolerance_fails():
-    baseline = _sim_payload(speedup=6.0)
-    barely_ok = _sim_payload(speedup=6.0 * (1 - RATIO_TOLERANCE) + 0.01)
-    assert check_payload("BENCH_sim", barely_ok, baseline) == []
-    collapsed = _sim_payload(speedup=6.0 * (1 - RATIO_TOLERANCE) - 0.1)
-    failures = check_payload("BENCH_sim", collapsed, baseline)
-    assert failures and "speedup" in failures[0]
+    baseline = _attacks_payload(cache_speedup=100.0)
+    barely_ok = _attacks_payload(cache_speedup=100.0 * (1 - RATIO_TOLERANCE) + 0.01)
+    assert check_payload("BENCH_attacks", barely_ok, baseline) == []
+    collapsed = _attacks_payload(cache_speedup=100.0 * (1 - RATIO_TOLERANCE) - 0.1)
+    failures = check_payload("BENCH_attacks", collapsed, baseline)
+    assert failures and "cache_speedup" in failures[0]
 
 
 def test_wall_clock_grace_spares_millisecond_baselines():
@@ -94,8 +80,8 @@ def test_every_committed_baseline_has_a_gate_and_parses():
 
 
 def test_main_checks_and_updates(tmp_path, capsys):
-    current = tmp_path / "BENCH_sim.json"
-    current.write_text(json.dumps(_sim_payload(speedup=6.0)))
+    current = tmp_path / "BENCH_attacks.json"
+    current.write_text(json.dumps(_attacks_payload()))
     baselines = tmp_path / "baselines"
 
     # no baseline yet: the gate fails and says how to create one
@@ -108,7 +94,7 @@ def test_main_checks_and_updates(tmp_path, capsys):
     )
     assert main([str(current), "--baseline-dir", str(baselines)]) == 0
 
-    current.write_text(json.dumps(_sim_payload(speedup=0.5)))
+    current.write_text(json.dumps(_attacks_payload(cache_speedup=5.0)))
     assert main([str(current), "--baseline-dir", str(baselines)]) == 1
 
 

@@ -572,7 +572,7 @@ def test_attack_records_carry_defense_blocks(matrix_result):
 
 
 def _item(defense, scenario="netflow", recovery=40.0, ccr=0.5, total=100,
-          engine="compiled-array", extra=None):
+          extra=None):
     acell = AttackCellSpec(
         cell=CELL,
         scenario=parse_scenario(scenario).resolve(),
@@ -590,7 +590,7 @@ def _item(defense, scenario="netflow", recovery=40.0, ccr=0.5, total=100,
         diagnostics.update(extra)
     return SimpleNamespace(
         cell=acell,
-        outcome=SimpleNamespace(sim_engine=engine, diagnostics=diagnostics),
+        outcome=SimpleNamespace(diagnostics=diagnostics),
     )
 
 
@@ -630,14 +630,6 @@ def test_matrix_verdict_flags_every_failure_mode():
     del stale.outcome.diagnostics["defense"]
     ok, problems = matrix_verdict([_item("none", recovery=60.0), stale])
     assert not ok and sum("stale cache" in p for p in problems) == 2
-
-    ok, problems = matrix_verdict(
-        [
-            _item("none", recovery=60.0),
-            _item("wire-lifting", recovery=30.0, engine="bigint"),
-        ]
-    )
-    assert not ok and any("fell back" in p for p in problems)
 
 
 def test_matrix_verdict_passes_on_the_real_matrix(matrix_result):

@@ -3,24 +3,29 @@
 One reduced Table I / Table II cell (the CI smoke campaign's ``b14`` at
 split layer M4, 16 key bits, 2048 HD patterns) is computed end to end —
 generate, lock, layout, attack, metrics — and every reported number is
-pinned **exactly**.  Simulation-engine swaps (big-int vs compiled) or
-refactors of the metric pipeline can never silently shift paper values:
-any drift fails here first.
+pinned **exactly**.  Refactors of the simulator or of the metric
+pipeline can never silently shift paper values: any drift fails here
+first.
 
 The values were cross-checked against the pre-compiled-engine seed
-implementation; both engines reproduce them bit-for-bit.
+implementation; the compiled engine and the big-int oracle of
+``tests/bigint_sim.py`` (the ``bigint`` cases) reproduce them
+bit-for-bit.
 """
 
 import random
 
 import pytest
 
+from repro.adversary import evaluate
 from repro.atpg.fault_sim import fault_coverage
 from repro.atpg.faults import internal_faults
+from repro.metrics.hd_oer import compute_hd_oer
 from repro.runner.profiles import smoke_campaign
 from repro.runner.spec import proximity_cell
 from repro.runner.stages import cell_attack, locked_design
 from repro.sim.bitparallel import random_words
+from tests.bigint_sim import reference_fault_coverage, reference_hd_oer
 
 #: Exact golden values of the smoke cell (b14, M4, 16 key bits).
 GOLDEN_HD_PERCENT = 44.66732838114754
@@ -44,13 +49,19 @@ def smoke_artifacts():
     return design, run
 
 
+def _metric_engines(engine):
+    """The HD/OER and fault-coverage functions under test: production
+    (``compiled``) or the big-int oracle of ``tests/bigint_sim.py``."""
+    if engine == "bigint":
+        return reference_hd_oer, reference_fault_coverage
+    return compute_hd_oer, fault_coverage
+
+
 @pytest.mark.parametrize("engine", ["bigint", "compiled"])
 def test_golden_hd_oer_and_ccr(smoke_artifacts, engine, monkeypatch):
     # The lock/layout/attack artefacts are shared; only the metric
     # computation re-runs per engine (HD/OER is the simulation-bound
     # metric, which is exactly what an engine swap could shift).
-    from repro.metrics.hd_oer import compute_hd_oer
-
     design, run = smoke_artifacts
     assert run.hd_oer.hd_percent == GOLDEN_HD_PERCENT
     assert run.hd_oer.oer_percent == GOLDEN_OER_PERCENT
@@ -61,28 +72,39 @@ def test_golden_hd_oer_and_ccr(smoke_artifacts, engine, monkeypatch):
     assert run.ccr.regular_broken == GOLDEN_REGULAR_BROKEN
     assert run.ccr.key_broken == GOLDEN_KEY_BROKEN
 
-    monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    # Rerun the attack, keeping the arguments of its HD/OER call (the
+    # attacker's recovered machine and the cell's pattern budget).
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return compute_hd_oer(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "compute_hd_oer", spy)
     cell = list(smoke_campaign().cells())[0]
     rerun = cell_attack(proximity_cell(cell), cache=None, design=design)
-    assert rerun.hd_oer.hd_percent == GOLDEN_HD_PERCENT
-    assert rerun.hd_oer.oer_percent == GOLDEN_OER_PERCENT
-    # compute_hd_oer directly as well, to pin the metric entry point.
-    report = compute_hd_oer(
-        design.core, design.core, patterns=512, seed=5
-    )
+    assert rerun.hd_oer == run.hd_oer
+    [(args, kwargs)] = calls
+    hd_oer, _ = _metric_engines(engine)
+    report = hd_oer(*args, **kwargs)
+    assert report.hd_percent == GOLDEN_HD_PERCENT
+    assert report.oer_percent == GOLDEN_OER_PERCENT
+    assert report.patterns == GOLDEN_HD_PATTERNS
+    # The identical machine, to pin the metric's zero point.
+    report = hd_oer(design.core, design.core, patterns=512, seed=5)
     assert report.hd_percent == 0.0
     assert report.oer_percent == 0.0
 
 
 @pytest.mark.parametrize("engine", ["bigint", "compiled"])
-def test_golden_fault_coverage(smoke_artifacts, engine, monkeypatch):
+def test_golden_fault_coverage(smoke_artifacts, engine):
     design, _run = smoke_artifacts
-    monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    _, coverage = _metric_engines(engine)
     core = design.core
     faults = internal_faults(core)
     assert len(faults) == GOLDEN_FAULT_UNIVERSE
     words = random_words(core.inputs, 1024, random.Random(99))
-    ratio, undetected = fault_coverage(core, faults, words, 1024)
+    ratio, undetected = coverage(core, faults, words, 1024)
     assert ratio == GOLDEN_FAULT_COVERAGE
     assert len(undetected) == GOLDEN_FAULT_UNDETECTED
 

@@ -35,13 +35,8 @@ from repro.locking.partition import affected_sinks, extract_sink_modules, grow_c
 from repro.netlist.cell_library import NANGATE45
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
-from repro.sim.bitparallel import (
-    compiled_engine_for,
-    exhaustive_words,
-    mask_for,
-    simulate_words,
-)
-from repro.sim.compiled import lanes_to_int
+from repro.sim.bitparallel import exhaustive_words, mask_for, simulate_words
+from repro.sim.compiled import compile_circuit, lanes_to_int
 
 
 # ----------------------------------------------------------------------
@@ -273,28 +268,22 @@ def reference_extract_sink_modules(circuit, fault_net, max_support, max_sinks=24
 
 def reference_enumerate(circuit, fault, module=None, max_inputs=16, max_minterms=256):
     """Exhaustive simulation of a standalone module circuit, good and
-    stuck machine each through the simulator's public entry points."""
+    stuck machine as two columns of one compiled sweep."""
     module = circuit if module is None else module.module
     variables = list(module.inputs)
     if len(variables) > max_inputs:
         raise ValueError("module too wide")
     words, num_patterns = exhaustive_words(variables)
     stuck_word = mask_for(num_patterns) if fault.value else 0
-    engine = compiled_engine_for(module, num_patterns)
-    if engine is not None:
-        # good and stuck machine as two override columns of one sweep
-        rows = engine.simulate_batch_array(
-            words, num_patterns, [None, {fault.net: stuck_word}]
-        )
-        good, faulty = (
-            {net: lanes_to_int(rows[i, column]) for i, net in enumerate(engine.nets)}
-            for column in (0, 1)
-        )
-    else:
-        good = simulate_words(module, words, num_patterns)
-        faulty = simulate_words(
-            module, words, num_patterns, overrides={fault.net: stuck_word}
-        )
+    engine = compile_circuit(module)
+    # good and stuck machine as two override columns of one sweep
+    rows = engine.simulate_batch_array(
+        words, num_patterns, [None, {fault.net: stuck_word}]
+    )
+    good, faulty = (
+        {net: lanes_to_int(rows[i, column]) for i, net in enumerate(engine.nets)}
+        for column in (0, 1)
+    )
     minterms_by_output = {}
     for output in module.outputs:
         diff = good[output] ^ faulty[output]
@@ -312,7 +301,7 @@ def reference_enumerate(circuit, fault, module=None, max_inputs=16, max_minterms
 
 
 def reference_screen_words(work, rng, lanes):
-    """The reachability screen's words from the simulator's own dispatch."""
+    """The reachability screen's words from the compiled simulator."""
     words = {net: rng.getrandbits(lanes) for net in work.inputs}
     return simulate_words(work, words, lanes)
 
@@ -664,6 +653,7 @@ def test_planning_builds_no_circuit_and_runs_no_simulator(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(compiled, "compile_circuit", forbidden("compile_circuit"))
+    monkeypatch.setattr(bitparallel, "compile_circuit", forbidden("compile_circuit"))
     monkeypatch.setattr(bitparallel, "simulate_words", forbidden("simulate_words"))
     monkeypatch.setattr(Circuit, "__init__", counted_init)
     report = planner.AtpgLockReport()

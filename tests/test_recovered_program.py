@@ -12,7 +12,8 @@ view and assignment:
   raise alike on an unbreakable loop;
 * the machine's compiled output rows equal the rows of
   ``CompiledCircuit`` over the oracle's combinational core;
-* ``compute_hd_oer`` reports (and refuses) the same on both.
+* ``compute_hd_oer`` reports (and refuses) the same on both, and the
+  same as the big-int oracle of ``tests/bigint_sim.py``.
 
 The per-view table is memoised on the view; it must rebuild when a
 defense reassigns the view's stubs or gates.
@@ -42,6 +43,7 @@ from repro.runner.profiles import (
 )
 from repro.runner.stages import cell_defense, cell_layout, locked_design
 from repro.sim.compiled import CompiledCircuit
+from tests.bigint_sim import reference_hd_oer
 from tests.test_break_cycles import reference_rebuild_netlist
 
 PATTERNS = 256
@@ -82,14 +84,16 @@ def assert_machine_matches_reference(
 
     if original is not None:
         reports = []
-        for recovered in (machine, want):
+        for hd_oer, recovered in (
+            (compute_hd_oer, machine),
+            (compute_hd_oer, want),
+            (reference_hd_oer, machine),
+        ):
             try:
-                reports.append(
-                    compute_hd_oer(original, recovered, patterns=PATTERNS)
-                )
+                reports.append(hd_oer(original, recovered, patterns=PATTERNS))
             except ValueError as exc:
                 reports.append(str(exc))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
     return machine
 
 
@@ -243,12 +247,11 @@ def test_smoke_view_matches_reference(smoke):
     _assert_view_matches(layout.feol_view(), design.core)
 
 
-def test_bigint_fallback_renders_the_machine(smoke, monkeypatch):
+def test_machine_hd_oer_matches_bigint_oracle(smoke):
     design, layout = smoke
     machine = random_guess_attack(layout.feol_view(), seed=1).machine
     compiled = compute_hd_oer(design.core, machine, patterns=512)
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "bigint")
-    bigint = compute_hd_oer(design.core, machine, patterns=512)
+    bigint = reference_hd_oer(design.core, machine, patterns=512)
     assert (compiled.engine, bigint.engine) == ("compiled", "bigint")
     assert compiled == bigint
 

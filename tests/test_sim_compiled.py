@@ -1,10 +1,11 @@
-"""Differential tests: compiled vectorized engine vs the big-int engine.
+"""Differential tests: the compiled engine vs the big-int oracle.
 
-The compiled engine must be a drop-in replacement — every word of every
-net bit-identical to ``simulate_words_bigint`` across gate types,
-overrides, non-multiple-of-64 pattern counts, and degenerate circuits.
-The consumer-level paths (HD/OER, fault coverage, dispatcher) must be
-engine-independent as well.
+The compiled engine must agree with ``tests/bigint_sim.py`` — every word
+of every net bit-identical to ``simulate_words_bigint`` across gate
+types, overrides, non-multiple-of-64 pattern counts, and degenerate
+circuits.  The consumer-level paths (HD/OER, fault coverage, LEC) must
+report exactly what the oracle reports, down to a single lane and to
+circuits with no outputs.
 """
 
 import pickle
@@ -18,13 +19,13 @@ from repro.benchgen import GeneratorConfig, c17, generate_random_circuit
 from repro.metrics.hd_oer import compute_hd_oer
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
+from repro.sat.lec import check_equivalence
 from repro.sim.bitparallel import (
     exhaustive_words,
     output_words,
     random_words,
-    simulate_patterns,
     simulate_words,
-    simulate_words_bigint,
+    toggle_activity,
 )
 from repro.sim.compiled import (
     CompiledCircuit,
@@ -35,6 +36,12 @@ from repro.sim.compiled import (
     popcount,
     popcount_rows,
     set_lane_indices,
+)
+from tests.bigint_sim import (
+    output_words_bigint,
+    reference_fault_coverage,
+    reference_hd_oer,
+    simulate_words_bigint,
 )
 
 LANE_COUNTS = (1, 63, 64, 65, 257, 1000)
@@ -171,43 +178,94 @@ def test_fault_coverage_engine_independent():
     circuit = random_circuit(11, gates=260)
     faults = internal_faults(circuit)
     words = random_words(circuit.inputs, 1024, random.Random(2))
-    results = {}
-    for engine in ("bigint", "compiled"):
-        import os
-
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            results[engine] = fault_coverage(circuit, faults, words, 1024)
-        finally:
-            del os.environ["REPRO_SIM_ENGINE"]
-    assert results["bigint"][0] == results["compiled"][0]
-    assert results["bigint"][1] == results["compiled"][1]
+    assert fault_coverage(circuit, faults, words, 1024) == (
+        reference_fault_coverage(circuit, faults, words, 1024)
+    )
 
 
-def test_hd_oer_engine_independent(monkeypatch):
+def test_hd_oer_engine_independent():
     config = GeneratorConfig(num_inputs=10, num_outputs=4, num_gates=200)
     original = generate_random_circuit(config, seed=21, name="m")
     recovered = generate_random_circuit(config, seed=22, name="m")
-    reports = {}
-    for engine in ("bigint", "compiled"):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        reports[engine] = compute_hd_oer(
-            original, recovered, patterns=3000, seed=5
+    report = compute_hd_oer(original, recovered, patterns=3000, seed=5)
+    assert report.engine == "compiled"
+    assert report == reference_hd_oer(original, recovered, patterns=3000, seed=5)
+
+
+def _small_circuit(seed: int) -> Circuit:
+    """A random netlist under 24 gates (once below the compile threshold)."""
+    config = GeneratorConfig(num_inputs=5, num_outputs=3, num_gates=18)
+    return generate_random_circuit(config, seed=seed, name=f"small{seed}")
+
+
+@pytest.mark.parametrize("lanes", (1, 8, 63))
+def test_small_circuits_and_narrow_batches_match_oracle(lanes):
+    """c17 and sub-24-gate circuits at 1, 8 and 63 lanes, every entry point."""
+    for circuit in (c17(), _small_circuit(0), _small_circuit(1)):
+        assert len(circuit.gates) - len(circuit.inputs) < 24
+        rng = random.Random(lanes)
+        words = random_words(circuit.inputs, lanes, rng)
+        assert_engines_agree(circuit, words, lanes)
+        assert output_words(circuit, words, lanes) == output_words_bigint(
+            circuit, words, lanes
         )
-    assert reports["bigint"] == reports["compiled"]
+        faults = internal_faults(circuit)
+        assert fault_coverage(circuit, faults, words, lanes) == (
+            reference_fault_coverage(circuit, faults, words, lanes)
+        )
+        twin = circuit.copy("twin")
+        victim = next(n for n in twin.gates if not twin.gates[n].is_input)
+        twin.replace_gate(twin.gates[victim].with_type(GateType.XNOR))
+        for chunk in (lanes, 4096):
+            assert compute_hd_oer(
+                circuit, twin, patterns=lanes * 3, chunk=chunk
+            ) == reference_hd_oer(circuit, twin, patterns=lanes * 3, chunk=chunk)
 
 
-def test_dispatcher_respects_engine_knob(monkeypatch):
-    circuit = random_circuit(1)
-    words = random_words(circuit.inputs, 256, random.Random(1))
-    outputs = {}
-    for engine in ("bigint", "compiled", "auto"):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        outputs[engine] = output_words(circuit, words, 256)
-    assert outputs["bigint"] == outputs["compiled"] == outputs["auto"]
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "not-an-engine")
-    with pytest.raises(ValueError):
-        simulate_words(circuit, words, 256)
+def test_single_lane_lec_counterexample_replays():
+    circuit = c17()
+    broken = circuit.copy("broken")
+    broken.replace_gate(broken.gates["N22"].with_type(GateType.AND))
+    # No simulation lanes: the SAT model is the counterexample, replayed
+    # on one lane.
+    result = check_equivalence(circuit, broken, simulation_patterns=0)
+    assert (result.equivalent, result.method) == (False, "sat")
+    assert result.counterexample_confirmed is True
+    witness = result.counterexample
+    assert output_words_bigint(circuit, witness, 1) != output_words_bigint(
+        broken, witness, 1
+    )
+    assert check_equivalence(circuit, circuit.copy(), simulation_patterns=8).equivalent
+
+
+def test_zero_output_circuit_hd_oer():
+    circuit = Circuit("mute")
+    for name in ("a", "b"):
+        circuit.add_input(name)
+    circuit.add("g", GateType.AND, ("a", "b"))
+    report = compute_hd_oer(circuit, circuit.copy(), patterns=300, chunk=128)
+    assert report == reference_hd_oer(circuit, circuit.copy(), patterns=300, chunk=128)
+    assert (report.hd_percent, report.oer_percent, report.patterns) == (0.0, 0.0, 300)
+
+
+def test_empty_fault_list_still_reads_the_stimulus(c17_circuit):
+    words, lanes = exhaustive_words(c17_circuit.inputs)
+    assert fault_coverage(c17_circuit, [], words, lanes) == (1.0, [])
+    assert reference_fault_coverage(c17_circuit, [], words, lanes) == (1.0, [])
+    with pytest.raises(KeyError, match="no stimulus for primary input"):
+        fault_coverage(c17_circuit, [], {"N1": 0}, 8)
+
+
+def test_sequential_inputs_keep_their_errors(sequential_circuit):
+    words = {net: 0 for net in sequential_circuit.inputs}
+    with pytest.raises(ValueError, match="simulate_words handles combinational"):
+        simulate_words(sequential_circuit, words, 8)
+    with pytest.raises(ValueError, match="simulate_words handles combinational"):
+        output_words(sequential_circuit, words, 8)
+    with pytest.raises(ValueError, match="simulate_words handles combinational"):
+        toggle_activity(sequential_circuit, 8)
+    with pytest.raises(ValueError, match="fault simulation expects a combinational"):
+        fault_coverage(sequential_circuit, [], words, 8)
 
 
 def test_compile_cache_reuses_and_invalidates():
@@ -236,29 +294,6 @@ def test_circuit_pickle_drops_caches_and_still_simulates():
     assert simulate_words(clone, words, 77) == simulate_words_bigint(
         circuit, words, 77
     )
-
-
-def test_simulate_patterns_one_pass_unpacking(c17_circuit):
-    rng = random.Random(8)
-    patterns = [
-        [rng.randrange(2) for _ in c17_circuit.inputs] for _ in range(70)
-    ]
-    rows = simulate_patterns(c17_circuit, patterns)
-    words = simulate_words_bigint(
-        c17_circuit,
-        {
-            net: sum(
-                patterns[p][i] << p for p in range(len(patterns))
-            )
-            for i, net in enumerate(c17_circuit.inputs)
-        },
-        len(patterns),
-    )
-    for lane, row in enumerate(rows):
-        expected = [
-            (words[out] >> lane) & 1 for out in c17_circuit.outputs
-        ]
-        assert row == expected
 
 
 def test_lane_helpers_roundtrip():

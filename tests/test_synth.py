@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from repro.atpg import StuckAtFault, internal_faults
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
-from repro.netlist.transforms import count_area
+from repro.netlist.transforms import count_area, insert_buffer, substitute_net
 from repro.sim.bitparallel import functions_equal_exhaustive, output_words, random_words
+from repro.synth.simplify import _collapse_wire_gates, _remove_buffer
 from repro.synth import (
     constant_nets,
     inject_stuck_at,
@@ -197,3 +198,75 @@ def test_resynth_report_area_accounting(mid_random_circuit):
     report = resynthesize(mid_random_circuit)
     assert report.area_before == pytest.approx(before)
     assert report.area_after == pytest.approx(count_area(mid_random_circuit))
+
+
+def reference_collapse_wire_gates(circuit: Circuit, protected: set[str]) -> int:
+    """The BUF sweep that rebuilds the fanout map after every removal."""
+    removed = 0
+    fanout = circuit.fanout_map()
+    for name in list(circuit.gates):
+        gate = circuit.gates.get(name)
+        if gate is None:
+            continue
+        if gate.gate_type is not GateType.BUF or gate.name in protected:
+            continue
+        source = gate.fanin[0]
+        if source not in circuit.gates:
+            continue
+        if any(reader in protected for reader in fanout.get(gate.name, ())):
+            continue
+        if gate.name in circuit.outputs:
+            if source in circuit.outputs or circuit.gates[source].is_input:
+                continue
+        substitute_net(circuit, gate.name, source)
+        circuit.remove_gate(gate.name)
+        removed += 1
+        fanout = circuit.fanout_map()
+    return removed
+
+
+def _buffered_circuit(seed: int) -> tuple[Circuit, set[str]]:
+    """A random netlist with BUF chains, output BUFs, BUFs on inputs and
+    a random protected set (some BUFs, some of their readers)."""
+    rng = random.Random(seed)
+    circuit = build_random_circuit(seed, num_inputs=6, num_gates=40, num_outputs=4)
+    nets = [n for n in circuit.gates if n not in circuit.outputs]
+    for index, net in enumerate(rng.sample(nets, 12)):
+        for _ in range(rng.randint(1, 3)):  # a chain of 1-3 BUFs
+            net = insert_buffer(circuit, net, f"chain{index}_{net}")
+    for out in list(circuit.outputs[:2]):  # the output moves onto a BUF
+        insert_buffer(circuit, out, f"obuf_{out}")
+    # A second output BUF on an input and one on an output's own net.
+    circuit.add("ibuf", GateType.BUF, (circuit.inputs[0],))
+    circuit.add_output("ibuf")
+    circuit.add("dbuf", GateType.BUF, (circuit.outputs[-2],))
+    circuit.add_output("dbuf")
+    gates = [n for n in circuit.gates if not circuit.gates[n].is_input]
+    protected = set(rng.sample(gates, rng.randint(0, 8)))
+    return circuit, protected
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_collapse_wire_gates_matches_per_removal_rebuild(seed):
+    circuit, protected = _buffered_circuit(seed)
+    reference = circuit.copy()
+    assert sum(g.gate_type is GateType.BUF for g in circuit.gates.values()) > 12
+    removed = _collapse_wire_gates(circuit, protected)
+    assert removed == reference_collapse_wire_gates(reference, protected)
+    assert removed > 0
+    assert list(circuit.gates.items()) == list(reference.gates.items())
+    assert circuit.outputs == reference.outputs
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_remove_buffer_keeps_the_fanout_map_fresh(seed):
+    circuit, _ = _buffered_circuit(seed)
+    fanout = {net: set(readers) for net, readers in circuit.fanout_map().items()}
+    buffers = [n for n, g in circuit.gates.items() if g.gate_type is GateType.BUF]
+    for buf in random.Random(seed).sample(buffers, len(buffers)):
+        source = circuit.gates[buf].fanin[0]
+        if buf in circuit.outputs and source in circuit.outputs:
+            continue  # would alias two outputs
+        _remove_buffer(circuit, fanout, buf, source)
+        fresh = circuit.fanout_map()
+        assert fanout == {net: set(readers) for net, readers in fresh.items()}
