@@ -14,13 +14,11 @@ are normalised by the stub bounding-box diagonal so feature scales are
 comparable across floorplans of very different sizes (the learned
 scorer trains on small self-generated layouts and attacks big ones).
 
-Candidate generation and the feature matrix run on the shared array
-geometry core (:mod:`repro.phys.geometry`): scores for a whole block
-of sinks are one broadcast evaluation, the per-sink ranking is one
-stable argsort, and the feature columns are gathered for all selected
+Candidates come from the shared shortlist core
+(:func:`repro.phys.geometry.shortlist`), the same ranking the greedy
+attack walks, and the feature columns are gathered for all selected
 pairs at once.  Every value is bit-identical to the historical
-per-pair scalar loop (:func:`_pair_features` remains as the reference
-oracle for the differential tests).
+per-pair scalar loop, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -30,19 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attacks.hints import proximity_score
 from repro.phys.geometry import (
     ALIGN_TOL_UM as _ALIGN_TOL_UM,
     _cache_token,
-    block_size_for,
-    candidate_order,
-    score_block,
     score_pairs,
+    shortlist,
     stub_arrays,
 )
 from repro.phys.split import FeolView, SinkStub, SourceStub
 
-#: Column order of the feature matrix (kept in sync with _pair_features).
+#: Column order of the feature matrix.
 FEATURE_NAMES: tuple[str, ...] = (
     "dist",          # euclidean distance / span
     "dx",            # |x_src - x_sink| / span
@@ -108,79 +103,34 @@ def candidate_sources(
 ) -> tuple[list[SinkStub], list[SourceStub], list[list[int]]]:
     """The K best candidate sources per sink, hand-score ordered.
 
-    Generation matches the greedy proximity attack: one (best) branch
-    stub per candidate net, ties broken by stub id for determinism, and
-    every TIE source appended for key pins regardless of distance.
+    The greedy proximity attack's shortlist: one (best) branch stub per
+    candidate net, ties broken by stub id for determinism.  Key pins
+    then take every TIE source of another owner and a new net, in
+    ``(score, index)`` order, regardless of distance.
     """
     sinks = list(view.sink_stubs)
     sources = list(view.source_stubs)
-    per: list[list[int]] = []
-    if not sinks:
-        return sinks, sources, per
-    if not sources:
-        return sinks, sources, [[] for _ in sinks]
     arrays = stub_arrays(view)
+    ranked = shortlist(view, per_sink)
     src_owner = arrays.source_owner.tolist()
     src_net = arrays.source_net.tolist()
-    src_tie = arrays.source_is_tie.tolist()
-    snk_owner = arrays.sink_owner.tolist()
-    snk_escape = arrays.sink_has_escape.tolist()
-    block = block_size_for(arrays)
-    for start in range(0, len(sinks), block):
-        stop = min(start + block, len(sinks))
-        ranked_rows = candidate_order(score_block(arrays, start, stop))
-        for local, row in enumerate(ranked_rows.tolist()):
-            sink_index = start + local
-            owner = snk_owner[sink_index]
-            seen_nets: set[int] = set()
-            chosen: list[int] = []
-            for index in row:
-                if src_owner[index] == owner:
-                    continue
-                net = src_net[index]
-                if net in seen_nets:
-                    continue
-                seen_nets.add(net)
-                chosen.append(index)
-                if len(chosen) >= per_sink:
-                    break
-            if not snk_escape[sink_index]:
-                for index in row:
-                    if src_owner[index] == owner:
-                        continue
-                    if src_tie[index] and src_net[index] not in seen_nets:
-                        seen_nets.add(src_net[index])
-                        chosen.append(index)
-            per.append(chosen)
+    index = ranked.index.tolist()
+    starts = ranked.starts.tolist()
+    ties = ranked.tie_index.tolist()
+    tie_rows = iter(ranked.tie_score.tolist())
+    per: list[list[int]] = []
+    for sink, (owner, escape) in enumerate(
+        zip(arrays.sink_owner.tolist(), arrays.sink_has_escape.tolist())
+    ):
+        chosen = index[starts[sink] : starts[sink + 1]]
+        if not escape:
+            seen = {src_net[source] for source in chosen}
+            for _, source in sorted(zip(next(tie_rows), ties)):
+                if src_owner[source] != owner and src_net[source] not in seen:
+                    seen.add(src_net[source])
+                    chosen.append(source)
+        per.append(chosen)
     return sinks, sources, per
-
-
-def _pair_features(
-    source: SourceStub,
-    sink: SinkStub,
-    span: float,
-    branch_count: int,
-) -> tuple[float, ...]:
-    """Scalar reference for one pair's feature row.
-
-    Kept as the oracle the differential tests compare the broadcast
-    feature matrix against — not used on the hot path.
-    """
-    dx = abs(source.x - sink.x)
-    dy = abs(source.y - sink.y)
-    trunk_pair = source.trunk_axis == "x" and sink.trunk_axis == "x"
-    return (
-        math.hypot(dx, dy) / span,
-        dx / span,
-        dy / span,
-        1.0 if trunk_pair else 0.0,
-        1.0 if trunk_pair and dy <= _ALIGN_TOL_UM else 0.0,
-        1.0 if source.trunk_axis != sink.trunk_axis else 0.0,
-        1.0 if source.is_tie else 0.0,
-        0.0 if sink.has_escape else 1.0,
-        math.log1p(branch_count),
-        proximity_score(source, sink) / span,
-    )
 
 
 def build_candidates(
@@ -223,24 +173,8 @@ def _build_candidates(
     span = coordinate_span(view)
     arrays = stub_arrays(view)
 
-    width = len(FEATURE_NAMES)
     counts = [len(chosen) for chosen in per]
     total = sum(counts)
-    if total == 0:
-        pairs = np.empty((0, 2), dtype=np.intp)
-        features = np.empty((0, width), dtype=np.float64)
-        labels = np.empty(0, dtype=np.float64) if with_labels else None
-        return CandidateSet(
-            sinks=sinks,
-            sources=sources,
-            per_sink=per,
-            pairs=pairs,
-            features=features,
-            labels=labels,
-            span=span,
-            _net_of_source=[s.net for s in sources],
-        )
-
     sink_index = np.repeat(np.arange(len(per), dtype=np.intp), counts)
     source_index = np.fromiter(
         (index for chosen in per for index in chosen),
@@ -260,10 +194,10 @@ def _build_candidates(
     # so every entry is exactly math.log1p (np.log1p disagrees by ulps).
     branches = np.bincount(arrays.source_net, minlength=len(arrays.nets))
     log1p_table = np.array(
-        [math.log1p(value) for value in range(int(branches.max()) + 1)],
+        [math.log1p(count) for count in range(branches.max(initial=0) + 1)],
         dtype=np.float64,
     )
-    features = np.empty((total, width), dtype=np.float64)
+    features = np.empty((total, len(FEATURE_NAMES)), dtype=np.float64)
     features[:, 0] = dist / span
     features[:, 1] = dx / span
     features[:, 2] = dy / span

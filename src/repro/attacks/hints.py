@@ -3,27 +3,19 @@
 These mirror the hints enumerated in the paper's proof outline (taken from
 Wang et al., TVLSI'18): (1) physical proximity, (2) FEOL routing
 direction of the dangling wires, (3) driver load constraints, (4) absence
-of combinational loops, (5) timing constraints.  Each helper scores or
-filters candidate source-sink pairs; the attack composes them.
+of combinational loops, (5) timing constraints.  Hints 1 and 2 are one
+composite score over whole blocks of pairs (:mod:`repro.phys.geometry`);
+the helpers here filter candidate source-sink pairs by hints 3-5, and the
+attack composes them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.netlist.circuit import Circuit
-
-# The alignment tolerance and penalty constants live in the shared
-# geometry core so the scalar oracle here and the vectorized
-# score_block/score_pairs paths can never drift apart.
-from repro.phys.geometry import (
-    ALIGN_TOL_UM as _ALIGN_TOL_UM,
-    MODE_MISMATCH_PENALTY as _MODE_MISMATCH_PENALTY,
-    ROW_MISMATCH_PENALTY as _ROW_MISMATCH_PENALTY,
-)
 from repro.phys.split import FeolView, SinkStub, SourceStub
 
 
@@ -98,32 +90,6 @@ def _unary_of(gate_type):
     from repro.netlist.gate_types import GateType, inversion_parity
 
     return GateType.NOT if inversion_parity(gate_type) else GateType.BUF
-
-
-# ----------------------------------------------------------------------
-# Hint 1 + 2: proximity and direction of the dangling-wire endpoints
-# (tolerance/penalty constants shared via repro.phys.geometry)
-# ----------------------------------------------------------------------
-
-
-def proximity_score(source: SourceStub, sink: SinkStub) -> float:
-    """Composite proximity/direction score (lower = more plausible).
-
-    Trunk-missing pairs whose dangling ends share a row only need the
-    missing horizontal trunk — the strongest hint the FEOL offers; they
-    are scored by the trunk length alone.  Pairs with mismatched breakage
-    modes or rows would require extra BEOL jogs a timing-driven router
-    would not have produced, so they are penalised.
-    """
-    dx = abs(source.x - sink.x)
-    dy = abs(source.y - sink.y)
-    if source.trunk_axis == "x" and sink.trunk_axis == "x":
-        if dy <= _ALIGN_TOL_UM:
-            return dx
-        return _ROW_MISMATCH_PENALTY + math.hypot(dx, dy)
-    if source.trunk_axis != sink.trunk_axis:
-        return _MODE_MISMATCH_PENALTY + math.hypot(dx, dy)
-    return math.hypot(dx, dy)
 
 
 # ----------------------------------------------------------------------

@@ -16,26 +16,20 @@ a regular driver are re-connected to a random TIE cell.
 
 from __future__ import annotations
 
-import heapq
-import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.attacks.hints import (
     Reachability,
+    _feol_skeleton,
     build_context,
     creates_loop,
     load_allows,
     timing_allows,
 )
 from repro.attacks.result import AttackResult
-from repro.phys.geometry import (
-    block_size_for,
-    candidate_order,
-    score_block,
-    stub_arrays,
-)
+from repro.phys.geometry import _cache_token, ranked_row, shortlist, stub_arrays
 from repro.phys.split import FeolView
 
 
@@ -46,7 +40,7 @@ class ProximityAttackConfig:
     candidates_per_sink: int = 16
     load_limit: int = 5
     slack_factor: float = 1.3
-    seed: int = 7
+    seed: int = 7  # unused by the attack; recorded in its diagnostics
     use_loop_hint: bool = True
     use_timing_hint: bool = True
     use_load_hint: bool = True
@@ -57,77 +51,21 @@ def proximity_attack(
 ) -> AttackResult:
     """Run the proximity attack on *view*; returns the full assignment."""
     config = config or ProximityAttackConfig()
-    rng = random.Random(config.seed)
     context = build_context(view, load_limit=config.load_limit)
 
-    sources = list(view.source_stubs)
-    sinks = list(view.sink_stubs)
+    sources = view.source_stubs
+    sinks = view.sink_stubs
     source_by_id = {s.stub_id: s for s in sources}
-
-    # Candidate generation: the K best-scoring sources per sink (branch
-    # stubs of one net count separately).  Key-gate pins (no escape)
-    # additionally consider every TIE source — the attacker knows TIE
-    # cells can only drive key-gates.  Scores and per-sink rankings come
-    # from the shared array geometry core one block of sinks at a time;
-    # the stable argsort reproduces the ``(score, stub_id)`` order of
-    # the historical per-pair ``sorted`` exactly (source list order is
-    # stub-id order), so heap contents are bit-identical to the scalar
-    # path.
-    arrays = stub_arrays(view)
-    src_owner = arrays.source_owner.tolist()
-    source_nets = [s.net for s in sources]
-    src_ids = arrays.source_stub_id.tolist()
-    heap: list[tuple[float, int, int, int]] = []
-    order = 0
-    block = block_size_for(arrays)
-    for start in range(0, len(sinks), block):
-        stop = min(start + block, len(sinks))
-        scores = score_block(arrays, start, stop)
-        ranked_rows = candidate_order(scores).tolist()
-        score_rows = scores.score.tolist()
-        for local in range(stop - start):
-            sink = sinks[start + local]
-            owner = int(arrays.sink_owner[start + local])
-            score_row = score_rows[local]
-            seen_nets: set[str] = set()
-            pushed = 0
-            for index in ranked_rows[local]:
-                if src_owner[index] == owner:
-                    continue
-                net = source_nets[index]
-                if net in seen_nets:
-                    continue  # one (best) branch per candidate net
-                seen_nets.add(net)
-                heapq.heappush(
-                    heap,
-                    (score_row[index], order, sink.stub_id, src_ids[index]),
-                )
-                order += 1
-                pushed += 1
-                if pushed >= config.candidates_per_sink:
-                    break
-            if not sink.has_escape:
-                for index, src in enumerate(sources):
-                    if src.is_tie and src.net not in seen_nets:
-                        heapq.heappush(
-                            heap,
-                            (
-                                score_row[index],
-                                order,
-                                sink.stub_id,
-                                src.stub_id,
-                            ),
-                        )
-                        order += 1
-
     sink_by_id = {s.stub_id: s for s in sinks}
     assignment: dict[int, str] = {}
     load: dict[str, int] = {}
     reaches = initial_reachability(view)
     rejected = {"loop": 0, "timing": 0, "load": 0}
 
-    while heap:
-        dist, _, sink_id, src_id = heapq.heappop(heap)
+    # Every candidate is known before the first commit, so popping a
+    # heap of them equals walking them sorted (the order column makes
+    # every entry distinct).
+    for _, _, sink_id, src_id in sorted(candidate_heap(view, config)):
         if sink_id in assignment:
             continue
         sink = sink_by_id[sink_id]
@@ -152,19 +90,15 @@ def proximity_attack(
 
     # Any sink left (all its candidates rejected): nearest non-looping
     # source wins, other constraints relaxed — the attacker must produce a
-    # complete, fabricable (acyclic) netlist.  Rankings are recomputed
-    # per leftover sink (there are few) from the shared score core; the
-    # stable argsort equals the stable ``sorted``-by-score it replaces.
+    # complete, fabricable (acyclic) netlist.  Leftover sinks are few, so
+    # each walks its full exact ranking.
+    arrays = stub_arrays(view)
     for sink_index, sink in enumerate(sinks):
         if sink.stub_id in assignment:
             continue
-        row = candidate_order(
-            score_block(arrays, sink_index, sink_index + 1)
-        )[0]
-        owner = int(arrays.sink_owner[sink_index])
-        for index in row.tolist():
-            if src_owner[index] == owner:
-                continue
+        order = ranked_row(arrays, sink_index)
+        owner = arrays.sink_owner[sink_index]
+        for index in order[arrays.source_owner[order] != owner].tolist():
             source = sources[index]
             if creates_loop(reaches, source, sink):
                 continue
@@ -181,8 +115,43 @@ def proximity_attack(
     )
     result.diagnostics["rejected"] = rejected
     result.diagnostics["config"] = asdict(config)
-    del rng  # reserved for future stochastic tie-breaking
     return result
+
+
+def candidate_heap(
+    view: FeolView, config: ProximityAttackConfig
+) -> list[tuple[float, int, int, int]]:
+    """The candidate heap's entries ``(score, order, sink id, source id)``.
+
+    Listed in push order.  Per sink, in sink order: the shortlist's
+    ``candidates_per_sink`` best sources (branch stubs of one net count
+    once), then, for a key pin (no escape), every TIE source of a net
+    not yet listed, in source order — the attacker knows TIE cells can
+    only drive key-gates.  *order* numbers the entries in that
+    sequence, which breaks score ties.
+    """
+    arrays = stub_arrays(view)
+    ranked = shortlist(view, config.candidates_per_sink)
+    src_ids = arrays.source_stub_id.tolist()
+    src_net = arrays.source_net.tolist()
+    index = ranked.index.tolist()
+    score = ranked.score.tolist()
+    starts = ranked.starts.tolist()
+    ties = ranked.tie_index.tolist()
+    tie_rows = iter(ranked.tie_score.tolist())
+    heap: list[tuple[float, int, int, int]] = []
+    for sink, (sink_id, escape) in enumerate(
+        zip(arrays.sink_stub_id.tolist(), arrays.sink_has_escape.tolist())
+    ):
+        chosen = index[starts[sink] : starts[sink + 1]]
+        for value, source in zip(score[starts[sink] : starts[sink + 1]], chosen):
+            heap.append((value, len(heap), sink_id, src_ids[source]))
+        if not escape:
+            seen = {src_net[source] for source in chosen}
+            for value, source in zip(next(tie_rows), ties):
+                if src_net[source] not in seen:
+                    heap.append((value, len(heap), sink_id, src_ids[source]))
+    return heap
 
 
 def initial_reachability(view: FeolView) -> Reachability:
@@ -190,26 +159,32 @@ def initial_reachability(view: FeolView) -> Reachability:
 
     Used by the loop hint; updated incrementally as edges are committed.
     A DFF's row starts empty and no row starts with a DFF in it: the
-    walk stops at flip-flops, which only committed edges cross.
+    walk stops at flip-flops, which only committed edges cross.  The
+    relation is built once per view and kept on it (``_reachability``),
+    keyed by the stub and netlist versions (``beol-restore`` swaps the
+    gate table); each caller gets a private copy of the bits, which
+    :func:`commit_edge` mutates.  ``FeolView`` pickles drop the memo.
     """
-    from repro.attacks.hints import _feol_skeleton
-
-    skeleton = _feol_skeleton(view)
-    index = {name: i for i, name in enumerate(skeleton.gates)}
-    rows = [0] * len(index)
-    fanout = skeleton.fanout_map()
-    for net in reversed(skeleton.topological_order()):
-        if skeleton.gates[net].is_dff:
-            continue
-        acc = 1 << index[net]
-        for reader in fanout[net]:
-            if not skeleton.gates[reader].is_dff:
-                acc |= rows[index[reader]]
-        rows[index[net]] = acc
-    width = 8 * ((len(rows) + 63) // 64)
-    packed = bytearray(b"".join(row.to_bytes(width, "little") for row in rows))
-    bits = np.frombuffer(packed, dtype="<u8").reshape(len(rows), width // 8)
-    return Reachability(index, bits)
+    token = (_cache_token(view), getattr(view, "_netlist_version", 0))
+    cached = getattr(view, "_reachability", None)
+    if cached is None or cached[0] != token:
+        skeleton = _feol_skeleton(view)
+        index = {name: i for i, name in enumerate(skeleton.gates)}
+        rows = [0] * len(index)
+        fanout = skeleton.fanout_map()
+        for net in reversed(skeleton.topological_order()):
+            if skeleton.gates[net].is_dff:
+                continue
+            acc = 1 << index[net]
+            for reader in fanout[net]:
+                if not skeleton.gates[reader].is_dff:
+                    acc |= rows[index[reader]]
+            rows[index[net]] = acc
+        width = 8 * ((len(rows) + 63) // 64)
+        packed = b"".join(row.to_bytes(width, "little") for row in rows)
+        bits = np.frombuffer(packed, dtype="<u8").reshape(len(rows), width // 8)
+        cached = view._reachability = (token, Reachability(index, bits))
+    return Reachability(cached[1].index, cached[1].bits.copy())
 
 
 def commit_edge(reaches: Reachability, view: FeolView, source, sink) -> None:

@@ -8,16 +8,30 @@ from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate_types import GateType
 
 
-def substitute_net(circuit: Circuit, old: str, new: str) -> int:
+def substitute_net(
+    circuit: Circuit,
+    old: str,
+    new: str,
+    readers: Iterable[str] | None = None,
+) -> int:
     """Re-point every reader of net *old* to net *new*; returns #edits.
 
     Primary-output listings of *old* are re-pointed too.  The driver of
     *old* is left in place (remove it separately if it becomes dead).
+    A caller that already knows the gates reading *old* passes them as
+    *readers* (a superset will do) to skip the scan over every gate;
+    gates are replaced in place, so the gate order is the same either
+    way.
     """
     if old == new:
         return 0
     edits = 0
-    for gate in list(circuit.gates.values()):
+    gates = circuit.gates
+    if readers is None:
+        scanned = list(gates.values())
+    else:
+        scanned = [gates[name] for name in readers if name in gates]
+    for gate in scanned:
         if old in gate.fanin:
             circuit.replace_gate(
                 gate.with_fanin(new if n == old else n for n in gate.fanin)

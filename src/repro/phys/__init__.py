@@ -3,8 +3,8 @@
 Placement, routing and splitting run on the array-native engine of
 :mod:`repro.phys.compiled`, bit-identical to the pure-Python reference
 flow that ``tests/layout_reference.py`` keeps as its test oracle.
-:mod:`repro.phys.geometry` exposes the shared stub-coordinate arrays and
-pairwise score blocks the attack pipelines consume.
+:mod:`repro.phys.geometry` exposes the shared stub-coordinate arrays,
+pairwise scores and the candidate shortlist the attack pipelines consume.
 """
 
 from repro.phys.cost import LayoutCost, measure_layout_cost
@@ -22,13 +22,7 @@ from repro.phys.package_routing import (
 )
 from repro.phys.placement import Placement, half_perimeter_wirelength, place
 from repro.phys.routing import Routing, RoutedNet, collect_pins, route_design
-from repro.phys.split import (
-    FeolView,
-    SinkStub,
-    SourceStub,
-    ground_truth,
-    split_layout,
-)
+from repro.phys.split import FeolView, SinkStub, SourceStub, split_layout
 from repro.phys.stackup import PAPER_SPLITS, STACK, MetalLayer, MetalStack
 from repro.phys.tie_cells import randomize_tie_cells, tie_distance_statistics
 
@@ -53,7 +47,6 @@ __all__ = [
     "build_locked_layout",
     "build_unprotected_layout",
     "collect_pins",
-    "ground_truth",
     "half_perimeter_wirelength",
     "lift_key_nets",
     "measure_layout_cost",

@@ -100,15 +100,19 @@ class FeolView:
     def __getstate__(self) -> dict:
         """Drop the transient stub-array, candidate and table caches.
 
-        The arrays (see :mod:`repro.phys.geometry`), the candidate sets
-        (see :func:`repro.adversary.features.build_candidates`) and the
+        The arrays and shortlists (see :mod:`repro.phys.geometry`), the
+        candidate sets (see :func:`repro.adversary.features.
+        build_candidates`), the loop hint's reachability (see
+        :func:`repro.attacks.proximity.initial_reachability`) and the
         recovered-netlist table (see :func:`repro.attacks.result.
         view_table`) are derived data, rebuilt on demand; persisting
         them would bloat every cached artifact that embeds a view.
         """
         state = dict(self.__dict__)
         state.pop("_stub_arrays", None)
+        state.pop("_shortlists", None)
         state.pop("_candidates", None)
+        state.pop("_reachability", None)
         state.pop("_recovery_table", None)
         return state
 
@@ -149,8 +153,3 @@ def _tie_info(circuit: Circuit, net_name: str) -> tuple[bool, int | None]:
     if driver is None or not driver.is_tie:
         return False, None
     return True, 1 if driver.gate_type is GateType.TIEHI else 0
-
-
-def ground_truth(view: FeolView) -> dict[int, str]:
-    """Sink-stub id -> true driving net (for metric computation only)."""
-    return {stub.stub_id: stub.net for stub in view.sink_stubs}

@@ -127,7 +127,7 @@ def _remove_buffer(
     """Rewire the readers of BUF *buf* to *source* and delete it, keeping
     *fanout* (net -> readers) equal to a fresh ``fanout_map()`` instead
     of rebuilding it per removal."""
-    substitute_net(circuit, buf, source)
+    substitute_net(circuit, buf, source, readers=fanout[buf])
     circuit.remove_gate(buf)
     readers = fanout[source]
     readers |= fanout.pop(buf)

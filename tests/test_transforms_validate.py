@@ -1,5 +1,7 @@
 """Tests for netlist transforms and the validator."""
 
+import pickle
+
 import pytest
 
 from repro.netlist.circuit import Circuit, NetlistError
@@ -15,7 +17,7 @@ from repro.netlist.transforms import (
 )
 from repro.netlist.validate import validate
 from repro.sim.bitparallel import functions_equal_exhaustive
-from tests.conftest import tiny_mux_circuit
+from tests.conftest import build_random_circuit, tiny_mux_circuit
 
 
 def test_substitute_net_rewires_readers(c17_circuit):
@@ -33,6 +35,22 @@ def test_substitute_net_repoints_outputs(c17_circuit):
 def test_substitute_net_noop():
     circuit = tiny_mux_circuit()
     assert substitute_net(circuit, "z", "z") == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_substitute_net_with_readers_equals_the_full_scan(seed):
+    """Known readers (a superset) give the same edits, gates, gate order
+    and outputs as the scan over every gate."""
+    circuit = build_random_circuit(seed, num_inputs=6, num_gates=60)
+    nets = list(circuit.gates)
+    for old, new in zip(nets[::3], nets[1::3]):
+        fanout = circuit.fanout_map()
+        scanned = pickle.loads(pickle.dumps(circuit))
+        readers = set(fanout[old]) | {nets[0], "no_such_gate"}
+        edits = substitute_net(circuit, old, new, readers=readers)
+        assert edits == substitute_net(scanned, old, new)
+        assert list(circuit.gates.items()) == list(scanned.gates.items())
+        assert circuit.outputs == scanned.outputs
 
 
 def test_insert_buffer_preserves_function():
