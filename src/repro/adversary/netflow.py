@@ -30,14 +30,26 @@ of flow, each one an augmenting path of a few arcs:
   other graph runs the plain heap loop.  On that shape:
 
   - *Persistent zero level.*  Every net with supply left sits at
-    reduced distance 0 in every Dijkstra, and those nets pop first, in
-    id order, labelling only sinks.  Their combined effect is each
-    sink's cheapest open arc from such a net (lowest net id wins ties).
-    That pick is kept across augmentations: a path changes only its
-    own candidate arcs and perhaps its first net's supply, so only the
-    path's sinks and the sinks that picked a drained net re-pick.  The
-    kept labels and heap seed every Dijkstra; after ``D == 0`` they
-    stand, after ``D > 0`` they are re-keyed from the picks.
+    reduced distance 0 in every Dijkstra, at ``s``'s potential
+    (``base``), and labels only sinks: each sink's cheapest open arc
+    from such a net (lowest net id wins ties) is its kept *pick*.  A
+    path changes only its own candidate arcs and perhaps its first
+    net's supply, so only the path's first sink and the sinks that
+    picked a drained net re-pick.
+  - *Relative labels, no re-keying.*  Labels count from ``base`` and
+    heap entries are keyed ``key - base``, so a ``D > 0`` augmentation
+    (which lowers ``base`` by ``D``) leaves every kept label and
+    unsettled heap entry valid.  The Dijkstra pops from the kept heap
+    itself and undoes its own labels afterwards; only the sinks it
+    settled, re-picks and newly live sinks get fresh entries, and the
+    heap is compacted once stale entries pile up.
+  - *Dead sinks.*  A sink matched to a net with supply left relaxes
+    only its arc back to that net, already at the zero level, so
+    popping it labels nothing.  It stays out of the heap, and its
+    potential is tracked lazily: untouched, its key follows
+    ``max(0, key - D)``; at key 0 it tracks ``base``, above it waits
+    in a small heap until ``base`` falls to its key.  When its net
+    drains it comes alive with its potential made explicit.
   - *Uncontended exit.*  If every sink's cheapest net fits the nets'
     capacities, that assignment is the solver's answer: every net
     stays at distance 0 and no path reroutes.  It is written into the
@@ -88,6 +100,10 @@ from repro.phys.split import FeolView
 #: Fixed-point scale for float costs; integer arc costs keep the
 #: shortest-path tie-breaking exact and platform-independent.
 COST_SCALE = 1024
+
+#: The bipartite solver compacts its kept heap once it holds more than
+#: this many entries per valid one (a live sink with a pick).
+HEAP_SLACK = 1.25
 
 
 class MinCostFlow:
@@ -171,47 +187,39 @@ class MinCostFlow:
 
         On a fresh bipartite matching network (:class:`_Bipartite`,
         checked once here) the uncontended exit may solve it outright;
-        otherwise each Dijkstra resumes from the persistent zero level.
-        Both are exact: flow, cost and every entry of ``cap`` equal the
-        plain heap loop's, arc for arc.
+        otherwise :meth:`_Bipartite.solve` runs the same Dijkstra from
+        the kept zero level and heap, with labels relative to ``s``'s
+        potential (no re-keying after ``D > 0``) and dead sinks kept out
+        of the heap (see the module docstring).  Both are exact: flow,
+        cost and every entry of ``cap`` equal the plain heap loop's.
 
         Flow and cost equal full-Dijkstra SSP's on every network; among
         several equal-cost optimal flows the one chosen may differ (see
         the module's tie contract).
         """
-        to, cap, cost = self.to, self.cap, self.cost
         layers = _Bipartite.of(self, s, t)
         self.arrays = None  # the solve below moves flow
         if layers is not None:
-            uncontended = layers.uncontended(cap, max_flow)
+            uncontended = layers.uncontended(self.cap, max_flow)
             if uncontended is not None:
                 return uncontended
-        # residual[u] holds (arc, head, cost) for u's arcs with cap > 0;
-        # slot[a] is a's index there, so removal swaps in the last one.
-        entry = list(zip(range(len(to)), to, cost))
-        residual = [
-            [entry[a] for a in arcs if cap[a] > 0] for arcs in self.graph
-        ]
-        slot = [0] * len(to)
-        for arcs in residual:
-            for position, (a, _, _) in enumerate(arcs):
-                slot[a] = position
+        residual = _Residual(self)
+        if layers is not None:
+            return layers.solve(residual, max_flow)
+        arcs_of = residual.arcs
         n = self.num_nodes
         potential = [0] * n
-        unreached = float("inf") if layers is None else _Bipartite.UNREACHED
+        unreached = float("inf")
         heappush, heappop = heapq.heappush, heapq.heappop
         flow = total_cost = 0
         while flow < max_flow:
             # label[v] = dist[v] + potential[v]: comparing labels compares
             # reduced distances without the per-arc potential lookup.
             settled: list[int] = []
-            if layers is None:
-                label: list = [unreached] * n
-                parent_edge = [-1] * n
-                label[s] = potential[s]
-                heap: list[tuple[int, int]] = [(0, s)]
-            else:
-                label, parent_edge, heap = layers.start()
+            label: list = [unreached] * n
+            parent = [-1] * n
+            label[s] = potential[s]
+            heap: list[tuple[int, int]] = [(0, s)]
             while heap:
                 d, u = heappop(heap)
                 if d >= label[t]:
@@ -220,11 +228,11 @@ class MinCostFlow:
                 if base != label[u]:
                     continue  # stale entry
                 settled.append(u)
-                for a, v, c in residual[u]:
+                for a, v, c in arcs_of[u]:
                     x = base + c
                     if x < label[v]:
                         label[v] = x
-                        parent_edge[v] = a
+                        parent[v] = a
                         heappush(heap, (x - potential[v], v))
             if label[t] == unreached:
                 break  # no augmenting path: capacity exhausted
@@ -232,38 +240,63 @@ class MinCostFlow:
             # potential[t] stays 0, so label[t] is dist[t].
             reach = label[t]
             if reach:
-                if layers is not None:
-                    settled += layers.level
                 for u in settled:
                     potential[u] = label[u] - reach
-            # Bottleneck along the path (arc capacities here are >= 1).
-            path = []
-            push = max_flow - flow
-            v = t
-            while v != s:
-                a = parent_edge[v]
-                path.append(a)
-                push = min(push, cap[a])
-                v = to[a ^ 1]
-            for a in path:
-                back = a ^ 1
-                cap[a] -= push
-                if cap[a] == 0:
-                    arcs = residual[to[back]]
-                    last = arcs.pop()
-                    if last[0] != a:
-                        arcs[slot[a]] = last
-                        slot[last[0]] = slot[a]
-                if cap[back] == 0:
-                    arcs = residual[to[a]]
-                    slot[back] = len(arcs)
-                    arcs.append(entry[back])
-                cap[back] += push
-                total_cost += push * cost[a]
-            if layers is not None:
-                layers.augmented(path, cap, potential, reach)
-            flow += push
+            pushed, cost = residual.augment(residual.path(parent, s, t), max_flow - flow)
+            flow += pushed
+            total_cost += cost
         return flow, total_cost
+
+
+class _Residual:
+    """Per node, the arcs with capacity left, kept in place as flow moves.
+
+    ``arcs[u]`` holds ``(arc, head, cost)`` for u's arcs with cap > 0;
+    ``slot[a]`` is a's index there, so removal swaps in the last one.
+    """
+
+    def __init__(self, flow: MinCostFlow) -> None:
+        to, cap, cost = flow.to, flow.cap, flow.cost
+        self.to, self.cap, self.cost = to, cap, cost
+        self.arcs = [
+            [(a, to[a], cost[a]) for a in arcs if cap[a] > 0] for arcs in flow.graph
+        ]
+        self.slot = slot = [0] * len(to)
+        for arcs in self.arcs:
+            for position, (a, _, _) in enumerate(arcs):
+                slot[a] = position
+
+    def path(self, parent: list[int], s: int, t: int) -> list[int]:
+        """The arcs of the augmenting path, from ``t`` back to ``s``."""
+        to, path, v = self.to, [], t
+        while v != s:
+            a = parent[v]
+            path.append(a)
+            v = to[a ^ 1]
+        return path
+
+    def augment(self, path: list[int], limit: int) -> tuple[int, int]:
+        """Push the bottleneck (at most *limit*) along *path*; returns
+        (units pushed, cost added)."""
+        to, cap, cost, slot, residual = self.to, self.cap, self.cost, self.slot, self.arcs
+        push = min(limit, min(cap[a] for a in path))
+        added = 0
+        for a in path:
+            back = a ^ 1
+            cap[a] -= push
+            if cap[a] == 0:
+                arcs = residual[to[back]]
+                last = arcs.pop()
+                if last[0] != a:
+                    arcs[slot[a]] = last
+                    slot[last[0]] = slot[a]
+            if cap[back] == 0:
+                arcs = residual[to[a]]
+                slot[back] = len(arcs)
+                arcs.append((back, to[back], cost[back]))
+            cap[back] += push
+            added += push * cost[a]
+        return push, added
 
 
 class _Bipartite:
@@ -277,23 +310,26 @@ class _Bipartite:
     carries flow yet.  The candidate arcs are held as CSR arrays sorted
     by (sink, net).
 
-    Across augmentations it keeps the Dijkstra state the zero level
-    leaves (:meth:`start`), and :meth:`augmented` carries it over each
-    augmenting path.
+    :meth:`solve` runs the successive-shortest-path loop on that shape,
+    keeping its Dijkstra state across augmentations.
     """
 
     #: Label of a node Dijkstra has not reached.  :meth:`of` bounds the
-    #: arc costs, so every real label stays far below it.
+    #: arc costs, so every real label, potential and heap key stays far
+    #: below it.
     UNREACHED = 2**63 - 1
+    #: Node states.  A *live* node is pushed when relaxed; a *dead* sink
+    #: (matched to a net with supply left) is not, its potential either
+    #: implied by ``base`` (``ZERO``) or stored in ``held`` (``HELD``);
+    #: nor is ``t`` (``QUIET``), whose label only ends the Dijkstra.
+    LIVE, ZERO, HELD, QUIET = 0, 1, 2, 3
 
-    def __init__(self, s, head, cap, cost, arcs, nets, sinks, s_arc, t_arc) -> None:
+    def __init__(self, s, t, cap, cost, arcs, nets, sinks, s_arc, t_arc) -> None:
         """Index the candidate *arcs*, already sorted by (sink, net).
 
-        *head* is the network's ``to`` list; every array is int64, per
-        arc or node.
+        Every array is int64, per arc or node.
         """
-        self.s = s
-        self.head = head
+        self.s, self.t = s, t
         self.arc = arcs
         self.net = nets
         self.sink = sinks
@@ -351,7 +387,7 @@ class _Bipartite:
         t_arc = np.full(n, -1, dtype=np.int64)
         s_arc[left] = 2 * np.flatnonzero(from_s)
         t_arc[right] = 2 * np.flatnonzero(into_t)
-        return cls(s, flow.to, cap, cost, arcs, nets, sinks, s_arc, t_arc)
+        return cls(s, t, cap, cost, arcs, nets, sinks, s_arc, t_arc)
 
     def cheapest(self, nets: np.ndarray) -> np.ndarray:
         """CSR position of each sink's cheapest arc from *nets*.
@@ -397,7 +433,8 @@ class _Bipartite:
     def _first_level(self, first: np.ndarray) -> None:
         """The kept state before the first augmentation.
 
-        Every potential is 0 and *first* is each sink's cheapest arc.
+        Every potential is 0, every sink is live and *first* is each
+        sink's cheapest arc.
         """
         n = len(self.supply)
         nets = np.flatnonzero(self.supply > 0)
@@ -405,12 +442,30 @@ class _Bipartite:
         best[self.sink[first]] = first
         self.best = best.tolist()  # per sink: CSR position of its pick, or -1
         self.supplied = (self.supply > 0).tolist()  # per node
-        #: The nodes the zero level settles: ``s`` and its nets.
-        self.level = [self.s] + nets.tolist()
+        label = np.full(n, self.UNREACHED, dtype=np.int64)
+        label[self.sink[first]] = self.cost[first]
+        label[nets] = 0
+        label[self.s] = 0
         parent = np.full(n, -1, dtype=np.int64)
         parent[nets] = self.s_arc[nets]
-        self.label, self.parent = [self.UNREACHED] * n, parent.tolist()
-        self.base = 0  # potential[s]: the label of s and of its nets
+        parent[self.sink[first]] = self.arc[first]
+        self.label, self.parent = label.tolist(), parent.tolist()
+        self.state = [self.LIVE] * n
+        self.state[self.t] = self.QUIET
+        # Heap entries are ints ``key * n + node``: they order like the
+        # tuples ``(key, node)`` and compare faster.
+        self.n = n
+        keys, sinks = self.cost[first].tolist(), self.sink[first].tolist()
+        self.heap = [key * n + sink for key, sink in zip(keys, sinks)]
+        heapq.heapify(self.heap)
+        self.live = len(first)  # live sinks with a pick: the heap's valid entries
+        self.base = 0  # potential of s and of every net with supply left
+        # potential[v] for live nodes; UNREACHED for a dead sink, whose
+        # stale heap entries then never match, and stale for the zero
+        # level, whose potential is ``base``.
+        self.potential = [0] * n
+        self.held = [0] * n  # a HELD sink's potential
+        self.holding: list[tuple[int, int]] = []  # HELD sinks, keyed key - base
         # Per sink its CSR span, per net its CSR positions, as lists.
         self.arcs, self.nets = self.arc.tolist(), self.net.tolist()
         self.costs, self.sinks = self.cost.tolist(), self.sink.tolist()
@@ -419,86 +474,170 @@ class _Bipartite:
         lo[self.sink[self.starts]] = self.starts
         hi[self.sink[self.starts]] = np.r_[self.starts[1:], len(self.arc)]
         self.lo, self.hi = lo.tolist(), hi.tolist()
-        self.sink_nodes = self.sink[self.starts].tolist()
         by_net = np.argsort(self.net, kind="stable").tolist()
         bounds = np.cumsum(np.bincount(self.net, minlength=n)).tolist()
         self.by_net = [by_net[a:b] for a, b in zip([0] + bounds, bounds)]
-        self._rekey([0] * n)
 
-    def start(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-        """Dijkstra state with ``s`` and its nets settled.
+    def solve(self, residual: _Residual, max_flow: int) -> tuple[int, int]:
+        """Augment from the first zero level until *max_flow* or no path.
 
-        Every net with supply left sits at reduced distance 0: ``s``
-        labels it through a zero-cost arc, so it settles in every
-        Dijkstra and its potential moves with ``s``'s.  After ``s`` pops,
-        those nets sit in the heap at key ``(0, id)`` and label only
-        sinks, whose ids are all higher, so the heap pops them next, in
-        id order.  Their combined relaxation gives each sink its
-        cheapest open arc from a net with supply, the lowest net id
-        winning ties.
+        The Dijkstra is the plain heap loop's minus the pops that change
+        nothing (the zero level, dead sinks); see the module docstring.
+        After each path:
 
-        Returns copies of the kept state the heap loop resumes from:
-        labels (:attr:`UNREACHED` where unset), parent arcs and a heap
-        of the sinks just labelled.  The settled nodes are
-        :attr:`level`.  A heap entry whose key no longer matches its
-        node's label is stale; the loop skips it.
+        * settled nodes move their potential; a settled sink whose entry
+          was popped or whose potential moved gets a fresh entry;
+        * a dead sink the Dijkstra relaxed below ``D`` moves its held
+          potential, and held sinks whose key falls to 0 join ``ZERO``;
+        * the Dijkstra's own labels are undone;
+        * if the path drained its first net, that net's matched sinks
+          come alive and its pickers re-pick (:meth:`_drained`); the
+          path's first sink re-picks, and dies if its net keeps supply
+          (:meth:`_repick`).  Every other path sink is matched to a
+          drained net, so it stays live with its pick.
+
+        Stale heap entries are skipped when popped, and the heap is
+        compacted to its valid entries once it outgrows them by
+        :data:`HEAP_SLACK`.
         """
-        return self.label[:], self.parent[:], self.heap[:]
-
-    def augmented(
-        self, path: list[int], cap: list[int], potential: list[int], reach: int
-    ) -> None:
-        """Carry the kept state over one augmentation along *path*.
-
-        *path* lists the arcs from ``t`` back to ``s``; *reach* is its
-        reduced distance ``D``, and *potential* is already updated.
-        Only the path's candidate arcs opened or closed, and only its
-        first net can have run out of supply, so only the path's sinks
-        and the sinks that picked that net re-pick their cheapest arc.
-        After ``D == 0`` nothing else moved.  After ``D > 0``, ``s`` and
-        its nets drop by ``D`` and so do the sinks' labels, while the
-        settled sinks' potentials moved: labels and heap are rebuilt.
-        """
-        head, best, label, parent = self.head, self.best, self.label, self.parent
-        touched = [head[a & -2] for a in path[1:-1]]  # the path's sinks
-        net = head[path[-1]]
-        if cap[path[-1]] == 0:  # the first net's supply ran out
-            label[net], parent[net] = self.UNREACHED, -1
-            self.supplied[net] = False
-            self.level.remove(net)
-            sinks = self.sinks
-            touched += [sinks[p] for p in self.by_net[net] if best[sinks[p]] == p]
+        s, t, to, cap = self.s, self.t, residual.to, residual.cap
+        arcs_of = residual.arcs
+        label, parent, best, state = self.label, self.parent, self.best, self.state
         arcs, costs = self.arcs, self.costs
-        for sink in touched:
-            position = best[sink] = self._repick(sink, cap)
-            if position < 0:
-                label[sink], parent[sink] = self.UNREACHED, -1
+        UNREACHED, ZERO, HELD = self.UNREACHED, self.ZERO, self.HELD
+        potential, held, holding = self.potential, self.held, self.holding
+        heap, n = self.heap, self.n
+        heappush, heappop = heapq.heappush, heapq.heappop
+        flow = total_cost = 0
+        while flow < max_flow:
+            settled: list[int] = []
+            touched: list[int] = []  # nodes whose label this Dijkstra lowered
+            quiet: list[int] = []  # ... among them t and the dead sinks
+            limit = UNREACHED * n  # label[t] * n: entries at t's key or above
+            while heap:
+                entry = heappop(heap)
+                if entry >= limit:
+                    heappush(heap, entry)  # t is labelled at this key
+                    break
+                u = entry % n
+                lu = label[u]
+                if entry - u != (lu - potential[u]) * n:
+                    continue  # stale entry
+                settled.append(u)
+                for a, v, c in arcs_of[u]:
+                    x = lu + c
+                    if x < label[v]:
+                        label[v] = x
+                        parent[v] = a
+                        touched.append(v)
+                        if state[v]:
+                            quiet.append(v)
+                            if v == t:
+                                limit = x * n
+                        else:
+                            heappush(heap, (x - potential[v]) * n + v)
+            reach = label[t]  # dist[t] - base
+            if reach == UNREACHED:
+                break  # no augmenting path: capacity exhausted
+            path = residual.path(parent, s, t)
+            # Settled nodes move to label - dist[t].  A sink whose entry
+            # was popped or whose potential moved gets a fresh one.
+            for u in settled:
+                x = label[u] - reach
+                b = best[u]
+                if b >= 0 and (x != potential[u] or label[u] == costs[b]):
+                    heappush(heap, (costs[b] - x) * n + u)
+                potential[u] = x
+            shift = reach + self.base  # D
+            if shift:
+                for v in quiet:
+                    if state[v] == HELD and label[v] - reach < held[v]:
+                        held[v] = label[v] - reach
+                        if best[v] >= 0:
+                            heappush(holding, (costs[best[v]] - held[v], v))
+                base = self.base = self.base - shift
+                while holding and holding[0][0] + base <= 0:
+                    key, v = heappop(holding)
+                    b = best[v]
+                    if state[v] == HELD and b >= 0 and key == costs[b] - held[v]:
+                        state[v] = ZERO
+            for v in touched:
+                b = best[v]
+                if b >= 0:
+                    label[v], parent[v] = costs[b], arcs[b]
+                else:
+                    label[v] = UNREACHED
+            pushed, cost = residual.augment(path, max_flow - flow)
+            flow += pushed
+            total_cost += cost
+            first_net, first_sink = to[path[-1]], to[path[-2]]
+            if cap[path[-1]] == 0:
+                self._drained(first_net, first_sink, cap)
+            self._repick(first_sink, cap)
+            if len(heap) > HEAP_SLACK * self.live:
+                heap[:] = [e for e in heap if e // n == label[e % n] - potential[e % n]]
+                heapq.heapify(heap)
+        return flow, total_cost
+
+    def _drained(self, net: int, first_sink: int, cap: list[int]) -> None:
+        """*net*'s supply ran out: its matched sinks come alive, with
+        their potentials made explicit, and the sinks that picked it
+        re-pick.  *first_sink*, matched to it just now, re-picks next."""
+        self.supplied[net] = False
+        self.label[net] = self.UNREACHED
+        self.potential[net] = self.base
+        state, best, costs = self.state, self.best, self.costs
+        for position in self.by_net[net]:
+            sink = self.sinks[position]
+            if sink == first_sink:
                 continue
-            parent[sink] = arcs[position]
-            x = self.base + costs[position]
-            if x != label[sink]:
-                label[sink] = x
-                heapq.heappush(self.heap, (x - potential[sink], sink))
-        if reach:
-            self.base -= reach
-            self._rekey(potential)
+            if cap[self.arcs[position]] == 0:  # matched to net
+                b = best[sink]
+                if state[sink] == self.ZERO:
+                    self.potential[sink] = self.base + costs[b]
+                else:
+                    self.potential[sink] = self.held[sink]
+                state[sink] = self.LIVE
+                if b >= 0:
+                    self.live += 1
+                    heapq.heappush(self.heap, (costs[b] - self.potential[sink]) * self.n + sink)
+            elif best[sink] == position:
+                self._repick(sink, cap)
 
-    def _rekey(self, potential: list[int]) -> None:
-        """Labels and heap from the picks, at the current ``base``."""
-        label, parent, best = self.label, self.parent, self.best
-        for node in self.level:
-            label[node] = self.base
-        heap = []
-        for sink in self.sink_nodes:
-            position = best[sink]
-            if position >= 0:
-                x = label[sink] = self.base + self.costs[position]
-                parent[sink] = self.arcs[position]
-                heap.append((x - potential[sink], sink))
-        heapq.heapify(heap)
-        self.heap = heap
+    def _repick(self, sink: int, cap: list[int]) -> None:
+        """Re-pick *sink*: its picked net drained or its pick closed.
 
-    def _repick(self, sink: int, cap: list[int]) -> int:
+        A live sink whose net keeps supply (the path's first sink) dies:
+        its potential moves to ``held``, or to ``ZERO`` at key 0.
+        """
+        label, parent, state, costs = self.label, self.parent, self.state, self.costs
+        base, held = self.base, self.held
+        old = self.best[sink]
+        b = self.best[sink] = self._cheapest_open(sink, cap)
+        if b >= 0:
+            parent[sink] = self.arcs[b]
+        if state[sink] == self.LIVE:
+            net = self.nets[old]
+            if self.supplied[net] and cap[self.arcs[old]] == 0:
+                held[sink] = self.potential[sink]  # matched to net: dies
+                self.potential[sink] = self.UNREACHED
+                state[sink] = self.HELD
+                self.live -= 1
+            elif b < 0:
+                self.live -= 1
+            elif costs[b] != costs[old]:
+                heapq.heappush(self.heap, (costs[b] - self.potential[sink]) * self.n + sink)
+        elif state[sink] == self.ZERO:
+            held[sink] = base + costs[old]
+            state[sink] = self.HELD
+        label[sink] = costs[b] if b >= 0 else self.UNREACHED
+        if state[sink] == self.HELD and b >= 0:
+            if costs[b] + base == held[sink]:
+                state[sink] = self.ZERO
+            else:
+                heapq.heappush(self.holding, (costs[b] - held[sink], sink))
+
+    def _cheapest_open(self, sink: int, cap: list[int]) -> int:
         """CSR position of *sink*'s cheapest open arc from a net with
         supply, or -1."""
         best, low = -1, 0

@@ -30,13 +30,17 @@ class HintContext:
     load_limit: int
 
 
-def build_context(view: FeolView, load_limit: int = 5) -> HintContext:
+def build_context(
+    view: FeolView, load_limit: int = 5, skeleton: Circuit | None = None
+) -> HintContext:
     """Precompute level estimates over the FEOL-visible structure.
 
     Broken pins contribute no edges, so levels are lower bounds — exactly
-    what an attacker can compute from the FEOL.
+    what an attacker can compute from the FEOL.  *skeleton* is the view's
+    :func:`_feol_skeleton` when the caller already built it.
     """
-    skeleton = _feol_skeleton(view)
+    if skeleton is None:
+        skeleton = _feol_skeleton(view)
     levels = skeleton.levels()
     fanout = skeleton.fanout_map()
     suffix: dict[str, int] = {}

@@ -29,6 +29,7 @@ from repro.attacks.hints import (
     timing_allows,
 )
 from repro.attacks.result import AttackResult
+from repro.netlist.circuit import Circuit
 from repro.phys.geometry import _cache_token, ranked_row, shortlist, stub_arrays
 from repro.phys.split import FeolView
 
@@ -51,7 +52,10 @@ def proximity_attack(
 ) -> AttackResult:
     """Run the proximity attack on *view*; returns the full assignment."""
     config = config or ProximityAttackConfig()
-    context = build_context(view, load_limit=config.load_limit)
+    # One skeleton serves the hints and, on a view's first attack, the
+    # loop hint's reachability memo.
+    skeleton = _feol_skeleton(view)
+    context = build_context(view, load_limit=config.load_limit, skeleton=skeleton)
 
     sources = view.source_stubs
     sinks = view.sink_stubs
@@ -59,7 +63,7 @@ def proximity_attack(
     sink_by_id = {s.stub_id: s for s in sinks}
     assignment: dict[int, str] = {}
     load: dict[str, int] = {}
-    reaches = initial_reachability(view)
+    reaches = initial_reachability(view, skeleton)
     rejected = {"loop": 0, "timing": 0, "load": 0}
 
     # Every candidate is known before the first commit, so popping a
@@ -154,7 +158,9 @@ def candidate_heap(
     return heap
 
 
-def initial_reachability(view: FeolView) -> Reachability:
+def initial_reachability(
+    view: FeolView, skeleton: Circuit | None = None
+) -> Reachability:
     """gate -> gates reachable from it through FEOL-visible edges.
 
     Used by the loop hint; updated incrementally as edges are committed.
@@ -164,11 +170,14 @@ def initial_reachability(view: FeolView) -> Reachability:
     keyed by the stub and netlist versions (``beol-restore`` swaps the
     gate table); each caller gets a private copy of the bits, which
     :func:`commit_edge` mutates.  ``FeolView`` pickles drop the memo.
+    A build reads *skeleton*, the view's :func:`_feol_skeleton`, when
+    the caller already has it.
     """
     token = (_cache_token(view), getattr(view, "_netlist_version", 0))
     cached = getattr(view, "_reachability", None)
     if cached is None or cached[0] != token:
-        skeleton = _feol_skeleton(view)
+        if skeleton is None:
+            skeleton = _feol_skeleton(view)
         index = {name: i for i, name in enumerate(skeleton.gates)}
         rows = [0] * len(index)
         fanout = skeleton.fanout_map()

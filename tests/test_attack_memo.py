@@ -18,8 +18,10 @@ import pytest
 from repro.adversary.evaluate import run_scenario
 from repro.adversary.features import build_candidates
 from repro.adversary.scenario import SCENARIOS
+from repro.attacks import hints as hints_module
+from repro.attacks import proximity as proximity_module
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
-from repro.attacks.proximity import commit_edge, initial_reachability
+from repro.attacks.proximity import commit_edge, initial_reachability, proximity_attack
 from repro.attacks.random_guess import random_guess_attack
 from repro.attacks.result import RecoveredMachine, rebuild_netlist, view_table
 from repro.locking import AtpgLockConfig, atpg_lock
@@ -207,6 +209,29 @@ def test_reachability_is_memoised_and_each_caller_owns_its_bits(layout):
     commit_edge(first, view, source, sink)
     assert not np.array_equal(first.bits, before)
     assert np.array_equal(second.bits, before)
+    _assert_fresh_reachability(view)
+
+
+def test_first_proximity_attack_builds_one_skeleton(layout, monkeypatch):
+    # The hints and the reachability memo share one skeleton; the
+    # result equals an attack whose reachability built its own.
+    view = layout.feol_view()
+    separate = pickle.loads(pickle.dumps(view))
+    initial_reachability(separate)  # memoised from its own skeleton
+    want = proximity_attack(separate)
+    builds = []
+    build = hints_module._feol_skeleton
+
+    def counted(view):
+        builds.append(view)
+        return build(view)
+
+    monkeypatch.setattr(hints_module, "_feol_skeleton", counted)
+    monkeypatch.setattr(proximity_module, "_feol_skeleton", counted)
+    got = proximity_attack(view)
+    assert builds == [view]
+    assert "_reachability" in vars(view)
+    assert (got.assignment, got.diagnostics) == (want.assignment, want.diagnostics)
     _assert_fresh_reachability(view)
 
 

@@ -14,8 +14,10 @@ The contract under test:
 * the solver is identical to :func:`early_exit_solve` arc for arc:
   equal flow, cost and full ``cap`` array on every network, including
   tie-heavy ones with long runs of D = 0 augmentations (the solver
-  carries its zero level across those) and every network the smoke
-  and defense-matrix grids solve;
+  carries its zero level across those), deeply contended ones whose
+  dead sinks drain, re-pick and are relaxed by drained nets, every
+  network the smoke and defense-matrix grids solve and the Tables I/II
+  b14/M4 network;
 * the group memo (:func:`shared_flow_matches`) is invisible in results;
 * :func:`~repro.adversary.netflow.flow_assignment`, which ranks a
   sink's other candidates only when its matched net loops or it has no
@@ -49,7 +51,11 @@ from repro.adversary.netflow import (
 from repro.attacks.hints import creates_loop
 from repro.attacks.proximity import commit_edge, initial_reachability
 from repro.runner.engine import run_attack_campaign
-from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
+from repro.runner.profiles import (
+    attack_smoke_campaign,
+    current_profile,
+    defense_smoke_campaign,
+)
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec
 from repro.runner.stages import cell_defense, cell_layout, locked_design
@@ -339,6 +345,143 @@ def test_zero_streaks_are_identical_to_early_exit_solver(instance, data):
     assert got == want
 
 
+@st.composite
+def deep_contention_instances(draw):
+    """Larger contended instances with long reroutes.
+
+    More sinks than the nets' loads can take, costs in 0-40 and a few
+    TIE nets: nets drain and free the dead sinks matched to them, dead
+    sinks re-pick and are relaxed by drained nets, and runs of D > 0
+    augmentations reroute along paths through several nets.  A low cost
+    ceiling makes ties, which expose any error in a dead sink's
+    potential: it orders the sinks that relabel one drained net.
+    """
+    num_nets = draw(st.integers(3, 10))
+    num_sinks = draw(st.integers(8, 30))
+    tie_nets = draw(
+        st.lists(st.integers(0, 4).map(lambda k: k == 0), min_size=num_nets, max_size=num_nets)
+    )
+    load_limit = draw(st.integers(1, 3))
+    pairs = []
+    for sink in range(num_sinks):
+        nets = draw(
+            st.lists(st.integers(0, num_nets - 1), unique=True, min_size=1, max_size=5)
+        )
+        pairs.extend((net, sink) for net in nets)
+    ceiling = draw(st.sampled_from([2, 3, 5, 40]))
+    costs = draw(
+        st.lists(st.integers(0, ceiling), min_size=len(pairs), max_size=len(pairs))
+    )
+    return num_nets, num_sinks, tie_nets, load_limit, list(zip(pairs, costs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_contention_instances(), st.data())
+def test_deep_contention_is_identical_to_early_exit_solver(instance, data):
+    max_flow = data.draw(st.integers(0, instance[1]))
+    got, want = _solve_fast_and_early_exit(instance, max_flow)
+    assert got == want
+
+
+#: Small instances where a dead sink's potential decides a tie between
+#: the sinks that relabel a drained net, so the matching depends on it.
+DEAD_SINK_TIES = {
+    # A sink at key 0 comes alive when its net drains.
+    "freed from key 0": (3, 7, [False] * 3, 3, [
+        ((0, 0), 1), ((1, 0), 2), ((1, 1), 0), ((1, 2), 1), ((2, 3), 1),
+        ((0, 3), 0), ((0, 4), 0), ((0, 5), 0), ((2, 6), 0), ((1, 6), 0),
+    ]),
+    # A sink at key 0 re-picks when its picked net drains.
+    "re-picked from key 0": (4, 7, [False] * 4, 3, [
+        ((1, 0), 0), ((0, 1), 2), ((1, 2), 0), ((1, 3), 1), ((0, 4), 1),
+        ((3, 4), 1), ((0, 5), 0), ((2, 5), 0), ((1, 5), 0), ((0, 6), 0),
+    ]),
+    # A held sink's key falls to 0 as base drops.
+    "held key reaches 0": (3, 4, [False] * 3, 3, [
+        ((2, 0), 2), ((2, 1), 1), ((1, 1), 2), ((2, 2), 2), ((2, 3), 0), ((0, 3), 1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEAD_SINK_TIES))
+def test_dead_sink_potentials_decide_ties(case):
+    instance = DEAD_SINK_TIES[case]
+    got, want = _solve_fast_and_early_exit(instance, instance[1])
+    assert got == want
+
+
+def test_deep_contention_reaches_every_transition(monkeypatch):
+    # The generator above must exercise what the bipartite solver keeps
+    # across augmentations; count each transition over its examples.
+    seen = {"freed": 0, "dead repick": 0, "held relaxed": 0, "D>0 run": 0, "long path": 0}
+    solver = []
+    run = [0]
+    held_at_path = []
+    path, augment = netflow_module._Residual.path, netflow_module._Residual.augment
+    drained, repick = _Bipartite._drained, _Bipartite._repick
+    solve = _Bipartite.solve
+
+    def solving(self, residual, max_flow):
+        solver[:] = [self]
+        run[0] = 0
+        return solve(self, residual, max_flow)
+
+    def tracing(self, parent, s, t):
+        held_at_path[:] = [list(solver[0].held), solver[0].base]
+        return path(self, parent, s, t)
+
+    def augmenting(self, arcs, limit):
+        layers = solver[0]
+        before, base = held_at_path
+        if any(
+            layers.state[v] == _Bipartite.HELD and layers.held[v] != before[v]
+            for v in range(len(before))
+        ):
+            seen["held relaxed"] += 1
+        run[0] = run[0] + 1 if layers.base != base else 0
+        seen["D>0 run"] += run[0] >= 3
+        seen["long path"] += len(arcs) >= 6  # through three nets or more
+        return augment(self, arcs, limit)
+
+    def draining(self, net, first_sink, cap):
+        dead = sum(state != _Bipartite.LIVE for state in self.state[: self.t])
+        drained(self, net, first_sink, cap)
+        seen["freed"] += sum(state != _Bipartite.LIVE for state in self.state[: self.t]) < dead
+
+    def repicking(self, sink, cap):
+        seen["dead repick"] += self.state[sink] in (_Bipartite.ZERO, _Bipartite.HELD)
+        repick(self, sink, cap)
+
+    monkeypatch.setattr(_Bipartite, "solve", solving)
+    monkeypatch.setattr(netflow_module._Residual, "path", tracing)
+    monkeypatch.setattr(netflow_module._Residual, "augment", augmenting)
+    monkeypatch.setattr(_Bipartite, "_drained", draining)
+    monkeypatch.setattr(_Bipartite, "_repick", repicking)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(deep_contention_instances())
+    def solve_all(instance):
+        flow, _, t_node = _network(instance)
+        flow.solve(0, t_node, instance[1])
+
+    solve_all()
+    assert all(seen.values()), seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(deep_contention_instances(), zero_streak_instances()),
+    st.data(),
+)
+def test_compacting_every_augmentation_changes_nothing(instance, data):
+    # A zero slack compacts the kept heap after every augmentation.
+    max_flow = data.draw(st.integers(0, instance[1]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netflow_module, "HEAP_SLACK", 0)
+        got, want = _solve_fast_and_early_exit(instance, max_flow)
+    assert got == want
+
+
 def test_sink_repicks_when_its_best_net_drains():
     # Sinks 0 and 1 both prefer net 0 (cost 0), whose load is 1.  The
     # first path, s -> net 0 -> sink 0 -> t, has D = 0 and drains net 0,
@@ -547,10 +690,12 @@ def _copy(network: MinCostFlow) -> MinCostFlow:
     return twin
 
 
-@pytest.mark.slow
-def test_attack_grid_networks_are_identical_to_early_exit_solver(monkeypatch):
-    # Every network the smoke and defense-matrix grids solve (the
-    # attack-grid-cold campaign): equal flow, cost and cap arrays.
+def _compared_to_early_exit(monkeypatch) -> list[tuple[int, bool]]:
+    """Patch every solve to check itself against the early-exit solver.
+
+    Returns the list each solve appends (arcs, equal flow, cost and cap
+    array) to.
+    """
     solved = []
     solve = MinCostFlow.solve
 
@@ -562,11 +707,34 @@ def test_attack_grid_networks_are_identical_to_early_exit_solver(monkeypatch):
         return result
 
     monkeypatch.setattr(MinCostFlow, "solve", compared)
+    return solved
+
+
+@pytest.mark.slow
+def test_attack_grid_networks_are_identical_to_early_exit_solver(monkeypatch):
+    # Every network the smoke and defense-matrix grids solve (the
+    # attack-grid-cold campaign): equal flow, cost and cap arrays.
+    solved = _compared_to_early_exit(monkeypatch)
     cells = attack_smoke_campaign().cells() + defense_smoke_campaign().cells()
     run_attack_campaign(cells, workers=1, use_cache=False)
     assert len(solved) == 10
     assert sum(arcs for arcs, _ in solved) == 69_090
     assert all(same for _, same in solved)
+
+
+@pytest.mark.slow
+def test_tables_b14_m4_netflow_is_identical_to_early_exit_solver(monkeypatch):
+    # The largest Tables I/II network the early-exit solver checks in
+    # seconds (b17/M4 takes it minutes): equal flow, cost and cap array.
+    cell = next(
+        c for c in current_profile().table_campaign().cells()
+        if (c.benchmark, c.split_layer) == ("b14", 4)
+    )
+    view = cell_layout(cell, design=locked_design(cell)).feol_view(cell.split_layer)
+    candidates, costs, load_limit = _instance(view, "netflow")
+    solved = _compared_to_early_exit(monkeypatch)
+    _match_nets(candidates, costs, load_limit)
+    assert [same for _, same in solved] == [True]
 
 
 def test_match_nets_clamps_negative_costs(smoke_view):

@@ -42,9 +42,10 @@ from repro.runner.stages import cell_defense, cell_layout, locked_design
 from tests.test_netflow import _instance
 
 
-def set_initial_reachability(view: FeolView) -> dict[str, set[str]]:
+def set_initial_reachability(view: FeolView, skeleton=None) -> dict[str, set[str]]:
     """gate -> gates reachable from it through FEOL-visible edges."""
-    skeleton = _feol_skeleton(view)
+    if skeleton is None:
+        skeleton = _feol_skeleton(view)
     reaches: dict[str, set[str]] = {name: set() for name in skeleton.gates}
     fanout = skeleton.fanout_map()
     for net in reversed(skeleton.topological_order()):
