@@ -133,14 +133,14 @@ def _per_group(cells: list[AttackCellSpec]) -> list:
     """One single-group bundle task per sibling group; cell order."""
     plan = plan_campaign(cells)
     with CampaignExecutor(POOL_WORKERS, use_cache=False) as executor:
-        futures = [
-            executor.submit(execute_bundle, [plan.group_cells(group)])
-            for group in plan.groups
-        ]
-        ordered = {}
-        for group, future in zip(plan.groups, futures):
-            [results] = future.result()
-            ordered.update(zip(group.indices, results))
+        outputs = executor.map(
+            execute_bundle,
+            [[plan.group_cells(group)] for group in plan.groups],
+            [plan.cells[group.indices[0]] for group in plan.groups],
+        )
+    ordered = {}
+    for group, [results] in zip(plan.groups, outputs):
+        ordered.update(zip(group.indices, results))
     return [ordered[i] for i in range(len(cells))]
 
 

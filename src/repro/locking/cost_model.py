@@ -14,6 +14,7 @@ most area back.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from repro.atpg.patterns import FailingPatterns
@@ -60,8 +61,7 @@ def cascade_removed_area(
     constant are evaluated, popped from a heap keyed by topological
     index.  A gate can fold only once a fanin is constant, and every pop
     comes after its constant fanins, so ``constant`` gains the same
-    gates in the same topological order as a sweep over the whole fanout
-    cone, and the area sums add in the same order (bit-identical floats).
+    gates as a sweep over the whole fanout cone (the same area).
     Gate areas come from a per-circuit table, built once per library.
     """
     lib = library or NANGATE45
@@ -107,14 +107,13 @@ def cascade_removed_area(
             constant[name] = folded
             schedule(name)
 
-    area = gate_area(net)
-    area += sum(gate_area(n) for n in cone if n != net)
-    area += sum(
-        gate_area(n)
-        for n in constant
-        if n != net and n not in cone
+    # One exactly rounded sum: the cone is a set, iterated in hash order,
+    # and a plain running sum would round differently per PYTHONHASHSEED.
+    return math.fsum(
+        [gate_area(net)]
+        + [gate_area(n) for n in cone if n != net]
+        + [gate_area(n) for n in constant if n != net and n not in cone]
     )
-    return area
 
 
 def _gate_areas(circuit, lib: CellLibrary) -> dict[str, float]:

@@ -5,7 +5,7 @@ The subsystem behind every table/figure harness and the
 
 * :mod:`repro.runner.spec`     — declarative campaign/cell specs;
 * :mod:`repro.runner.stages`   — pure, cacheable pipeline stages;
-* :mod:`repro.runner.engine`   — ``ProcessPoolExecutor`` execution;
+* :mod:`repro.runner.engine`   — result types and the worker pool;
 * :mod:`repro.runner.profiles` — the paper's budgets vs the scaled default;
 * :mod:`repro.runner.cli`      — table/figure regeneration and sweeps.
 """

@@ -29,10 +29,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.adversary.evaluate import AttackOutcome
 from repro.runner.spec import (
@@ -45,9 +46,15 @@ from repro.runner.spec import (
     proximity_cell,
 )
 from repro.runner.stages import layout_cost_runs
-from repro.runner.worker import enable_worker_runtime, worker_cache_budget_bytes
+from repro.runner.worker import serve_tasks, worker_cache_budget_bytes
 from repro.utils.artifact_cache import ArtifactCache, CacheStats
 from repro.utils.env import env_int
+
+if TYPE_CHECKING:
+    # Imported where used, not here: the forkserver preloads this module
+    # into every pool worker, which runs no event loop (asyncio would add
+    # ~2.5 MB to each).
+    import asyncio
 
 
 @dataclass
@@ -206,26 +213,39 @@ def execute_cost_cell(
     return layout_cost_runs(cell, _open_cache(cache_dir, use_cache))
 
 
+@dataclass(eq=False)
+class _Task:
+    future: asyncio.Future
+    call: tuple  # (worker, task, cache_dir, use_cache)
+    cell: object  # named in the error if the worker dies
+
+
+@dataclass(eq=False)
+class _Worker:
+    process: multiprocessing.process.BaseProcess
+    conn: Connection  # the parent's end of the duplex pipe
+    task: _Task | None = None
+
+
 class CampaignExecutor:
-    """A long-lived cell executor: one ProcessPool shared across campaigns.
+    """A long-lived cell executor: worker processes shared across campaigns.
 
-    The one-shot :func:`run_campaign` path spins a pool up per call;
-    the campaign service instead keeps a single executor alive across
-    every job it serves, so worker processes (and their warm imports)
-    are reused and per-cell futures can be awaited as they complete.
-    Cells stay pure functions of their spec, so sharing the pool never
-    couples jobs — the cache directory and policy are fixed per
-    executor, exactly like one runner invocation.
+    The service keeps one executor across every job it serves, so its
+    workers (their imports and resident tiers) stay warm; the pooled CLI
+    and benchmarks drive one per campaign through :meth:`map`.  The cache
+    directory and policy are fixed per executor, like one runner call.
 
-    Every worker boots with its resident artifact tier enabled
-    (:mod:`repro.runner.worker`): the parent resolves the
-    ``REPRO_WORKER_CACHE_MB`` budget once and ships it through the pool
-    initializer — worker-side environment reads would be unreliable
-    under forkserver, whose server process snapshots the environment
-    when the *first* pool starts.  Workers resolve every artifact
-    themselves (tier, disk cache or compute); the parent only submits
-    tasks, so a service keeping one executor across jobs serves repeat
-    traffic from those warm tiers.
+    Up to ``workers`` processes from :func:`_mp_context` start on demand,
+    each with one duplex pipe and running
+    :func:`repro.runner.worker.serve_tasks`, which enables its resident
+    tier with the ``REPRO_WORKER_CACHE_MB`` budget resolved here (a
+    forkserver snapshots the environment once).  :meth:`submit` hands
+    tasks to idle workers in order, and the submitting event loop reads
+    each result with ``loop.add_reader``: no thread runs beside it.  A
+    queued task whose future is cancelled never runs; a running one
+    finishes and frees its worker.  A worker that dies (EOF on its pipe)
+    fails only its task, with a :class:`CellExecutionError` naming the
+    task's cell, and the next task respawns it (:meth:`stats`).
     """
 
     def __init__(
@@ -237,19 +257,77 @@ class CampaignExecutor:
         self.workers = max(1, workers if workers is not None else default_workers())
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.use_cache = use_cache
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_mp_context(),
-            initializer=enable_worker_runtime,
-            initargs=(worker_cache_budget_bytes(),),
-        )
+        self.restarts = 0
+        self._context = _mp_context()
+        self._budget = worker_cache_budget_bytes()
+        self._procs: list[_Worker] = []
+        self._queue: deque[_Task] = deque()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._closed = False
 
-    def submit(self, worker: Callable, task):
-        """Submit *task* (a cell or a bundle) through *worker*; its future."""
-        return self._pool.submit(worker, task, self.cache_dir, self.use_cache)
+    def submit(self, worker: Callable, task, cell) -> asyncio.Future:
+        """Queue ``worker(task, cache_dir, use_cache)``; its future on the
+        running loop.  *cell* names the task if its worker dies."""
+        import asyncio
 
-    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)
+        if self._closed:
+            raise RuntimeError("the executor is shut down")
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            self._bind(loop)
+        future = loop.create_future()
+        call = (worker, task, self.cache_dir, self.use_cache)
+        self._queue.append(_Task(future, call, cell))
+        self._dispatch()
+        return future
+
+    def map(self, worker: Callable, tasks: Sequence, cells: Sequence) -> list:
+        """Every task's result, in order, from a fresh event loop.
+
+        Fails fast: the first error (in submission order) cancels every
+        other task — a queued one never runs — and raises a
+        :class:`CellExecutionError` naming *cells[i]*, the cell of the
+        failing ``tasks[i]``.
+        """
+        import asyncio
+
+        async def gather() -> list:
+            futures = [self.submit(worker, t, c) for t, c in zip(tasks, cells)]
+            if futures:
+                await asyncio.wait(futures, return_when=asyncio.FIRST_EXCEPTION)
+            for future, cell in zip(futures, cells):
+                exc = future.exception() if future.done() else None
+                if exc is not None:
+                    for other in futures:
+                        other.cancel()
+                    if isinstance(exc, CellExecutionError):
+                        raise exc
+                    raise _wrap_cell_error(cell, exc) from exc
+            return [f.result() for f in futures]
+
+        return asyncio.run(gather())
+
+    def stats(self) -> dict[str, int]:
+        """Live workers, dead workers retired so far, tasks queued."""
+        return {
+            "workers": sum(w.process.is_alive() for w in self._procs),
+            "restarts": self.restarts,
+            "queued": sum(not t.future.done() for t in self._queue),
+        }
+
+    def shutdown(self) -> None:
+        """Cancel every task, close every pipe and join the workers (an
+        idle one exits on EOF, a busy one after its task)."""
+        self._closed = True
+        for task in [*self._queue, *(w.task for w in self._procs if w.task)]:
+            task.future.cancel()
+        self._queue.clear()
+        for worker in self._procs:
+            self._unwatch(worker)
+            worker.conn.close()
+        for worker in self._procs:
+            worker.process.join()
+        self._procs.clear()
 
     def __enter__(self) -> "CampaignExecutor":
         return self
@@ -257,25 +335,76 @@ class CampaignExecutor:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
+    def _bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Watch every pipe from *loop* (each :meth:`map` runs a new one),
+        retiring workers that died unwatched."""
+        for worker in list(self._procs):
+            self._unwatch(worker)
+            if not worker.process.is_alive():
+                self._retire(worker)
+        self._loop = loop
+        for worker in self._procs:
+            loop.add_reader(worker.conn.fileno(), self._receive, worker)
 
-def _gather_fail_fast(futures: list, cells: list) -> list:
-    """Results of *futures* in order; *cells[i]* names ``futures[i]``.
+    def _unwatch(self, worker: _Worker) -> None:
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.remove_reader(worker.conn.fileno())
 
-    Fails fast: stops at the first worker error, cancels every
-    not-yet-started sibling and raises a :class:`CellExecutionError`
-    naming the failing cell (in-order ``f.result()`` collection would
-    block on unrelated futures and lose the failing cell's identity).
-    """
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next((f for f in done if f.exception() is not None), None)
-    if failed is not None:
-        for future in not_done:
-            future.cancel()
-        exc = failed.exception()
-        if isinstance(exc, CellExecutionError):
-            raise exc
-        raise _wrap_cell_error(cells[futures.index(failed)], exc) from exc
-    return [f.result() for f in futures]
+    def _dispatch(self) -> None:
+        """Hand queued tasks, oldest first, to idle workers, spawning one
+        while fewer than ``workers`` are up."""
+        while self._queue:
+            if self._queue[0].future.done():  # cancelled while queued
+                self._queue.popleft()
+                continue
+            worker = next((w for w in self._procs if w.task is None), None)
+            if worker is None:
+                if len(self._procs) >= self.workers:
+                    return
+                conn, child = self._context.Pipe()
+                process = self._context.Process(
+                    target=serve_tasks, args=(child, self._budget), daemon=True
+                )
+                process.start()
+                child.close()
+                worker = _Worker(process, conn)
+                self._procs.append(worker)
+                self._loop.add_reader(conn.fileno(), self._receive, worker)
+            worker.task = self._queue.popleft()
+            try:
+                worker.conn.send(worker.task.call)
+            except OSError:  # it died before its EOF was read
+                self._retire(worker)
+
+    def _receive(self, worker: _Worker) -> None:
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            self._retire(worker)
+        else:
+            task, worker.task = worker.task, None
+            if not task.future.done():
+                if ok:
+                    task.future.set_result(value)
+                else:
+                    task.future.set_exception(value)
+        self._dispatch()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a dead worker and fail its task, naming the task's cell."""
+        self._unwatch(worker)
+        worker.conn.close()
+        worker.process.join(timeout=1.0)
+        self._procs.remove(worker)
+        self.restarts += 1
+        if worker.task is not None and not worker.task.future.done():
+            worker.task.future.set_exception(
+                CellExecutionError(
+                    _cell_id(worker.task.cell),
+                    f"worker process {worker.process.pid} died "
+                    f"(exit code {worker.process.exitcode})",
+                )
+            )
 
 
 def _map_cells(
@@ -300,8 +429,7 @@ def _map_cells(
                 raise _wrap_cell_error(cell, exc) from exc
         return results
     with CampaignExecutor(count, cache_dir, use_cache) as executor:
-        futures = [executor.submit(worker, c) for c in cells]
-        return _gather_fail_fast(futures, cells)
+        return executor.map(worker, cells, cells)
 
 
 def run_campaign(

@@ -63,11 +63,11 @@ from typing import Iterable, Sequence
 
 from repro.adversary.netflow import shared_flow_matches
 from repro.metrics.hd_oer import shared_reference_sweeps
+from repro.phys.layout import PhysicalLayout
 from repro.runner.engine import (
     AttackCellResult,
     CampaignExecutor,
     CellExecutionError,
-    _gather_fail_fast,
     _open_cache,
     _wrap_cell_error,
     default_workers,
@@ -224,14 +224,15 @@ def _run_group(
     cells: Sequence[AttackCellSpec],
     cache,
     design: LockedDesign | None = None,
-) -> tuple[list[AttackCellResult], LockedDesign]:
+    layout: PhysicalLayout | None = None,
+) -> tuple[list[AttackCellResult], LockedDesign, PhysicalLayout]:
     """Execute one group sharing lock/layout/defense/programs in memory.
 
-    Returns the member results (group order) and the group's design so
-    in-process callers can reuse it across groups sharing a lock.
+    Returns the member results (group order) and the group's design and
+    layout, so in-process callers can reuse them across groups sharing a
+    lock or a layout (a defense copies what it changes).
     """
     results: list[AttackCellResult] = []
-    layout = None
     defended = None
     with shared_reference_sweeps(), shared_flow_matches():
         for cell in cells:
@@ -269,7 +270,39 @@ def _run_group(
                 raise
             except Exception as exc:
                 raise _wrap_cell_error(cell, exc) from exc
-    return results, design
+    return results, design, layout
+
+
+def _run_groups(
+    groups: Sequence[Sequence[AttackCellSpec]],
+    cache,
+    lock_keys: Sequence[str],
+    layout_keys: Sequence[str],
+) -> list[list[AttackCellResult]]:
+    """Execute *groups* in order; their member results, group by group.
+
+    Each group's design goes on to later groups with the same lock key
+    and its layout to later groups with the same layout key, so every
+    lock and layout is built once; a layout is dropped after the last
+    group that uses it.
+    """
+    last_use = {key: i for i, key in enumerate(layout_keys)}
+    designs: dict[str, LockedDesign] = {}
+    layouts: dict[str, PhysicalLayout] = {}
+    out = []
+    for i, (cells, lock_key, layout_key) in enumerate(
+        zip(groups, lock_keys, layout_keys)
+    ):
+        results, designs[lock_key], layout = _run_group(
+            cells,
+            cache,
+            design=designs.get(lock_key),
+            layout=layouts.pop(layout_key, None),
+        )
+        if last_use[layout_key] > i:
+            layouts[layout_key] = layout
+        out.append(results)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +373,18 @@ def execute_bundle(
     the service's one-cell bundles alike.  Every group of a
     bundle shares one lock (:func:`plan_bundles` bundles by lock key and
     split halves keep it), so the design resolved for the first group
-    is threaded through the rest in-process.
+    is threaded through the rest in-process, like each layout.
     """
-    cache = _open_cache(cache_dir, use_cache)
-    design = None
-    out: list[list[AttackCellResult]] = []
-    for cells in group_cells:
-        results, design = _run_group(cells, cache, design=design)
-        out.append(results)
-    return out
+    layout_keys = [
+        spec_key(layout_payload(cells[0].cell)) if len(group_cells) > 1 else ""
+        for cells in group_cells
+    ]
+    return _run_groups(
+        group_cells,
+        _open_cache(cache_dir, use_cache),
+        [""] * len(group_cells),
+        layout_keys,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +401,8 @@ def run_fused_cells(
     """Execute *cells* through the grid plan; results in input order.
 
     Serial (one worker or one group): groups run in-process, reusing
-    designs across groups that share a lock.  Pool: one
+    designs across groups that share a lock and layouts across groups
+    that share a layout.  Pool: one
     :func:`execute_bundle` task per :class:`LockBundle` — the worker
     running a bundle resolves its lock once for all of the bundle's
     groups (a split bundle's halves resolve it in parallel on two
@@ -391,17 +428,14 @@ def run_fused_cells(
     ordered: dict[int, AttackCellResult] = {}
 
     if count == 1 and executor is None:
-        cache = _open_cache(cache_dir, use_cache)
-        designs: dict[str, LockedDesign] = {}
-        for group in plan.groups:
-            results, design = _run_group(
-                plan.group_cells(group),
-                cache,
-                design=designs.get(group.lock_key),
-            )
-            designs[group.lock_key] = design
-            for index, result in zip(group.indices, results):
-                ordered[index] = result
+        outputs = _run_groups(
+            [plan.group_cells(group) for group in plan.groups],
+            _open_cache(cache_dir, use_cache),
+            [group.lock_key for group in plan.groups],
+            [group.layout_key for group in plan.groups],
+        )
+        for group, results in zip(plan.groups, outputs):
+            ordered.update(zip(group.indices, results))
         return [ordered[i] for i in range(len(cells))]
 
     own_executor = executor is None
@@ -409,19 +443,14 @@ def run_fused_cells(
         executor = CampaignExecutor(count, cache_dir, use_cache)
     try:
         bundles = plan_bundles(plan, slots=count)
-        futures = [
-            executor.submit(
-                execute_bundle, [plan.group_cells(g) for g in bundle.groups]
-            )
-            for bundle in bundles
-        ]
-        outputs = _gather_fail_fast(
-            futures, [plan.cells[b.groups[0].indices[0]] for b in bundles]
+        outputs = executor.map(
+            execute_bundle,
+            [[plan.group_cells(g) for g in bundle.groups] for bundle in bundles],
+            [plan.cells[bundle.groups[0].indices[0]] for bundle in bundles],
         )
         for bundle, output in zip(bundles, outputs):
             for group, results in zip(bundle.groups, output):
-                for index, result in zip(group.indices, results):
-                    ordered[index] = result
+                ordered.update(zip(group.indices, results))
     finally:
         if own_executor:
             executor.shutdown()

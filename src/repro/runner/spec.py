@@ -7,7 +7,7 @@ the ``proximity`` attack cell :func:`proximity_cell` builds.  Each cell
 is a complete, self-contained description of one (benchmark, split
 layer, key size) experiment: a frozen dataclass of plain scalars that
 
-* pickles across :class:`~concurrent.futures.ProcessPoolExecutor`
+* pickles across :class:`~repro.runner.engine.CampaignExecutor`
   workers,
 * canonicalises into the content key of the on-disk artifact cache, and
 * round-trips through JSON for the ``python -m repro.runner`` CLI.

@@ -28,10 +28,11 @@ counts only the pickled size, measured at insert, and pickles leave
 these derived caches out: the tier's accounting is that of a layout
 that was never split.
 
-The runtime is enabled explicitly, by the pool-worker initializer of
-:class:`repro.runner.engine.CampaignExecutor` — never in the main
-process — so serial in-process paths, benchmarks and tests keep their
-historical behaviour unless they opt in.
+The runtime is enabled explicitly, by :func:`serve_tasks` — the loop
+of every :class:`repro.runner.engine.CampaignExecutor` worker, kept
+here in the forkserver's preload chain — never in the main process, so
+serial in-process paths, benchmarks and tests keep their historical
+behaviour unless they opt in.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.utils.env import env_worker_cache_mb
 __all__ = [
     "WorkerRuntime",
     "enable_worker_runtime",
+    "serve_tasks",
     "active_runtime",
     "worker_cache_budget_bytes",
     "worker_tier",
@@ -114,8 +116,8 @@ class WorkerRuntime:
         return list(self._entries)
 
 
-#: The process-global runtime; ``None`` until a pool-worker initializer
-#: (or a test) enables it.
+#: The process-global runtime; ``None`` until a pool worker
+#: (:func:`serve_tasks`) or a test enables it.
 _runtime: WorkerRuntime | None = None
 
 
@@ -127,17 +129,42 @@ def worker_cache_budget_bytes() -> int:
 def enable_worker_runtime(budget_bytes: int | None = None) -> WorkerRuntime | None:
     """Install (or disable, for budget 0) the process-global runtime.
 
-    Runs as the ProcessPool worker initializer; the parent resolves the
-    budget and passes it through ``initargs`` so the knob is read once,
-    in one process, regardless of how workers are started (forkserver
-    reuses its server process across pools, so worker-side environment
-    reads could observe a stale snapshot).
+    :func:`serve_tasks` calls it first; the parent resolves the budget
+    and passes it to each worker so the knob is read once, in one
+    process, regardless of how workers are started (forkserver reuses
+    its server process across pools, so worker-side environment reads
+    could observe a stale snapshot).
     """
     global _runtime
     if budget_bytes is None:
         budget_bytes = worker_cache_budget_bytes()
     _runtime = WorkerRuntime(budget_bytes) if budget_bytes > 0 else None
     return _runtime
+
+
+def serve_tasks(conn, budget_bytes: int) -> None:
+    """A pool worker's life: enable the runtime, then run tasks.
+
+    Each message on *conn* is ``(fn, *args)``; the reply is ``(True,
+    result)`` or ``(False, exception)``.  The worker exits when the
+    parent closes its end of the pipe.
+    """
+    enable_worker_runtime(budget_bytes)
+    while True:
+        try:
+            fn, *args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent closed the pipe mid-task
+        except Exception as exc:  # the reply does not pickle
+            conn.send((False, RuntimeError(f"unpicklable reply: {exc!r}")))
 
 
 def active_runtime() -> WorkerRuntime | None:

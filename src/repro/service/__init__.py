@@ -6,7 +6,7 @@ framework dependency): clients POST :class:`~repro.runner.spec.
 CampaignSpec` / ``AttackCampaignSpec`` JSON envelopes to ``/jobs``, get
 job ids back, and stream per-cell results as NDJSON while the cells run
 on a shared long-lived :class:`~repro.runner.engine.CampaignExecutor`
-ProcessPool.  Identical cells submitted by concurrent clients are
+worker pool.  Identical cells submitted by concurrent clients are
 deduplicated through an in-flight table keyed by the artifact cache's
 content keys — each unique cell is computed exactly once and served to
 every waiter — and the on-disk cache makes completed cells free across

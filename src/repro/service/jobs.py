@@ -195,10 +195,10 @@ class _Inflight:
 class JobManager:
     """Owns jobs, schedules cells, deduplicates identical in-flight work.
 
-    Everything runs on the event loop; pool results re-enter through
-    awaited wrapped futures, so no manager state needs locking beyond
-    the per-job condition that serialises record appends with stream
-    readers.
+    Everything runs on the event loop; the executor resolves the
+    asyncio futures it hands out from that same loop, so no manager
+    state needs locking beyond the per-job condition that serialises
+    record appends with stream readers.
     """
 
     def __init__(
@@ -257,8 +257,9 @@ class JobManager:
         self.metrics.cells_submitted += 1
         entry = self._inflight.get(key)
         if entry is None:
-            pool_future = self.executor.submit(execute_bundle, [[attack_cell(cell)]])
-            entry = _Inflight(key=key, future=asyncio.wrap_future(pool_future))
+            acell = attack_cell(cell)
+            future = self.executor.submit(execute_bundle, [[acell]], acell)
+            entry = _Inflight(key=key, future=future)
             self._inflight[key] = entry
             self.metrics.cells_computed += 1
             watcher = asyncio.get_running_loop().create_task(

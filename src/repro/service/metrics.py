@@ -5,7 +5,8 @@ report their cache stats back through the cell results), so plain
 counters suffice — no locks.  The snapshot is JSON-ready and exposes
 per-stage cache behaviour (hits/misses/stores and compute wall-clock,
 from :class:`~repro.utils.artifact_cache.StageStats`), cell dedupe
-accounting, job-state counts and HTTP connection reuse; the CI
+accounting, job-state counts, the worker pool (live workers, restarts,
+queued tasks) and HTTP connection reuse; the CI
 ``cache-stress`` job asserts exactly-once computation from these
 numbers.
 """
@@ -27,7 +28,7 @@ class ServiceMetrics:
     jobs_submitted: int = 0
     #: Cells across all submissions (dedicated + deduped waiters).
     cells_submitted: int = 0
-    #: Cells actually scheduled on the ProcessPool (unique work).
+    #: Cells actually scheduled on the worker pool (unique work).
     cells_computed: int = 0
     #: Cells that joined an identical in-flight computation instead.
     cells_deduped: int = 0
@@ -45,9 +46,13 @@ class ServiceMetrics:
     cache: CacheStats = field(default_factory=CacheStats)
 
     def snapshot(
-        self, cells_in_flight: int, jobs_by_state: dict[str, int]
+        self,
+        cells_in_flight: int,
+        jobs_by_state: dict[str, int],
+        pool: dict[str, int],
     ) -> dict[str, Any]:
-        """The JSON body of ``GET /metrics``."""
+        """The JSON body of ``GET /metrics``; *pool* is the executor's
+        :meth:`~repro.runner.engine.CampaignExecutor.stats`."""
         return {
             "uptime_seconds": time.time() - self.started,
             "jobs": {"submitted": self.jobs_submitted, **jobs_by_state},
@@ -60,6 +65,7 @@ class ServiceMetrics:
                 "cancelled": self.cells_cancelled,
                 "in_flight": cells_in_flight,
             },
+            "pool": pool,
             "cache": asdict(self.cache),
             "orphans_swept": self.orphans_swept,
             "http": {

@@ -210,7 +210,7 @@ class CampaignService:
                     await self.manager.cancel(job)
             await self.manager.drain()
         if self.executor is not None:
-            self.executor.shutdown(wait=True, cancel_pending=True)
+            self.executor.shutdown()
 
     # -- request handling -------------------------------------------------
 
@@ -287,7 +287,9 @@ class CampaignService:
         if path == "/metrics":
             self._require(method, "GET")
             return 200, self.metrics.snapshot(
-                manager.cells_in_flight(), manager.jobs_by_state()
+                manager.cells_in_flight(),
+                manager.jobs_by_state(),
+                self.executor.stats(),
             )
         if path == "/jobs":
             if method == "POST":

@@ -47,7 +47,7 @@ resolved by :mod:`repro.service.config`; CLI flags override them):
 * ``REPRO_SERVICE_PORT``     — bind port (default ``8321``; ``0`` asks
   the OS for an ephemeral port, so it is parsed with :func:`env_int`,
   not the strictly-positive variant).
-* ``REPRO_SERVICE_WORKERS``  — service ProcessPool size (``> 0``;
+* ``REPRO_SERVICE_WORKERS``  — service worker-pool size (``> 0``;
   default: ``REPRO_WORKERS`` semantics, i.e. every available CPU).
 * ``REPRO_SERVICE_MAX_JOBS`` — finished-job records retained for
   ``GET /jobs/{id}`` before the oldest are evicted (``> 0``,

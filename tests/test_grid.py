@@ -20,7 +20,15 @@ from repro.runner.engine import (
     run_attack_campaign,
     run_campaign,
 )
-from repro.runner.grid import plan_campaign, run_fused_cells
+from repro.runner import stages
+from repro.runner.grid import (
+    _run_group,
+    execute_bundle,
+    plan_bundles,
+    plan_campaign,
+    run_fused_cells,
+)
+from repro.runner.profiles import default_defense_names
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec, CellSpec, proximity_cell
 from repro.utils.artifact_cache import CacheStats
@@ -49,6 +57,19 @@ ATTACKS = AttackCampaignSpec(
     benchmarks=("random:i10-o5-g90",),
     scenarios=("netflow", "random"),
     split_layers=(4,),
+    key_bits=(10,),
+    hd_patterns=512,
+    max_candidates=60,
+)
+
+
+#: A defense axis over two split layers: four groups (one per defense)
+#: on each of two layouts.
+MATRIX = AttackCampaignSpec(
+    benchmarks=("random:i10-o5-g90",),
+    scenarios=("proximity", "random"),
+    defenses=default_defense_names(),
+    split_layers=(4, 6),
     key_bits=(10,),
     hd_patterns=512,
     max_candidates=60,
@@ -145,6 +166,64 @@ def test_pool_fails_fast_naming_the_failing_cell():
     with pytest.raises(CellExecutionError) as excinfo:
         run_fused_cells(PROXIMITY + [bad], workers=2, use_cache=False)
     assert excinfo.value.cell_id == bad.cell_id
+
+
+# ---------------------------------------------------------------------------
+# Layouts built once per grid
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """Count ``build_locked_layout`` calls made through the layout stage."""
+    calls = []
+    build = stages.build_locked_layout
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["split_layer"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "build_locked_layout", counted)
+    return calls
+
+
+def test_defense_axis_builds_each_layout_once(layout_builds):
+    """Serial grid and in-process bundle alike: one build per layout,
+    and the same records as each cell run alone."""
+    cells = MATRIX.cells()
+    plan = plan_campaign(cells)
+    assert (len(plan.groups), len({g.layout_key for g in plan.groups})) == (8, 2)
+    reference = per_cell_records(cells)
+    layout_builds.clear()
+
+    serial = run_fused_cells(cells, workers=1, use_cache=False)
+    assert layout_builds == [4, 6]
+    assert canonical_json([result_record(r) for r in serial]) == reference
+
+    layout_builds.clear()
+    [bundle] = plan_bundles(plan)
+    output = execute_bundle(
+        [plan.group_cells(g) for g in bundle.groups], use_cache=False
+    )
+    assert layout_builds == [4, 6]
+    ordered = {
+        index: result
+        for group, results in zip(bundle.groups, output)
+        for index, result in zip(group.indices, results)
+    }
+    bundled = [result_record(ordered[i]) for i in range(len(cells))]
+    assert canonical_json(bundled) == reference
+
+
+def test_defended_group_leaves_the_shared_layout_unchanged():
+    cells = MATRIX.cells()
+    plan = plan_campaign(cells)
+    undefended, *defended = plan.groups[:4]
+    assert undefended.defense_key == "" and all(g.defense_key for g in defended)
+    _, design, layout = _run_group(plan.group_cells(undefended), None)
+    before = pickle.dumps(layout)
+    for group in defended:
+        _run_group(plan.group_cells(group), None, design=design, layout=layout)
+    assert pickle.dumps(layout) == before
 
 
 # ---------------------------------------------------------------------------

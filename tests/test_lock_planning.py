@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
 import pickle
 from dataclasses import dataclass
 
@@ -91,10 +92,11 @@ def reference_cascade_removed_area(circuit, net, value, lib=NANGATE45):
         if folded is not None:
             constant[name] = folded
 
-    area = gate_area(net)
-    area += sum(gate_area(n) for n in cone if n != net)
-    area += sum(gate_area(n) for n in constant if n != net and n not in cone)
-    return area
+    return math.fsum(
+        [gate_area(net)]
+        + [gate_area(n) for n in cone if n != net]
+        + [gate_area(n) for n in constant if n != net and n not in cone]
+    )
 
 
 def reference_exact_cover(minterms, num_vars):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import pickle
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -237,13 +238,22 @@ def test_lock_is_byte_identical_to_pin(name):
     assert lock_digest(name) == LOCK_PINS[name]
 
 
-def test_lock_does_not_depend_on_hash_seed():
-    """Planning caches hold sets of nets; the lock must not follow their
-    iteration order."""
+def cascade_area_digest(name: str) -> str:
+    """sha256 of the bit patterns of every internal fault's cascade area."""
+    core = _pin_design(name)
+    areas = [
+        cascade_removed_area(core, fault.net, fault.value)
+        for fault in internal_faults(core)
+    ]
+    return hashlib.sha256(struct.pack(f"<{len(areas)}d", *areas)).hexdigest()
+
+
+def _under_hash_seeds(expression: str) -> list[str]:
+    """What *expression* (over this module) prints under hash seeds 0, 1."""
     src = str(Path(repro.__file__).resolve().parents[1])
     root = str(Path(__file__).resolve().parents[1])
-    script = "from tests.test_locking import lock_digest; print(lock_digest('b14'))"
-    digests = []
+    script = f"from tests.test_locking import *; print({expression})"
+    printed = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -258,8 +268,43 @@ def test_lock_does_not_depend_on_hash_seed():
             timeout=120,
             check=True,
         )
-        digests.append(done.stdout.strip())
-    assert digests == [LOCK_PINS["b14"]] * 2
+        printed.append(done.stdout.strip())
+    return printed
+
+
+def test_lock_does_not_depend_on_hash_seed():
+    """Planning caches hold sets of nets; the lock must not follow their
+    iteration order."""
+    assert _under_hash_seeds("lock_digest('b14')") == [LOCK_PINS["b14"]] * 2
+
+
+def full_table3_c7552_lock_digest() -> str:
+    """The full-profile Table III c7552 lock (the proposed row's 32 key
+    bits), whose two tied keyed faults once swapped with the hash seed."""
+    from repro.runner.profiles import ExperimentProfile
+    from repro.runner.stages import locked_design
+
+    [cell] = [
+        c.cell
+        for c in ExperimentProfile(full=True, scale=None).table3_cells()
+        if c.cell.benchmark == "c7552" and c.defense is None
+    ]
+    design = locked_design(cell)
+    return hashlib.sha256(
+        pickle.dumps((design.locked, design.report), protocol=4)
+    ).hexdigest()
+
+
+def test_full_table3_c7552_lock_does_not_depend_on_hash_seed():
+    first, second = _under_hash_seeds("full_table3_c7552_lock_digest()")
+    assert first == second
+
+
+def test_cascade_areas_do_not_depend_on_hash_seed():
+    """The fanout-free cone is a set of nets: its area must not be summed
+    in hash order (the areas rank candidate faults)."""
+    first, second = _under_hash_seeds("cascade_area_digest('c432')")
+    assert first == second == cascade_area_digest("c432")
 
 
 # ----------------------------------------------------------------------

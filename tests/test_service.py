@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
+import signal
 import socket
 import threading
 import time
@@ -456,6 +458,27 @@ def test_failed_cell_is_named_and_spares_the_rest(client):
     assert [r["index"] for r in results] == [0, 1]
 
 
+def test_killed_worker_shows_as_one_restart(client, server):
+    """SIGKILL an idle pool worker: /metrics counts one restart, and the
+    next job runs on its replacement."""
+    _streamed(client, E2E)  # both workers up
+    before = client.metrics()["pool"]
+    assert before["workers"] == 2
+    os.kill(server.service.executor._procs[0].process.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while client.metrics()["pool"]["restarts"] == before["restarts"]:
+        assert time.monotonic() < deadline, "the death was never noticed"
+        time.sleep(0.05)
+    _, results, errors, done = _streamed(client, E2E)
+    after = client.metrics()["pool"]
+    assert not errors and done["state"] == "done"
+    assert after == {
+        "workers": 2,
+        "restarts": before["restarts"] + 1,
+        "queued": 0,
+    }
+
+
 def test_http_error_surfaces(client):
     with pytest.raises(ServiceError) as excinfo:
         client.job("j9999-nope")
@@ -541,7 +564,7 @@ def test_campaign_executor_never_uses_fork():
     from repro.runner.engine import CampaignExecutor
 
     with CampaignExecutor(workers=1) as executor:
-        method = executor._pool._mp_context.get_start_method()
+        method = executor._context.get_start_method()
     assert method in ("spawn", "forkserver")
 
 
