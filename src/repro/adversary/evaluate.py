@@ -4,7 +4,9 @@
 scenario.Scenario` into its attack pipeline — engine run, optional
 key-pin post-processing, metric computation — and returns a plain,
 picklable :class:`AttackOutcome` (the payload of the runner's cached
-``attack`` stage).
+``attack`` stage).  Everything but HD/OER forms its attack half, a
+:class:`Recovery` that pool workers keep resident, so a repeat that only
+changes the Monte-Carlo budget sweeps the kept machine again.
 
 All hypothesis evaluation is **batched through the compiled simulation
 core**: HD/OER runs on :func:`repro.metrics.hd_oer.compute_hd_oer`
@@ -17,15 +19,16 @@ outcome's ``sim_engine`` label names the path that ran.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.adversary.engine import AttackContext, get_engine
 from repro.adversary.scenario import Scenario
 from repro.attacks.postprocess import reconnect_key_gates_to_ties
 from repro.attacks.proximity import ProximityAttackConfig
-from repro.attacks.result import AttackResult
+from repro.attacks.result import AttackResult, RecoveredMachine
 from repro.locking.key import LockedCircuit
 from repro.metrics.ccr import CcrReport, compute_ccr
 from repro.metrics.hd_oer import HdOerReport, compute_hd_oer
@@ -68,6 +71,22 @@ class AttackOutcome:
     hypotheses: int = 0
     sim_engine: str = "none"
     diagnostics: dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Recovery:
+    """The attack half of one scenario run: everything but HD/OER.
+
+    ``outcome`` carries every metric except ``hd_oer``; its
+    ``sim_engine`` is ``compiled-batch`` if the oracle key search ran,
+    else ``none``.  ``machine`` is the attacker's netlist HD/OER scores
+    (``None`` when the scenario recovers no connections); it keeps its
+    compiled program once built.  Neither points into the view, the
+    lock or the layout, so a pickle of it is the entry's own bytes.
+    """
+
+    outcome: AttackOutcome
+    machine: RecoveredMachine | None
 
 
 def implied_key_guess(
@@ -239,6 +258,7 @@ def run_scenario(
     total_regular_connections: int | None = None,
     protected_nets: frozenset[str] | None = None,
     defense_info: dict[str, object] | None = None,
+    recovery_payload: Mapping[str, object] | None = None,
 ) -> AttackOutcome:
     """Execute one resolved scenario end to end.
 
@@ -254,11 +274,81 @@ def run_scenario(
     defended and undefended outcomes can be compared on.
     ``protected_nets``/``defense_info`` add the ``defense`` block for
     defended views (per-protected-net CCR plus the defense's summary).
+
+    The run has two halves.  The attack half (:class:`Recovery`: engine
+    run, post-processing, CCR/PNR, the diagnostics blocks, the oracle
+    key search and the attacker's machine) does not depend on the
+    HD/OER budget; the metrics half sweeps that machine with
+    *hd_patterns* patterns from *hd_seed*.  *recovery_payload* is the
+    attack half's content key (:func:`repro.runner.stages.
+    recovery_payload`): given one, the attack half goes through the
+    worker-resident tier (:func:`repro.runner.worker.worker_tier`,
+    stage ``recovery``), so in a pool worker a repeat that changes only
+    the budget pays for the sweep alone.  Outside pool workers the tier
+    is a passthrough and every call runs both halves.
     """
     if scenario.seed is None or scenario.budget is None:
         raise ValueError(
             "run_scenario needs a resolved scenario; call .resolve() first"
         )
+
+    def recover() -> Recovery:
+        return _recover(
+            scenario,
+            view,
+            locked,
+            original,
+            benchmark,
+            split_layer,
+            postprocess_seed,
+            attack,
+            cache,
+            total_regular_connections,
+            protected_nets,
+            defense_info,
+        )
+
+    if recovery_payload is None:
+        recovery = recover()
+    else:
+        # Imported here: the runner package imports this module.
+        from repro.runner.worker import worker_tier
+
+        recovery = worker_tier("recovery", recovery_payload, recover)
+    # A tier entry serves many cells; each gets its own mutable parts
+    # (the scenario is frozen, key guesses are tuples).
+    kept = recovery.outcome
+    outcome = replace(
+        kept,
+        ccr=replace(kept.ccr),
+        ccr_raw=replace(kept.ccr_raw),
+        pnr=replace(kept.pnr),
+        diagnostics=copy.deepcopy(kept.diagnostics),
+    )
+    if recovery.machine is not None:
+        outcome.hd_oer = compute_hd_oer(
+            original, recovery.machine, patterns=hd_patterns, seed=hd_seed
+        )
+        if outcome.sim_engine == "none":
+            outcome.sim_engine = "compiled-array"
+    return outcome
+
+
+def _recover(
+    scenario: Scenario,
+    view: FeolView,
+    locked: LockedCircuit,
+    original: Circuit,
+    benchmark: str,
+    split_layer: int,
+    postprocess_seed: int,
+    attack: ProximityAttackConfig | None,
+    cache: object | None,
+    total_regular_connections: int | None,
+    protected_nets: frozenset[str] | None,
+    defense_info: dict[str, object] | None,
+) -> Recovery:
+    """Run the attack half of :func:`run_scenario`."""
     engine = get_engine(scenario.engine)
     ctx = AttackContext(
         view=view,
@@ -329,11 +419,7 @@ def run_scenario(
             ),
         }
 
-    if scenario.wants_connections and result.machine is not None:
-        outcome.hd_oer = compute_hd_oer(
-            original, result.machine, patterns=hd_patterns, seed=hd_seed
-        )
-        outcome.sim_engine = "compiled-array"
+    machine = result.machine if scenario.wants_connections else None
 
     if scenario.wants_key and locked.key_length:
         implied = result.key_guess or implied_key_guess(result, locked)
@@ -352,4 +438,4 @@ def run_scenario(
             guess = implied
         outcome.key_guess = guess
         outcome.key_accuracy = key_accuracy(guess, locked)
-    return outcome
+    return Recovery(outcome, machine)

@@ -11,10 +11,12 @@ Each FEOL view memoises a table of index arrays (:func:`view_table`);
 an assignment patches a copy of its fanin ids, aliases repeated output
 targets through ``_poalias`` BUFs and breaks loops on ints
 (:func:`recovered_machine`), and the :class:`RecoveredMachine` compiles
-straight into the program HD/OER sweeps.  A :class:`Circuit` is
-rendered from it only when read (:attr:`AttackResult.recovered`,
-:func:`rebuild_netlist`).  Engines record only the
-netlist's name; the machine is built on first read and kept.
+straight into the program HD/OER sweeps, and keeps it: a worker that
+keeps the machine sweeps it again without recompiling.  A
+:class:`Circuit` is rendered from it only when read
+(:attr:`AttackResult.recovered`, :func:`rebuild_netlist`).  Engines
+record only the netlist's name; the machine is built on first read and
+kept.
 
 Results are never pickled into an artifact: the cached ``attack`` stage
 stores an :class:`~repro.adversary.evaluate.AttackOutcome` of plain
@@ -147,6 +149,7 @@ class _ViewTable:
 
     def __init__(self, view: FeolView) -> None:
         self.gates: list[Gate] = list(view.gates.values())
+        self.types = [g.gate_type for g in self.gates]
         self.row = {name: i for i, name in enumerate(view.gates)}
         self.table = net_table(self.gates, self.row)
         self.width = width = self.table.fanin.shape[1]
@@ -193,14 +196,25 @@ class RecoveredMachine:
     """The attacker's netlist: the view's gates, then ``_poalias`` BUFs,
     then ``_loopbrk`` TIELOs, each row levelled.  Like ``inputs``, the
     ``outputs`` rows are lowered as :meth:`Circuit.combinational_core`
-    lowers DFFs; the rendered circuit keeps ``primary_outputs``."""
+    lowers DFFs; the rendered circuit keeps ``primary_outputs``.
+
+    It keeps the view's gate types, not its gates, so it holds nothing
+    of the view and a pickle of it is its own bytes.  The compiled
+    program is kept once built and left out of pickles."""
 
     name: str
-    gates: list[Gate]  # the view's gates (rendering keeps their types)
+    types: list[GateType]  # the view's gate types, in row order
     table: NetTable
     level: np.ndarray
     outputs: list[int]
     primary_outputs: list[int]
+    _program: CompiledCircuit | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # The compiled program is derived; pickles leave it out.
+        return {**self.__dict__, "_program": None}
 
     @property
     def inputs(self) -> list[str]:
@@ -209,20 +223,24 @@ class RecoveredMachine:
         return [self.table.names[i] for i in rows]
 
     def compile(self) -> CompiledCircuit:
-        """The simulation program, with no :class:`Circuit` built."""
-        return CompiledCircuit.from_table(
-            self.name, self.table, self.level, self.outputs
-        )
+        """The simulation program, with no :class:`Circuit` built;
+        compiled on first call, then kept."""
+        if self._program is None:
+            self._program = CompiledCircuit.from_table(
+                self.name, self.table, self.level, self.outputs
+            )
+        return self._program
 
     def circuit(self, name: str | None = None) -> Circuit:
         """Render the machine as the :class:`Circuit` the attacker tapes out."""
         names = self.table.names
         rows = self.table.fanin.tolist()
+        arity = self.table.arity.tolist()
         gates = [
-            Gate(g.name, g.gate_type, tuple(names[j] for j in row[: len(g.fanin)]))
-            for g, row in zip(self.gates, rows)
+            Gate(names[i], gate_type, tuple(names[j] for j in rows[i][: arity[i]]))
+            for i, gate_type in enumerate(self.types)
         ]
-        for i in range(len(self.gates), len(names)):
+        for i in range(len(self.types), len(names)):
             if self.table.kind[i] == KIND_TIELO:
                 gates.append(Gate(names[i], GateType.TIELO))
             else:
@@ -290,7 +308,7 @@ def recovered_machine(
     kinds = np.array([KIND_GATE] * len(aliased) + [KIND_TIELO] * ties, np.intp)
     return RecoveredMachine(
         name=name,
-        gates=vt.gates,
+        types=vt.types,
         table=NetTable(
             names + list(added),
             np.concatenate((vt.table.kind, kinds)),

@@ -284,22 +284,30 @@ class CampaignExecutor:
     def map(self, worker: Callable, tasks: Sequence, cells: Sequence) -> list:
         """Every task's result, in order, from a fresh event loop.
 
-        Fails fast: the first error (in submission order) cancels every
-        other task — a queued one never runs — and raises a
-        :class:`CellExecutionError` naming *cells[i]*, the cell of the
-        failing ``tasks[i]``.
+        Fails fast: the first error cancels every other task — a queued
+        one never runs — and raises a :class:`CellExecutionError` naming
+        *cells[i]*, the cell of the failing ``tasks[i]`` (the first in
+        submission order, if several failed).
         """
         import asyncio
 
         async def gather() -> list:
             futures = [self.submit(worker, t, c) for t, c in zip(tasks, cells)]
-            if futures:
-                await asyncio.wait(futures, return_when=asyncio.FIRST_EXCEPTION)
-            for future, cell in zip(futures, cells):
-                exc = future.exception() if future.done() else None
-                if exc is not None:
+
+            def fail_fast(future: asyncio.Future) -> None:
+                # Runs before the pool's deferred dispatch (_receive), so
+                # no queued task goes out after the first error.
+                if not future.cancelled() and future.exception() is not None:
                     for other in futures:
                         other.cancel()
+
+            for future in futures:
+                future.add_done_callback(fail_fast)
+            if futures:
+                await asyncio.wait(futures)
+            for future, cell in zip(futures, cells):
+                exc = None if future.cancelled() else future.exception()
+                if exc is not None:
                     if isinstance(exc, CellExecutionError):
                         raise exc
                     raise _wrap_cell_error(cell, exc) from exc
@@ -375,11 +383,14 @@ class CampaignExecutor:
                 worker.conn.send(worker.task.call)
             except OSError:  # it died before its EOF was read
                 self._retire(worker)
+                self._loop.call_soon(self._dispatch)  # as in _receive
+                return
 
     def _receive(self, worker: _Worker) -> None:
         try:
             ok, value = worker.conn.recv()
         except (EOFError, OSError):
+            ok = False
             self._retire(worker)
         else:
             task, worker.task = worker.task, None
@@ -388,7 +399,13 @@ class CampaignExecutor:
                     task.future.set_result(value)
                 else:
                     task.future.set_exception(value)
-        self._dispatch()
+        if ok:
+            self._dispatch()
+        else:
+            # After a failure the next task goes out one callback later,
+            # behind the failed future's done callbacks: whatever they
+            # cancel (``map``'s fail-fast) never runs.
+            self._loop.call_soon(self._dispatch)
 
     def _retire(self, worker: _Worker) -> None:
         """Drop a dead worker and fail its task, naming the task's cell."""

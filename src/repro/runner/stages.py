@@ -9,7 +9,10 @@ The cell pipeline factors into staged, individually-cached pieces —
   (shared by every scenario attacking the same defended view),
 * **attack**  — one adversary scenario mounted on the (possibly
   defended) split layout, then CCR/HD/OER (one cache entry per
-  scenario; Tables I/II are the undefended ``proximity`` scenario),
+  scenario; Tables I/II are the undefended ``proximity`` scenario);
+  in memory it is two pieces, a **recovery** (the attack and every
+  metric but HD/OER, :func:`recovery_payload`) and the HD/OER sweep
+  of the recovered machine under the cell's ``hd_patterns``/``hd_seed``,
 
 — each a deterministic function of a :class:`~repro.runner.spec.CellSpec`
 slice.  Every stage is wrapped in the content-keyed on-disk cache
@@ -19,13 +22,16 @@ reuse instead of recompute.  Changing any spec field that feeds a stage
 changes its key and transparently invalidates it and everything
 downstream.
 
-The artifact-heavy stages (lock, layout, defense) additionally route
-through the worker-resident in-memory tier
+The artifact-heavy stages (lock, layout, defense) and the attack's
+recovery additionally route through the worker-resident in-memory tier
 (:func:`repro.runner.worker.worker_tier`): in pool workers that enabled
 their runtime, a repeat of a hot configuration serves the already
 deserialized object — same content key, so same artifact — and skips
-both the disk read and (cacheless) the recompute.  Outside pool workers
-the hook is an exact passthrough.
+both the disk read and (cacheless) the recompute; a resident recovery
+leaves a repeat attack cell only its HD/OER sweep.  The recovery lives
+only in memory: the disk keeps whole attack outcomes under
+:func:`attack_payload`.  Outside pool workers the hook is an exact
+passthrough.
 """
 
 from __future__ import annotations
@@ -129,6 +135,16 @@ def attack_payload(acell: AttackCellSpec) -> dict[str, Any]:
     # bakes the full resolved defense spec into its attack key.
     if acell.defense is not None:
         payload["defense"] = acell.defense.to_payload()
+    return payload
+
+
+def recovery_payload(acell: AttackCellSpec) -> dict[str, Any]:
+    """:func:`attack_payload` less the HD/OER budget, as stage
+    ``recovery``: the key of the attack half of
+    :func:`~repro.adversary.evaluate.run_scenario` in the worker tier."""
+    payload = attack_payload(acell)
+    payload["stage"] = "recovery"
+    del payload["hd_patterns"], payload["hd_seed"]
     return payload
 
 
@@ -267,7 +283,10 @@ def cell_attack(
 
     Builds on the cached lock/layout artifacts (plus the cached defense
     stage for defended cells), so a scenario sweep over an existing grid
-    only pays for the attacks themselves.
+    only pays for the attacks themselves.  The attack half of the run
+    goes through the worker tier under :func:`recovery_payload`, so in a
+    pool worker a cell that differs from a resident one only in
+    ``hd_seed``/``hd_patterns`` pays only for its HD/OER sweep.
     """
     cell = acell.cell
 
@@ -308,6 +327,7 @@ def cell_attack(
             total_regular_connections=total_regular,
             protected_nets=protected,
             defense_info=defense_info,
+            recovery_payload=recovery_payload(acell),
         )
 
     if cache is None:

@@ -11,14 +11,26 @@ program the previous task just dropped.
 
 :class:`WorkerRuntime` closes that gap: a content-keyed in-memory LRU,
 one per worker process, that pins the **deserialized** artifacts —
-locks (with their cached compiled programs), layouts and defended
-views — across tasks, campaigns and service jobs.  Keys are the very
-``spec_key`` stage keys of the disk cache, so the tier can only ever
-serve the identical artifact the disk (or a recompute) would produce;
-its presence is unobservable in results by construction.  The byte
-budget comes from ``REPRO_WORKER_CACHE_MB`` (resolved *outside* cache
-keys — capacity cannot change content), sized by pickled length —
-the same bytes the disk cache would store.
+locks (with their cached compiled programs), layouts, defended views
+and attack recoveries — across tasks, campaigns and service jobs.
+Keys are ``spec_key`` content keys: the disk cache's stage keys for
+lock, layout and defense, and for a recovery
+(:func:`repro.runner.stages.recovery_payload`) the attack stage's key
+less its HD/OER budget.  So the tier can only ever serve the identical
+artifact the disk (or a recompute) would produce; its presence is
+unobservable in results by construction.  The byte budget comes from
+``REPRO_WORKER_CACHE_MB`` (resolved *outside* cache keys — capacity
+cannot change content), sized by pickled length — the same bytes the
+disk cache would store.
+
+A recovery (:class:`repro.adversary.evaluate.Recovery`) is one attack's
+outcome minus HD/OER plus the attacker's recovered machine, which
+holds its own arrays and no reference into the view, lock or layout
+it came from, so its pickle is its own bytes.  A repeat cell that
+differs only in ``hd_seed``/``hd_patterns`` then pays only for its
+HD/OER sweep.  The machine's compiled program, built by that sweep,
+rides along on it uncounted: pickles leave it out, as they leave out
+the per-view memos below.
 
 A resident layout also carries what attacks derive from it: the FEOL
 views :meth:`~repro.phys.layout.PhysicalLayout.feol_view` splits (one
@@ -42,7 +54,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Callable, Mapping
 
-from repro.utils.artifact_cache import WorkerStats, spec_key
+from repro.utils.artifact_cache import WorkerStageStats, WorkerStats, spec_key
 from repro.utils.env import env_worker_cache_mb
 
 __all__ = [
@@ -85,9 +97,11 @@ class WorkerRuntime:
         entry = self._entries.get((stage, key))
         if entry is None:
             self.stats.misses += 1
+            self.stats.stage(stage).misses += 1
             return None
         self._entries.move_to_end((stage, key))
         self.stats.hits += 1
+        self.stats.stage(stage).hits += 1
         return entry[0]
 
     def put(
@@ -194,12 +208,23 @@ def worker_stats_snapshot() -> WorkerStats:
     """A copy of the runtime's counters (zeros when disabled)."""
     if _runtime is None:
         return WorkerStats()
-    return replace(_runtime.stats)
+    stats = _runtime.stats
+    return replace(
+        stats, stages={name: replace(s) for name, s in stats.stages.items()}
+    )
 
 
 def worker_stats_delta(before: WorkerStats) -> WorkerStats:
     """Counter movement since *before*; gauges report the current state."""
     now = worker_stats_snapshot()
+    stages = {}
+    for name, stage in now.stages.items():
+        prior = before.stages.get(name, WorkerStageStats())
+        moved = WorkerStageStats(
+            stage.hits - prior.hits, stage.misses - prior.misses
+        )
+        if moved.hits or moved.misses:
+            stages[name] = moved
     return WorkerStats(
         hits=now.hits - before.hits,
         misses=now.misses - before.misses,
@@ -207,4 +232,5 @@ def worker_stats_delta(before: WorkerStats) -> WorkerStats:
         evictions=now.evictions - before.evictions,
         resident_bytes=now.resident_bytes,
         resident_entries=now.resident_entries,
+        stages=stages,
     )

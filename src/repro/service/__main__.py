@@ -7,7 +7,9 @@ Subcommands:
   (optionally that a rerun is fully cache-served);
 * ``warm``   — run one campaign twice against a live (cacheless)
   executor and assert the warm-worker pass is bit-identical with
-  nonzero worker-cache hits (the persistent-runtime CI gate);
+  nonzero worker-cache hits (the persistent-runtime CI gate), then once
+  more with only ``hd_seed`` shifted and assert it equals a cold
+  in-process run with nonzero ``recovery`` hits;
 * ``stress`` — self-hosted concurrency stress proving exactly-once
   computation and artifact integrity under concurrent tenants.
 
@@ -68,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         "warm",
         help="run a campaign twice on one live (cacheless) executor and "
         "assert warm-worker results are bit-identical with nonzero "
-        "worker-cache hits",
+        "worker-cache hits; then rerun it with hd_seed shifted and assert "
+        "a cold in-process match with nonzero recovery hits",
     )
     warm.add_argument("--url", default=DEFAULT_URL)
     warm.add_argument(

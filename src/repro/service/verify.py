@@ -27,11 +27,14 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
+from repro.runner.engine import run_attack_campaign, run_campaign
 from repro.runner.profiles import attack_smoke_campaign, smoke_campaign
-from repro.runner.serialize import canonical_json
+from repro.runner.serialize import canonical_json, result_record
+from repro.runner.spec import CampaignSpec
 from repro.service.client import ServiceClient
 
 #: Keys the service stream adds on top of the CLI record shape.
@@ -160,21 +163,7 @@ def run_verify(
         cache_dir = Path(cli_cache_dir) if cli_cache_dir else Path(fallback)
         cli_records = cli_reference_records(attacks, cache_dir, workers)
 
-    if len(cli_records) != len(service_records):
-        _log(
-            f"FAIL: CLI produced {len(cli_records)} records, service "
-            f"streamed {len(service_records)}"
-        )
-        return 1
-    if canonical_json(cli_records) != canonical_json(service_records):
-        for index, (ours, theirs) in enumerate(
-            zip(service_records, cli_records)
-        ):
-            if canonical_json([ours]) != canonical_json([theirs]):
-                _log(f"FAIL: first divergence at record {index}:")
-                _log(f"  service: {canonical_json([ours])[:400]}")
-                _log(f"  cli:     {canonical_json([theirs])[:400]}")
-                break
+    if records_differ(("service", service_records), ("cli", cli_records)):
         return 1
     _log(f"PASS: HTTP stream bit-identical to the CLI path ({kind})")
 
@@ -192,12 +181,51 @@ def run_verify(
     return 0
 
 
+def records_differ(
+    ours: tuple[str, list[dict[str, Any]]],
+    theirs: tuple[str, list[dict[str, Any]]],
+) -> bool:
+    """Whether two labelled record lists differ canonically; logs the
+    first diverging record."""
+    (our_label, our_records), (their_label, their_records) = ours, theirs
+    if canonical_json(our_records) == canonical_json(their_records):
+        return False
+    width = max(len(our_label), len(their_label)) + 1
+    for index, (mine, other) in enumerate(zip(our_records, their_records)):
+        if canonical_json([mine]) != canonical_json([other]):
+            _log(
+                f"FAIL: first {our_label}/{their_label} divergence "
+                f"at record {index}:"
+            )
+            _log(f"  {our_label + ':':{width}} {canonical_json([mine])[:400]}")
+            _log(f"  {their_label + ':':{width}} {canonical_json([other])[:400]}")
+            break
+    else:
+        _log(
+            f"FAIL: {len(our_records)} {our_label} records, "
+            f"{len(their_records)} {their_label}"
+        )
+    return True
+
+
 def _worker_hits(metrics: dict[str, Any]) -> int:
     return metrics["cache"].get("worker", {}).get("hits", 0)
 
 
+def _recovery_hits(metrics: dict[str, Any]) -> int:
+    stages = metrics["cache"].get("worker", {}).get("stages", {})
+    return stages.get("recovery", {}).get("hits", 0)
+
+
+def in_process_records(spec) -> list[dict[str, Any]]:
+    """*spec* run cold, serially and in this process, as records."""
+    run = run_campaign if isinstance(spec, CampaignSpec) else run_attack_campaign
+    return [result_record(r) for r in run(spec, workers=1, use_cache=False).cells]
+
+
 def run_warm_verify(url: str, attacks: bool = True) -> int:
-    """Warm-worker pass: the same campaign twice on one live executor.
+    """Warm-worker pass: the same campaign twice on one live executor,
+    then once more with only ``hd_seed`` shifted.
 
     Targets a **cache-disabled** server (``serve --no-cache``): without
     the disk tier, every artifact a second pass skips recomputing was
@@ -205,7 +233,10 @@ def run_warm_verify(url: str, attacks: bool = True) -> int:
     two streamed result sets proves the reuse tier changes nothing,
     and the ``/metrics`` worker-cache counters prove it actually served
     (a cache-backed server would serve the attack stage from disk,
-    so the pass could not tell what the tier saved).
+    so the pass could not tell what the tier saved).  The third pass
+    re-scores resident recoveries under a new HD/OER stimulus: its
+    records must equal a cold in-process run of the shifted spec, and
+    ``/metrics`` must count ``recovery`` hits.
     """
     spec = attack_smoke_campaign() if attacks else smoke_campaign()
     client = ServiceClient(url)
@@ -226,15 +257,7 @@ def run_warm_verify(url: str, attacks: bool = True) -> int:
         f"({len(warm_records)} cells each)"
     )
 
-    if canonical_json(cold_records) != canonical_json(warm_records):
-        for index, (cold, warm) in enumerate(
-            zip(cold_records, warm_records)
-        ):
-            if canonical_json([cold]) != canonical_json([warm]):
-                _log(f"FAIL: first cold/warm divergence at record {index}:")
-                _log(f"  cold: {canonical_json([cold])[:400]}")
-                _log(f"  warm: {canonical_json([warm])[:400]}")
-                break
+    if records_differ(("cold", cold_records), ("warm", warm_records)):
         return 1
     _log("PASS: warm-worker results bit-identical to the cold pass")
 
@@ -257,5 +280,29 @@ def run_warm_verify(url: str, attacks: bool = True) -> int:
     _log(
         f"PASS: warm pass served {warm_hits} artifact(s) from the "
         "worker-resident tier"
+    )
+
+    shifted = replace(spec, hd_seed=spec.hd_seed + 1)
+    shifted_records, shifted_done = streamed_records(client, shifted)
+    shifted_metrics = client.metrics()
+    if shifted_done.get("state") != "done":
+        _log(
+            "FAIL: hd_seed-shifted job finished in state "
+            f"{shifted_done.get('state')!r}"
+        )
+        return 1
+    reference = in_process_records(shifted)
+    if records_differ(("service", shifted_records), ("in-process", reference)):
+        return 1
+    recovery_hits = _recovery_hits(shifted_metrics) - _recovery_hits(warm_metrics)
+    if recovery_hits <= 0:
+        _log(
+            "FAIL: hd_seed-shifted pass reported no 'recovery' hits "
+            f"(metrics: {shifted_metrics['cache'].get('worker')})"
+        )
+        return 1
+    _log(
+        f"PASS: hd_seed-shifted pass equals a cold in-process run and "
+        f"re-scored {recovery_hits} resident recovery(ies)"
     )
     return 0

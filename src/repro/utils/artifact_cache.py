@@ -116,6 +116,18 @@ class StageStats:
 
 
 @dataclass
+class WorkerStageStats:
+    """Hits and misses of one stage in the worker-resident tier."""
+
+    hits: int = 0
+    misses: int = 0
+
+    def merge(self, other: "WorkerStageStats") -> None:
+        self.hits += other.hits
+        self.misses += other.misses
+
+
+@dataclass
 class WorkerStats:
     """Counters of a process-resident worker artifact tier.
 
@@ -124,7 +136,9 @@ class WorkerStats:
     inside :class:`CacheStats` so campaign results and the service's
     ``/metrics`` surface them next to the disk-cache numbers.
     ``resident_*`` are gauges (what the tier pins *right now*), so
-    merging takes their max where the counters sum.
+    merging takes their max where the counters sum.  ``stages`` splits
+    the hits and misses by tier stage (``lock``, ``layout``,
+    ``defense``, ``recovery``); the totals count every stage.
     """
 
     hits: int = 0
@@ -133,6 +147,10 @@ class WorkerStats:
     evictions: int = 0
     resident_bytes: int = 0
     resident_entries: int = 0
+    stages: dict[str, WorkerStageStats] = field(default_factory=dict)
+
+    def stage(self, name: str) -> WorkerStageStats:
+        return self.stages.setdefault(name, WorkerStageStats())
 
     def merge(self, other: "WorkerStats") -> None:
         self.hits += other.hits
@@ -143,6 +161,8 @@ class WorkerStats:
         self.resident_entries = max(
             self.resident_entries, other.resident_entries
         )
+        for name, stats in other.stages.items():
+            self.stage(name).merge(stats)
 
 
 @dataclass

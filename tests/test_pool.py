@@ -69,15 +69,32 @@ def test_map_returns_results_in_submission_order():
 
 
 def test_map_fails_fast_naming_the_cell_and_cancels_queued_tasks(tmp_path):
-    """One worker: the failure frees it for the next task in line, and
-    every task still queued when the caller cancels never runs."""
+    """One worker: the failure cancels every task queued behind it
+    before the freed worker takes the next, so none of them runs."""
     marks = [str(tmp_path / f"m{i}") for i in range(3)]
     with CampaignExecutor(1, use_cache=False) as executor:
         with pytest.raises(CellExecutionError) as excinfo:
             executor.map(mark, [None, *marks], named("bad", "m0", "m1", "m2"))
     assert excinfo.value.cell_id == "bad"
     assert "ValueError: bad task" in str(excinfo.value)
-    assert [Path(m).exists() for m in marks] == [True, False, False]
+    assert [Path(m).exists() for m in marks] == [False, False, False]
+
+
+def test_tasks_queued_behind_a_failure_still_run(tmp_path):
+    """Without ``map`` nothing cancels them: the tasks queued behind a
+    failed one (the service's cells of other jobs) run, in order."""
+    marks = [str(tmp_path / f"m{i}") for i in range(2)]
+
+    async def body(executor):
+        bad = executor.submit(mark, None, "bad")
+        others = [executor.submit(mark, m, m) for m in marks]
+        with pytest.raises(ValueError, match="bad task"):
+            await bad
+        return [await future for future in others]
+
+    with CampaignExecutor(1, use_cache=False) as executor:
+        assert asyncio.run(body(executor)) == marks
+        assert executor.stats() == {"workers": 1, "restarts": 0, "queued": 0}
 
 
 def test_cancelled_queued_task_never_runs(tmp_path):

@@ -253,8 +253,12 @@ def client(server):
 
 def _streamed(client, spec_or_envelope):
     summary = client.submit(spec_or_envelope)
+    return (summary, *_streamed_job(client, summary["id"]))
+
+
+def _streamed_job(client, job_id):
     results, errors, done = [], [], None
-    for record in client.stream(summary["id"]):
+    for record in client.stream(job_id):
         if record["event"] == "result":
             results.append(record)
         elif record["event"] == "error":
@@ -262,7 +266,7 @@ def _streamed(client, spec_or_envelope):
         else:
             done = record["job"]
     results.sort(key=lambda r: r["index"])
-    return summary, results, errors, done
+    return results, errors, done
 
 
 def test_http_stream_matches_in_process_execution(client, server):
@@ -454,6 +458,25 @@ def test_failed_cell_is_named_and_spares_the_rest(client):
     assert after["cells"]["failed"] - before["cells"]["failed"] == 1
     # The same executor serves the next job normally.
     _, results, errors, done = _streamed(client, E2E)
+    assert not errors and done["state"] == "done"
+    assert [r["index"] for r in results] == [0, 1]
+
+
+def test_other_jobs_cells_run_after_a_cell_fails(client):
+    """A job submitted beside one whose cell fails still runs every
+    cell: the failure cancels nothing outside its own job."""
+    failing = CampaignSpec(
+        benchmarks=("random:i6-o4-g40",),
+        split_layers=(4, 6),
+        key_bits=(64,),  # more key-gates than the core has nets
+        scale=1.0,
+        hd_patterns=256,
+        max_candidates=60,
+    )
+    bad = client.submit(failing)
+    good = client.submit(E2E)
+    assert client.wait(bad["id"], timeout=120)["state"] == "failed"
+    results, errors, done = _streamed_job(client, good["id"])
     assert not errors and done["state"] == "done"
     assert [r["index"] for r in results] == [0, 1]
 

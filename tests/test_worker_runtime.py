@@ -31,6 +31,7 @@ from repro.runner.worker import (
     worker_stats_snapshot,
     worker_tier,
 )
+from repro.utils.artifact_cache import WorkerStageStats
 from repro.utils.env import env_worker_cache_mb
 
 BASE = CellSpec(
@@ -154,10 +155,20 @@ def test_worker_stats_delta_tracks_counters_and_gauges():
     worker_tier("lock", payload, lambda: "value")
     before = worker_stats_snapshot()
     worker_tier("lock", payload, lambda: "value")
+    worker_tier("layout", {"stage": "layout", "x": 1}, lambda: "layout")
     delta = worker_stats_delta(before)
-    assert (delta.hits, delta.misses, delta.stores) == (1, 0, 0)
-    assert delta.resident_entries == 1
+    assert (delta.hits, delta.misses, delta.stores) == (1, 1, 1)
+    assert delta.stages == {
+        "lock": WorkerStageStats(hits=1),
+        "layout": WorkerStageStats(misses=1),
+    }
+    assert before.stages == {"lock": WorkerStageStats(misses=1)}  # a copy
+    assert delta.resident_entries == 2
     assert delta.resident_bytes > 0
+    total = worker_stats_snapshot()
+    total.merge(delta)
+    assert total.stages["lock"] == WorkerStageStats(hits=2, misses=1)
+    assert total.hits == sum(s.hits for s in total.stages.values())
 
 
 def test_env_worker_cache_mb(monkeypatch):
